@@ -35,7 +35,7 @@ from .monotone import monotone_release
 from .noise import RandomSource, concentration_bound, sample_laplace
 from .oracle import OracleScope, compare_with_table
 from .release import release as diff_release
-from .release import sensitivity_bound, theoretical_release_error
+from .release import exact_values, sensitivity_bound, theoretical_release_error
 from .seqio import parse_sequence, serialize_sequence
 
 SEED_ENV = "CONTINUAL_DP_SEED"
@@ -179,10 +179,8 @@ def eval_cmd(function, tau, k, s, t_, input_, out) -> None:
     """Exact per-step values of a statistic along an update log."""
     f = _build_function(function, tau, k, s, t_)
     seq = _load_sequence(input_)
-    n_bins = len(seq.node_universe()) if f.name == "degree_histogram" else None
     lines = ["t,value"]
-    for t, g in enumerate(seq.iter_graphs(), start=1):
-        val = evaluate(f, g, n_bins=n_bins)
+    for t, val in enumerate(exact_values(seq, f), start=1):
         if isinstance(val, tuple):
             lines.append(f"{t},\"{';'.join(str(v) for v in val)}\"")
         else:

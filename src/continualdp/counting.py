@@ -133,8 +133,8 @@ class BinaryMechanism:
         self.x = num_levels(T)
         self.y = max_summands(T)
         if per_psum_scale is None:
-            if epsilon <= 0:
-                raise NonPositiveScale(f"epsilon must be positive, got {epsilon}")
+            if not 0 < epsilon < math.inf:
+                raise NonPositiveScale(f"epsilon must be positive and finite, got {epsilon}")
             per_psum_scale = item_width * self.x / epsilon
         elif per_psum_scale <= 0:
             raise NonPositiveScale(f"per_psum_scale must be positive, got {per_psum_scale}")
@@ -146,8 +146,8 @@ class BinaryMechanism:
         self._rng = rng
         self._t = 0
         self._acc = [0.0] * self.x
+        # keyed by (level, start); insertion order is release order
         self._released: dict[tuple[int, int], PSumRecord] = {}
-        self._trace: list[PSumRecord] = []
 
     @property
     def t(self) -> int:
@@ -179,7 +179,6 @@ class BinaryMechanism:
                 )
                 self._acc[i] = 0.0
                 self._released[(i, rec.start)] = rec
-                self._trace.append(rec)
                 released.append(rec)
         return released, self.estimate(t)
 
@@ -193,7 +192,7 @@ class BinaryMechanism:
 
     def trace(self) -> list[PSumRecord]:
         """All released p-sums in release order (audit hook)."""
-        return list(self._trace)
+        return list(self._released.values())
 
 
 def theoretical_count_error(width: float, epsilon: float, delta: float, T: int) -> float:

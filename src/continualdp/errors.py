@@ -96,10 +96,6 @@ class SparedEdgeMissing(ContinualDPError):
     """The spared edge must be present in both endpoint graphs."""
 
 
-class LengthNotMultiple(ContinualDPError):
-    """Sequence length must be a multiple of the phase length."""
-
-
 class TooSmall(ContinualDPError):
     """Requested witness family needs more nodes."""
 

@@ -87,9 +87,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for k in self.edges if v in k)
-
     def degrees(self) -> dict[int, int]:
         deg = dict.fromkeys(self.nodes, 0)
         for u, v in self.edges:
@@ -107,9 +104,6 @@ class Graph:
 
     def max_weight(self) -> int:
         return max(self.edges.values(), default=1)
-
-    def copy(self) -> "Graph":
-        return Graph(self.nodes, self.edges, _validate=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -150,10 +144,6 @@ class Update:
                 raise InvalidUpdate(f"insert of edge {k} with non-positive weight {w!r}")
 
     @property
-    def is_empty(self) -> bool:
-        return not (self.v_ins or self.v_del or self.e_ins or self.e_del)
-
-    @property
     def has_deletions(self) -> bool:
         return bool(self.v_del or self.e_del)
 
@@ -187,24 +177,22 @@ class Update:
         return "Update(" + " ".join(parts) + ")"
 
 
-def apply_update(g: Graph, u: Update) -> Graph:
-    """Apply one update, validating it against the current graph."""
-    nodes = set(g.nodes)
-    edges = dict(g.edges)
+def _apply(nodes: set[int], edges: dict[EdgeKey, int], u: Update) -> None:
+    """Validate one update against a mutable store and apply it in place.
 
-    if not u.v_del <= g.nodes:
-        raise InvalidUpdate(f"deleting absent nodes {sorted(u.v_del - g.nodes)}")
+    On an error the store may be left part-way through the step.
+    """
+    if not u.v_del <= nodes:
+        raise InvalidUpdate(f"deleting absent nodes {sorted(u.v_del - nodes)}")
     for k in u.e_del:
-        if k not in edges:
+        if edges.pop(k, None) is None:
             raise InvalidUpdate(f"deleting absent edge {k}")
-    # a deleted node must shed every incident edge in the same step
-    for v in u.v_del:
+    if u.v_del:
+        # a deleted node must shed every incident edge in the same step
         for k in edges:
-            if v in k and k not in u.e_del:
+            if k[0] in u.v_del or k[1] in u.v_del:
+                v = k[0] if k[0] in u.v_del else k[1]
                 raise InvalidUpdate(f"node {v} deleted while edge {k} survives")
-
-    for k in u.e_del:
-        del edges[k]
     nodes -= u.v_del
 
     if u.v_ins & nodes:
@@ -217,6 +205,11 @@ def apply_update(g: Graph, u: Update) -> Graph:
             raise InvalidUpdate(f"inserting edge {k} with an absent endpoint")
         edges[k] = w
 
+
+def apply_update(g: Graph, u: Update) -> Graph:
+    """Apply one update, validating it against the current graph."""
+    nodes, edges = set(g.nodes), dict(g.edges)
+    _apply(nodes, edges, u)
     return Graph(nodes, edges, _validate=False)
 
 
@@ -249,15 +242,7 @@ class GraphSequence:
 
     def materialize(self) -> list[Graph]:
         """Graphs G_1..G_T; raises InvalidUpdate with the offending index."""
-        out: list[Graph] = []
-        g = self.initial
-        for t, u in enumerate(self.updates, start=1):
-            try:
-                g = apply_update(g, u)
-            except InvalidUpdate as exc:
-                raise InvalidUpdate(f"at t={t}: {exc}") from exc
-            out.append(g)
-        return out
+        return [Graph(g.nodes, g.edges, _validate=False) for g in self.iter_graphs()]
 
     def iter_graphs(self) -> Iterator[Graph]:
         """Yield G_1..G_T as transient views sharing one mutable store.
@@ -266,31 +251,14 @@ class GraphSequence:
         need snapshots must use materialize().  This keeps long releases
         free of per-step copying.
         """
-        nodes = set(self.initial.nodes)
-        edges = dict(self.initial.edges)
+        nodes, edges = set(self.initial.nodes), dict(self.initial.edges)
         view = Graph.__new__(Graph)
+        view.nodes, view.edges = nodes, edges  # type: ignore[assignment]
         for t, u in enumerate(self.updates, start=1):
-            if not u.v_del <= nodes:
-                raise InvalidUpdate(f"at t={t}: deleting absent nodes")
-            for k in u.e_del:
-                if k not in edges:
-                    raise InvalidUpdate(f"at t={t}: deleting absent edge {k}")
-            if u.v_del:
-                for k in edges:
-                    if (k[0] in u.v_del or k[1] in u.v_del) and k not in u.e_del:
-                        raise InvalidUpdate(f"at t={t}: deleted node keeps edge {k}")
-            for k in u.e_del:
-                del edges[k]
-            nodes -= u.v_del
-            if u.v_ins & nodes:
-                raise InvalidUpdate(f"at t={t}: re-inserting present node")
-            nodes |= u.v_ins
-            for k, w in u.e_ins.items():
-                if k in edges or k[0] not in nodes or k[1] not in nodes:
-                    raise InvalidUpdate(f"at t={t}: invalid edge insert {k}")
-                edges[k] = w
-            view.nodes = nodes  # type: ignore[misc]
-            view.edges = edges  # type: ignore[misc]
+            try:
+                _apply(nodes, edges, u)
+            except InvalidUpdate as exc:
+                raise InvalidUpdate(f"at t={t}: {exc}") from exc
             yield view
 
     def validate(self) -> None:
@@ -305,11 +273,18 @@ class GraphSequence:
         return frozenset(ids)
 
     def max_degree(self) -> int:
-        best = max(self.initial.degrees().values(), default=0)
-        for g in self.iter_graphs():
-            deg = g.degrees()
-            if deg:
-                best = max(best, max(deg.values()))
+        """Largest degree in G_0..G_T; a degree only grows on an edge insert."""
+        deg = self.initial.degrees()
+        best = max(deg.values(), default=0)
+        # zip applies (and so validates) each step before the body reads it
+        for u, _g in zip(self.updates, self.iter_graphs()):
+            for a, b in u.e_del:
+                deg[a] -= 1
+                deg[b] -= 1
+            for a, b in u.e_ins:
+                deg[a] = deg.get(a, 0) + 1
+                deg[b] = deg.get(b, 0) + 1
+                best = max(best, deg[a], deg[b])
         return best
 
     def max_weight(self) -> int:
@@ -332,23 +307,23 @@ def reversed_sequence(seq: GraphSequence) -> GraphSequence:
     """Play a sequence backwards, swapping insertions and deletions.
 
     The reverse of an incremental sequence is decremental and vice
-    versa; weights of re-inserted edges are recovered from the forward
-    materialization.
+    versa; weights of re-inserted edges are recovered in one forward
+    pass.
     """
-    graphs = [seq.initial] + seq.materialize()
+    weight = dict(seq.initial.edges)  # latest inserted weight of every key
+    last = seq.initial
     rev: list[Update] = []
-    for t in range(seq.T, 0, -1):
-        u = seq.updates[t - 1]
-        before = graphs[t - 1]
+    for u, last in zip(seq.updates, seq.iter_graphs()):
         rev.append(
             Update(
                 v_ins=u.v_del,
                 v_del=u.v_ins,
-                e_ins={k: before.edges[k] for k in u.e_del},
+                e_ins={k: weight[k] for k in u.e_del},
                 e_del=set(u.e_ins),
             )
         )
-    return GraphSequence(graphs[-1], rev)
+        weight.update(u.e_ins)
+    return GraphSequence(Graph(last.nodes, last.edges, _validate=False), rev[::-1])
 
 
 class AdjacencyKind(str, enum.Enum):

@@ -27,13 +27,15 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadDelta,
     NonMonotoneInput,
     OutOfRange,
     UnknownRange,
 )
-from .functions import MONOTONE_FUNCTIONS, GraphFunction, evaluate, static_sensitivity
+from .functions import MONOTONE_FUNCTIONS, GraphFunction, static_sensitivity
 from .graphs import GraphSequence, SequenceKind
 from .noise import RandomSource, sample_laplace
+from .release import exact_values
 
 
 class SvtAnswer(enum.Enum):
@@ -54,8 +56,10 @@ class SparseVector:
         *,
         noise_off: bool = False,
     ) -> None:
-        if epsilon <= 0 or rho <= 0:
-            raise OutOfRange("epsilon and rho must be positive")
+        if not 0 < epsilon < math.inf:
+            raise OutOfRange(f"epsilon must be positive and finite, got {epsilon}")
+        if rho <= 0:
+            raise OutOfRange(f"rho must be positive, got {rho}")
         if c < 1:
             raise OutOfRange(f"budget c must be >= 1, got {c}")
         self.epsilon = epsilon
@@ -128,6 +132,8 @@ def additive_error(epsilon: float, beta: float, delta: float, r: float, rho: flo
     """alpha = 16 log_{1+beta}(r) rho ln(2T/delta) / epsilon."""
     if T < 1:
         raise OutOfRange(f"T must be >= 1, got {T}")
+    if not 0 < delta < 1:
+        raise BadDelta(f"delta must be in (0, 1), got {delta}")
     log_r = math.log(r) / math.log(1.0 + beta)
     return 16.0 * log_r * rho * math.log(2.0 * T / delta) / epsilon
 
@@ -181,9 +187,9 @@ def monotone_run(
     for a, b in zip(values, values[1:]):
         if b < a:
             raise NonMonotoneInput(f"values decrease: {a} -> {b}")
-    T = max(len(values), 1)
-    alpha = additive_error(epsilon, beta, delta, r, rho, T)
+    # the mechanism checks epsilon before alpha divides by it
     mech = MonotoneMechanism(epsilon, beta, r, rho, rng, noise_off=noise_off)
+    alpha = additive_error(epsilon, beta, delta, r, rho, max(len(values), 1))
     report = MonotoneReport(
         function=function,
         epsilon=epsilon,
@@ -254,11 +260,10 @@ def monotone_release(
         r = default_range(f, len(seq.node_universe()), W)
 
     if true_values is None:
-        true_values = [float(evaluate(f, g)) for g in seq.iter_graphs()]
-    else:
-        true_values = [float(v) for v in true_values]
-        if len(true_values) != seq.T:
-            raise OutOfRange("true_values length must equal T")
+        true_values = exact_values(seq, f)
+    true_values = [float(v) for v in true_values]
+    if len(true_values) != seq.T:
+        raise OutOfRange("true_values length must equal T")
 
     reverse = kind is SequenceKind.DECREMENTAL
     feed = list(reversed(true_values)) if reverse else true_values

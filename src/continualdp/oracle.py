@@ -17,9 +17,10 @@ Verdicts against the closed-form sensitivity registry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import BudgetExceeded, OutOfRange
-from .functions import GraphFunction, evaluate, is_connected
+from .functions import GraphFunction, is_connected
 from .generators import adjacent_pair, mst_tightness_pair
 from .graphs import (
     AdjacencyKind,
@@ -30,7 +31,7 @@ from .graphs import (
     edge_key,
 )
 from .noise import RandomSource
-from .release import sensitivity_bound
+from .release import exact_values, sensitivity_bound
 
 Pair = tuple[GraphSequence, GraphSequence]
 
@@ -73,19 +74,15 @@ class TableVerdict:
 
 def diff_sensitivity(f: GraphFunction, a: GraphSequence, b: GraphSequence) -> float:
     """L1 distance between the difference sequences of a and b."""
-    universe = len(a.node_universe() | b.node_universe())
     histogram = f.name == "degree_histogram"
-    n_bins = universe if histogram else None
+    n_bins = len(a.node_universe() | b.node_universe()) if histogram else None
 
     def diffs(seq: GraphSequence):
-        out = []
-        prev = (0.0,) * (n_bins if histogram else 1)
-        for g in seq.iter_graphs():
-            val = evaluate(f, g, n_bins=n_bins)
-            vec = tuple(float(v) for v in val) if histogram else (float(val),)
-            out.append(tuple(x - p for x, p in zip(vec, prev)))
-            prev = vec
-        return out
+        vecs = [tuple(float(v) for v in val) if histogram else (float(val),)
+                for val in exact_values(seq, f, n_bins)]
+        zero = (0.0,) * (n_bins if histogram else 1)
+        return [tuple(x - p for x, p in zip(vec, prev))
+                for prev, vec in zip([zero] + vecs, vecs)]
 
     da, db = diffs(a), diffs(b)
     if len(da) != len(db):
@@ -483,39 +480,40 @@ def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
     return out
 
 
+def _pairs(f: GraphFunction, scope: OracleScope) -> Iterator[Pair]:
+    """In-domain fixtures, then seeded adjacent draws, within the budget.
+
+    Draws stop once max_pairs pairs have been yielded in all or after
+    4 * max_pairs attempts.
+    """
+    yielded = 0
+    for pair in _embedded_fixtures(f, scope):
+        if _pair_in_domain(f, pair):
+            yielded += 1
+            yield pair
+    rng = RandomSource(scope.seed)
+    kind = AdjacencyKind.NODE_EVENT if scope.adjacency == "node" else AdjacencyKind.EDGE_EVENT
+    for attempt in range(1, 4 * scope.max_pairs + 1):
+        if yielded >= scope.max_pairs:
+            return
+        pair = _draw_pair(f, scope, rng.child(attempt))
+        if pair is None or check_adjacency(pair[0], pair[1], kind) is None:
+            continue
+        yielded += 1
+        yield pair
+
+
 def brute_sensitivity(f: GraphFunction, scope: OracleScope) -> OracleResult:
     """Maximum observed difference-sequence distance within scope."""
-    rng = RandomSource(scope.seed)
     best = 0.0
     best_pair: Pair | None = None
     tested = 0
-
-    def consider(pair: Pair) -> None:
-        nonlocal best, best_pair, tested
+    for pair in _pairs(f, scope):
         tested += 1
         val = diff_sensitivity(f, pair[0], pair[1])
         if val > best:
             best = val
             best_pair = pair
-
-    for pair in _embedded_fixtures(f, scope):
-        if _pair_in_domain(f, pair):
-            consider(pair)
-
-    attempts = 0
-    while tested < scope.max_pairs and attempts < scope.max_pairs * 4:
-        attempts += 1
-        pair = _draw_pair(f, scope, rng.child(attempts))
-        if pair is None:
-            continue
-        kind = (
-            AdjacencyKind.NODE_EVENT
-            if scope.adjacency == "node"
-            else AdjacencyKind.EDGE_EVENT
-        )
-        if check_adjacency(pair[0], pair[1], kind) is None:
-            continue
-        consider(pair)
     return OracleResult(value=best, pair=best_pair, sampled=True, pairs_tested=tested)
 
 
@@ -526,7 +524,6 @@ def compare_with_table(f: GraphFunction, scope: OracleScope) -> TableVerdict:
     degree and weight, since the table constants are parametrized by
     the promised D and W.
     """
-    rng = RandomSource(scope.seed)
     tested = 0
     worst_ratio = 0.0
     max_value = 0.0
@@ -534,17 +531,12 @@ def compare_with_table(f: GraphFunction, scope: OracleScope) -> TableVerdict:
     witness: Pair | None = None
     tight = False
     violation = False
-
-    def formula_for(pair: Pair) -> float:
-        D = max(pair[0].max_degree(), pair[1].max_degree(), 1)
-        W = max(pair[0].max_weight(), pair[1].max_weight())
-        return sensitivity_bound(f, scope.adjacency, scope.regime, D=D, W=W)
-
-    def consider(pair: Pair) -> None:
-        nonlocal tested, worst_ratio, max_value, formula_at_max, witness, tight, violation
+    for pair in _pairs(f, scope):
         tested += 1
         val = diff_sensitivity(f, pair[0], pair[1])
-        bound = formula_for(pair)
+        D = max(pair[0].max_degree(), pair[1].max_degree(), 1)
+        W = max(pair[0].max_weight(), pair[1].max_weight())
+        bound = sensitivity_bound(f, scope.adjacency, scope.regime, D=D, W=W)
         if val > bound + 1e-9:
             violation = True
         if abs(val - bound) <= 1e-9 and val > 0:
@@ -555,24 +547,6 @@ def compare_with_table(f: GraphFunction, scope: OracleScope) -> TableVerdict:
             witness = pair
         if bound > 0:
             worst_ratio = max(worst_ratio, val / bound)
-
-    for pair in _embedded_fixtures(f, scope):
-        if _pair_in_domain(f, pair):
-            consider(pair)
-    attempts = 0
-    while tested < scope.max_pairs and attempts < scope.max_pairs * 4:
-        attempts += 1
-        pair = _draw_pair(f, scope, rng.child(attempts))
-        if pair is None:
-            continue
-        kind = (
-            AdjacencyKind.NODE_EVENT
-            if scope.adjacency == "node"
-            else AdjacencyKind.EDGE_EVENT
-        )
-        if check_adjacency(pair[0], pair[1], kind) is None:
-            continue
-        consider(pair)
 
     status = "Violation" if violation else ("Tight" if tight else "Sound")
     return TableVerdict(

@@ -154,6 +154,17 @@ class ReleaseReport:
         return self.records[0].bound if self.records else 0.0
 
 
+def exact_values(seq: GraphSequence, f: GraphFunction, n_bins: int | None = None) -> list:
+    """Exact f(G_1), ..., f(G_T) in one pass over the sequence.
+
+    Histogram bins default to the size of the node universe, so every
+    step's vector has the same length.
+    """
+    if n_bins is None and f.name == "degree_histogram":
+        n_bins = len(seq.node_universe())
+    return [evaluate(f, g, n_bins=n_bins) for g in seq.iter_graphs()]
+
+
 def release(
     seq: GraphSequence,
     f: GraphFunction,
@@ -188,8 +199,7 @@ def release(
 
     T = seq.T
     histogram = f.name == "degree_histogram"
-    n_bins = len(seq.node_universe()) if histogram else None
-    coords = n_bins if histogram else 1
+    coords = len(seq.node_universe()) if histogram else 1
     mechs = [
         BinaryMechanism(
             T,
@@ -212,8 +222,7 @@ def release(
         noise_off=noise_off,
     )
     prev: tuple[float, ...] = tuple([0.0] * max(coords, 1))
-    for t, g in enumerate(seq.iter_graphs(), start=1):
-        value = evaluate(f, g, n_bins=n_bins)
+    for t, value in enumerate(exact_values(seq, f), start=1):
         vec = tuple(float(v) for v in value) if histogram else (float(value),)
         estimates = []
         for i, mech in enumerate(mechs):
@@ -229,14 +238,6 @@ def release(
             err = abs(estimates[0] - vec[0])
             report.records.append(ReleaseRecord(t, vec[0], estimates[0], err, bound))
     return report
-
-
-def psum_trace(report_mechs: list[BinaryMechanism]):
-    """Flattened audit trace of the coordinate mechanisms."""
-    out = []
-    for mech in report_mechs:
-        out.extend(mech.trace())
-    return out
 
 
 __all__ = [

@@ -122,6 +122,39 @@ def test_release_rejects_unbounded_combination(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
+@pytest.mark.parametrize(
+    "mechanism, function", [("diff", "mst_weight"), ("monotone", "max_weight_matching")]
+)
+def test_release_rejects_non_finite_epsilon(runner, tmp_path, mechanism, function, epsilon):
+    seq = _generate(runner, tmp_path)
+    csv = tmp_path / "rel.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--mechanism", mechanism, "--function", function,
+         "--epsilon", epsilon, "--delta", "0.05", "-W", "5", "--input", str(seq),
+         "--out", str(csv), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "epsilon" in result.output
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0", "2"])
+def test_release_monotone_rejects_delta_outside_unit_interval(runner, tmp_path, delta):
+    seq = _generate(runner, tmp_path)
+    csv = tmp_path / "rel.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--mechanism", "monotone", "--function", "max_weight_matching",
+         "--epsilon", "1", "--delta", delta, "-W", "5", "--input", str(seq),
+         "--out", str(csv), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "delta" in result.output
+    assert not csv.exists()
+
+
 def test_sensitivity_command_reports_json(runner):
     result = runner.invoke(
         main,

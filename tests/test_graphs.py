@@ -70,6 +70,13 @@ def test_apply_update_rejections(update):
     g = Graph.from_edges([(0, 1)])
     with pytest.raises(InvalidUpdate):
         apply_update(g, update)
+    # every pass over a sequence applies the same rule and names the step
+    seq = GraphSequence(g, [update])
+    passes = [lambda: list(seq.iter_graphs()), seq.materialize, seq.max_degree,
+              lambda: reversed_sequence(seq)]
+    for run in passes:
+        with pytest.raises(InvalidUpdate, match="t=1"):
+            run()
 
 
 def test_sequence_kind():
@@ -112,6 +119,15 @@ def test_max_degree_covers_initial_graph():
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
     seq = GraphSequence(g, [Update(e_del={(0, 3)})])
     assert seq.max_degree() == 3
+
+
+@pytest.mark.parametrize("kind", ["incremental", "decremental", "fully-dynamic"])
+def test_max_degree_matches_snapshots(kind):
+    rng = RandomSource(31)
+    for i in range(50):
+        seq = random_sequence(rng.child(i), kind=kind)
+        graphs = [seq.initial] + seq.materialize()
+        assert seq.max_degree() == max(d for g in graphs for d in g.degrees().values())
 
 
 def test_reversed_sequence_involution():
