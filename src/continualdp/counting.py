@@ -13,12 +13,18 @@ of t.
 The horizon T must be declared up front.  When T is not a power of two
 the dyadic tree is padded virtually; p-sums that would extend past T
 never close.
+
+A vector stream takes one source per coordinate, and coordinate i releases
+exactly what a scalar mechanism on source i would.  Noise is drawn in blocks
+of at most ``_BLOCK`` per source, never past the draws owed before T.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BadDelta,
@@ -27,7 +33,10 @@ from .errors import (
     NonPositiveScale,
     OutOfRange,
 )
-from .noise import RandomSource, concentration_bound, sample_laplace
+from .noise import RandomSource, concentration_bound, laplace_block
+
+# noise draws per coordinate per refill; above any level count x
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,8 @@ class PSumRecord:
     level: int
     start: int
     end: int
-    clean: float
-    noisy: float
+    clean: float | np.ndarray
+    noisy: float | np.ndarray
     scale: float
 
 
@@ -116,13 +125,16 @@ class BinaryMechanism:
     ``per_psum_scale`` instead selects a raw mode with an explicit
     noise scale.  ``noise_off`` is a test hook that substitutes 0 for
     every Laplace draw and is flagged in the trace metadata.
+
+    ``rng`` is one source, or a list of k sources for a stream of length-k
+    arrays, whose p-sums and estimates are then arrays too.
     """
 
     def __init__(
         self,
         T: int,
         epsilon: float,
-        rng: RandomSource,
+        rng: RandomSource | list[RandomSource],
         *,
         item_width: float = 1.0,
         bounds: StreamBounds | None = None,
@@ -143,9 +155,13 @@ class BinaryMechanism:
         self.per_psum_scale = per_psum_scale
         self.bounds = bounds
         self.noise_off = noise_off
-        self._rng = rng
+        self._scalar = isinstance(rng, RandomSource)
+        self._rngs = [rng] if self._scalar else list(rng)
         self._t = 0
-        self._acc = [0.0] * self.x
+        self._acc = np.zeros((self.x, len(self._rngs)))
+        # unused noise, one row per coordinate; draws each row owes up to T
+        self._noise = np.zeros((len(self._rngs), 0))
+        self._owed = sum(T >> i for i in range(self.x))
         # keyed by (level, start); insertion order is release order
         self._released: dict[tuple[int, int], PSumRecord] = {}
 
@@ -153,42 +169,48 @@ class BinaryMechanism:
     def t(self) -> int:
         return self._t
 
-    def feed(self, item: float) -> tuple[list[PSumRecord], float]:
+    def _draw(self, n: int) -> np.ndarray:
+        """The next n Laplace draws of every coordinate, shape (n, k)."""
+        if self._noise.shape[1] < n:
+            m = min(self._owed, _BLOCK)
+            fresh = [laplace_block(r, self.per_psum_scale, m) for r in self._rngs]
+            self._noise = np.hstack([self._noise, np.reshape(fresh, (len(fresh), m))])
+            self._owed -= m
+        out, self._noise = self._noise[:, :n], self._noise[:, n:]
+        return out.T
+
+    def feed(self, item: float | np.ndarray) -> tuple[list[PSumRecord], float | np.ndarray]:
         """Consume one item; returns (newly released p-sums, estimate)."""
         if self._t >= self.T:
             raise HorizonExceeded(f"horizon T={self.T} already reached")
-        if self.bounds is not None and not self.bounds.L1 <= item <= self.bounds.L2:
-            raise ItemOutOfBounds(
-                f"item {item} outside [{self.bounds.L1}, {self.bounds.L2}]"
-            )
+        b = self.bounds
+        if b is not None and not b.L1 <= np.min(item) <= np.max(item) <= b.L2:
+            raise ItemOutOfBounds(f"item {item} outside [{b.L1}, {b.L2}]")
         self._t += 1
         t = self._t
+        self._acc += item
+        closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
+        clean = self._acc[:closing].copy()
+        self._acc[:closing] = 0.0
+        noisy = clean + (0.0 if self.noise_off else self._draw(closing))
+        if self._scalar:
+            clean, noisy = clean[:, 0].tolist(), noisy[:, 0].tolist()
         released: list[PSumRecord] = []
-        for i in range(self.x):
-            self._acc[i] += item
-            if t % (1 << i) == 0:
-                clean = self._acc[i]
-                noise = 0.0 if self.noise_off else sample_laplace(self._rng, self.per_psum_scale)
-                rec = PSumRecord(
-                    level=i,
-                    start=t - (1 << i) + 1,
-                    end=t,
-                    clean=clean,
-                    noisy=clean + noise,
-                    scale=self.per_psum_scale,
-                )
-                self._acc[i] = 0.0
-                self._released[(i, rec.start)] = rec
-                released.append(rec)
+        for i in range(closing):
+            rec = PSumRecord(i, t - (1 << i) + 1, t, clean[i], noisy[i], self.per_psum_scale)
+            self._released[(i, rec.start)] = rec
+            released.append(rec)
         return released, self.estimate(t)
 
-    def estimate(self, t: int | None = None) -> float:
+    def estimate(self, t: int | None = None) -> float | np.ndarray:
         """Noisy prefix sum at time t (defaults to the current time)."""
         if t is None:
             t = self._t
         if not 1 <= t <= self._t:
             raise OutOfRange(f"no estimate available for t={t}")
-        return sum(self._released[(i, s)].noisy for i, s, _e in prefix_intervals(t))
+        # prefix_intervals(t): per set bit i, highest first, the level-i p-sum
+        return sum(self._released[(i, (t >> i + 1 << i + 1) + 1)].noisy
+                   for i in reversed(range(t.bit_length())) if t >> i & 1)
 
     def trace(self) -> list[PSumRecord]:
         """All released p-sums in release order (audit hook)."""

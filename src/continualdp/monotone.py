@@ -31,6 +31,7 @@ from .errors import (
     NonMonotoneInput,
     OutOfRange,
     UnknownRange,
+    WeightViolation,
 )
 from .functions import MONOTONE_FUNCTIONS, GraphFunction, static_sensitivity
 from .graphs import GraphSequence, SequenceKind
@@ -242,6 +243,8 @@ def monotone_release(
 ) -> MonotoneReport:
     """Release a monotone statistic along a partially dynamic sequence.
 
+    ``W`` is the declared maximum edge weight, validated against the
+    sequence; it is required whenever rho or the default r depends on it.
     ``true_values`` may carry precomputed exact values (one per step)
     to avoid re-evaluating expensive statistics across repeated trials.
     Decremental sequences are processed in reverse and the outputs are
@@ -252,10 +255,13 @@ def monotone_release(
     kind = seq.kind
     if kind is SequenceKind.FULLY_DYNAMIC:
         raise NonMonotoneInput("monotone release requires a partially dynamic sequence")
-    if W is None:
-        W = seq.max_weight()
+    weighted = f.name in {"min_cut", "st_min_cut", "max_weight_matching"}
+    if W is None and (weighted and rho is None or f.name != "densest_subgraph" and r is None):
+        raise OutOfRange(f"{f.label()} release requires a declared weight bound W")
+    if W is not None and (max_weight := seq.max_weight()) > W:
+        raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
     if rho is None:
-        rho = static_sensitivity(f, W)
+        rho = static_sensitivity(f, 1 if W is None else W)
     if r is None:
         r = default_range(f, len(seq.node_universe()), W)
 

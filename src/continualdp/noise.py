@@ -55,6 +55,19 @@ def sample_laplace(rng: RandomSource, b: float) -> float:
     return -b * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
 
 
+def laplace_block(rng: RandomSource, b: float, n: int) -> np.ndarray:
+    """The next n draws of ``sample_laplace(rng, b)``, bit for bit, as an array."""
+    if b <= 0:
+        raise NonPositiveScale(f"scale must be positive, got {b}")
+    u = np.empty(0)
+    while len(u) < n:  # skip exact zero uniforms, as the scalar loop does
+        fresh = rng._gen.random(n - len(u)) - 0.5
+        u = np.concatenate([u, fresh[fresh != -0.5]])
+    # np.log1p differs from math.log1p by an ulp on some inputs
+    logs = np.array(list(map(math.log1p, (-2.0 * np.abs(u)).tolist())))
+    return -b * np.copysign(1.0, u) * logs
+
+
 def concentration_bound(scales, delta: float) -> float:
     """High-probability bound on |sum of independent Laplace draws|.
 

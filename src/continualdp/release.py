@@ -8,15 +8,17 @@ difference sequence.  Gamma comes from a closed-form registry keyed by
 (function, adjacency, regime); cells without a finite bound are
 rejected with :class:`UnboundedSensitivity`.
 
-Histograms run one coordinate mechanism per degree bin, all noised at
-scale Gamma * x / epsilon, because Gamma bounds the L1 distance of the
-whole vector difference sequence.
+Histograms run one vector mechanism; bin i draws from the child source
+``coord{i}`` at scale Gamma * x / epsilon, because Gamma bounds the L1
+distance of the whole vector difference sequence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .counting import BinaryMechanism, num_levels, theoretical_count_error
 from .errors import (
@@ -192,24 +194,17 @@ def release(
         raise UnboundedSensitivity(
             f"{f.label()} has no finite sensitivity for {adjacency}/{regime} release"
         )
-    if D is not None and seq.max_degree() > D:
-        raise DegreeViolation(f"sequence max degree {seq.max_degree()} exceeds declared D={D}")
+    if D is not None and (max_degree := seq.max_degree()) > D:
+        raise DegreeViolation(f"sequence max degree {max_degree} exceeds declared D={D}")
     if W is not None and seq.max_weight() > W:
         raise WeightViolation(f"sequence max weight {seq.max_weight()} exceeds declared W={W}")
 
     T = seq.T
     histogram = f.name == "degree_histogram"
     coords = len(seq.node_universe()) if histogram else 1
-    mechs = [
-        BinaryMechanism(
-            T,
-            epsilon,
-            rng.child(f"coord{i}"),
-            item_width=gamma,
-            noise_off=noise_off,
-        )
-        for i in range(max(coords, 1))
-    ]
+    rngs = [rng.child(f"coord{i}") for i in range(coords)]
+    mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0],
+                           item_width=gamma, noise_off=noise_off)
     bound = theoretical_release_error(gamma, epsilon, delta, T) if T >= 1 else 0.0
 
     report = ReleaseReport(
@@ -221,22 +216,16 @@ def release(
         seed=rng.seed,
         noise_off=noise_off,
     )
-    prev: tuple[float, ...] = tuple([0.0] * max(coords, 1))
+    prev = 0.0
     for t, value in enumerate(exact_values(seq, f), start=1):
-        vec = tuple(float(v) for v in value) if histogram else (float(value),)
-        estimates = []
-        for i, mech in enumerate(mechs):
-            _recs, est = mech.feed(vec[i] - prev[i])
-            estimates.append(est)
+        vec = np.array(value, float) if histogram else float(value)
+        _recs, est = mech.feed(vec - prev)
         prev = vec
         if histogram:
-            err = max(abs(e - v) for e, v in zip(estimates, vec))
-            report.records.append(
-                ReleaseRecord(t, value, tuple(estimates), err, bound)
-            )
+            err = float(np.max(np.abs(est - vec), initial=0.0))
+            report.records.append(ReleaseRecord(t, value, tuple(est.tolist()), err, bound))
         else:
-            err = abs(estimates[0] - vec[0])
-            report.records.append(ReleaseRecord(t, vec[0], estimates[0], err, bound))
+            report.records.append(ReleaseRecord(t, vec, est, abs(est - vec), bound))
     return report
 
 

@@ -107,6 +107,26 @@ def test_release_monotone_outputs_powers_of_two(runner, tmp_path):
         assert out_val == 2 ** round(math.log2(out_val))
 
 
+def test_release_monotone_requires_weight_bound(runner, tmp_path):
+    out = tmp_path / "cut.txt"
+    result = runner.invoke(
+        main,
+        ["generate", "--target", "min_cut", "--adjacency", "node",
+         "--sigma", "1101", "-W", "2", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    csv = tmp_path / "mono.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--mechanism", "monotone", "--function", "min_cut",
+         "--epsilon", "1", "--delta", "0.1", "--input", str(out),
+         "--out", str(csv), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "weight bound W" in result.output
+    assert not csv.exists()
+
+
 def test_release_rejects_unbounded_combination(runner, tmp_path):
     out = tmp_path / "cut.txt"
     runner.invoke(

@@ -1,5 +1,7 @@
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from continualdp import (
     psum_index,
     theoretical_count_error,
 )
+from continualdp import counting
 from continualdp.counting import BINARY
 from continualdp.errors import (
     HorizonExceeded,
@@ -21,7 +24,7 @@ from continualdp.errors import (
     NonPositiveScale,
     OutOfRange,
 )
-from continualdp.noise import concentration_bound
+from continualdp.noise import concentration_bound, sample_laplace
 
 
 def test_stream_bounds():
@@ -182,3 +185,51 @@ def test_zero_noise_counts_arbitrary_integer_streams(items):
         total += item
         _recs, est = mech.feed(item)
         assert est == total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    T=st.integers(min_value=1, max_value=70),
+    k=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32),
+    noise_off=st.booleans(),
+    block=st.sampled_from([8, counting._BLOCK]),  # 8 refills often; x <= 7 here
+    data=st.data(),
+)
+def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, noise_off, block, data):
+    items = data.draw(st.lists(
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=k, max_size=k),
+        min_size=T, max_size=T,
+    ))
+    root = RandomSource(seed)
+    vec_rngs = [root.child(i) for i in range(k)]
+    scalar_rngs = [root.child(i) for i in range(k)]
+    with mock.patch.object(counting, "_BLOCK", block):
+        vec = BinaryMechanism(T, 0.7, vec_rngs, item_width=2.0, noise_off=noise_off)
+        scalars = [
+            BinaryMechanism(T, 0.7, r, item_width=2.0, noise_off=noise_off)
+            for r in scalar_rngs
+        ]
+        estimates = []
+        for row in items:
+            _recs, est = vec.feed(np.array(row, float))
+            estimates.append([mech.feed(row[i])[1] for i, mech in enumerate(scalars)])
+            assert all(isinstance(e, float) for e in estimates[-1])
+            assert est.tolist() == estimates[-1]
+    vec_trace = vec.trace()
+    for i, mech in enumerate(scalars):
+        # the slow reference: one sample_laplace per p-sum, in release order
+        ref = root.child(i)
+        trace = mech.trace()
+        by_key = {(r.level, r.start): r.noisy for r in trace}
+        for t in range(1, T + 1):
+            prefix = sum(by_key[(j, s)] for j, s, _e in prefix_intervals(t))
+            assert estimates[t - 1][i] == mech.estimate(t) == prefix
+        assert len(trace) == len(vec_trace) == sum(T >> j for j in range(vec.x))
+        for v, r in zip(vec_trace, trace):
+            assert (v.level, v.start, v.end, v.scale) == (r.level, r.start, r.end, r.scale)
+            assert v.clean[i] == r.clean == sum(row[i] for row in items[r.start - 1:r.end])
+            noise = 0.0 if noise_off else sample_laplace(ref, r.scale)
+            assert v.noisy[i] == r.noisy == r.clean + noise
+        # every source has consumed exactly the scalar path's draws
+        assert vec_rngs[i].uniform() == scalar_rngs[i].uniform() == ref.uniform()

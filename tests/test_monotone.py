@@ -14,7 +14,7 @@ from continualdp import (
     reversed_sequence,
     threshold_budget,
 )
-from continualdp.errors import NonMonotoneInput, OutOfRange, UnknownRange
+from continualdp.errors import NonMonotoneInput, OutOfRange, UnknownRange, WeightViolation
 from continualdp.monotone import MonotoneMechanism, default_range
 
 
@@ -122,7 +122,7 @@ def test_default_range():
 def test_monotone_release_incremental_zero_noise():
     seq = gen_event_level("min_cut", "node", [1, 1, 0, 1], W=2)
     report = monotone_release(
-        seq, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), noise_off=True
+        seq, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), W=2, noise_off=True
     )
     assert [rec.true for rec in report.records] == [2.0, 4.0, 4.0, 6.0]
     for rec in report.records:
@@ -134,7 +134,7 @@ def test_monotone_release_decremental_reverses():
     fwd = gen_event_level("min_cut", "node", [1, 1, 1], W=2)
     dec = reversed_sequence(fwd)
     report = monotone_release(
-        dec, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), noise_off=True
+        dec, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), W=2, noise_off=True
     )
     assert [rec.t for rec in report.records] == [1, 2, 3]
     trues = [rec.true for rec in report.records]
@@ -162,6 +162,26 @@ def test_true_values_override_must_match_length():
     seq = gen_event_level("min_cut", "node", [1, 0], W=2)
     with pytest.raises(OutOfRange):
         monotone_release(
-            seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0),
+            seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0), W=2,
             true_values=[2.0],
         )
+
+
+@pytest.mark.parametrize(
+    "name", ["min_cut", "max_weight_matching", "max_cardinality_matching"]
+)
+def test_monotone_release_requires_declared_weight_bound(name):
+    seq = gen_event_level("min_cut", "node", [1, 1], W=2)
+    with pytest.raises(OutOfRange, match="weight bound W"):
+        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0))
+    with pytest.raises(WeightViolation, match="max weight 2 exceeds declared W=1"):
+        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0), W=1)
+
+
+def test_monotone_release_without_weight_when_calibration_ignores_it():
+    seq = gen_event_level("min_cut", "node", [1, 1], W=2)
+    report = monotone_release(
+        seq, GraphFunction("max_cardinality_matching"), 1.0, 0.5, 0.1, RandomSource(0),
+        r=8.0, noise_off=True,
+    )
+    assert (report.rho, report.r) == (1, 8.0)

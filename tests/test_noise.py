@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from continualdp import RandomSource, concentration_bound, sample_laplace
+from continualdp.counting import _BLOCK
 from continualdp.errors import BadDelta, EmptyList, NonPositiveScale
+from continualdp.noise import laplace_block
 
 
 def test_same_seed_reproduces_the_stream():
@@ -29,6 +32,48 @@ def test_unset_seed_uses_entropy():
 def test_laplace_scale_validation():
     with pytest.raises(NonPositiveScale):
         sample_laplace(RandomSource(0), 0.0)
+    for b in (0.0, -1.0):
+        with pytest.raises(NonPositiveScale):
+            laplace_block(RandomSource(0), b, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
+def test_laplace_block_equals_scalar_draws(n):
+    block, scalar = RandomSource(7), RandomSource(7)
+    draws = laplace_block(block, 1.5, n)
+    assert draws.dtype == np.float64 and draws.shape == (n,)
+    assert draws.tolist() == [sample_laplace(scalar, 1.5) for _ in range(n)]
+    # both sources stand at the same place in the stream
+    assert block.uniform() == scalar.uniform()
+
+
+class _StubGenerator:
+    """Yields fixed uniforms first, then a seeded stream, one at a time."""
+
+    def __init__(self, head):
+        self.head = list(head)
+        self.tail = np.random.Generator(np.random.PCG64(3))
+
+    def random(self, size=None):
+        if size is not None:
+            return np.array([self.random() for _ in range(size)])
+        return self.head.pop(0) if self.head else float(self.tail.random())
+
+
+def test_laplace_block_skips_exact_zero_uniforms():
+    head = [0.25, 0.0, 0.0, 0.75, 0.0, 0.5]
+
+    def source():
+        rng = RandomSource(0)
+        rng._gen = _StubGenerator(head)
+        return rng
+
+    block, scalar = source(), source()
+    draws = laplace_block(block, 2.0, 6)
+    assert draws.tolist() == [sample_laplace(scalar, 2.0) for _ in range(6)]
+    # u = 0.25 - 0.5 and, after two skipped zeros, u = 0.75 - 0.5
+    assert draws[0] == 2.0 * math.log1p(-0.5) and draws[1] == -2.0 * math.log1p(-0.5)
+    assert block.uniform() == scalar.uniform()
 
 
 def test_laplace_empirical_moments():

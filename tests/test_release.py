@@ -1,10 +1,13 @@
+import importlib
 import math
 
 import pytest
 
 from continualdp import (
     UNBOUNDED,
+    BinaryMechanism,
     GraphFunction,
+    GraphSequence,
     RandomSource,
     evaluate,
     gen_event_level,
@@ -162,6 +165,63 @@ def test_histogram_release_runs_one_mechanism_per_bin():
     for rec in report.records:
         assert len(rec.released) == n
         assert rec.abs_error == 0
+
+
+def test_degree_violation_makes_one_max_degree_pass(monkeypatch):
+    calls = []
+    max_degree = GraphSequence.max_degree
+    monkeypatch.setattr(
+        GraphSequence, "max_degree", lambda self: calls.append(1) or max_degree(self)
+    )
+    seq = gen_event_level("triangle", "edge", [1, 1, 1])
+    with pytest.raises(DegreeViolation, match="max degree 2 exceeds declared D=1"):
+        release(seq, GraphFunction("triangle_count"), 1.0, 0.05, RandomSource(1), D=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("adjacency", ["edge", "node"])
+def test_histogram_release_equals_per_bin_mechanisms(monkeypatch, adjacency):
+    built = []
+
+    class Counted(BinaryMechanism):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    # the package attribute continualdp.release is the function
+    monkeypatch.setattr(importlib.import_module("continualdp.release"), "BinaryMechanism", Counted)
+    f = GraphFunction("degree_histogram")
+    for i in range(5):
+        seq = random_sequence(RandomSource(i), kind="incremental", T_max=40)
+        D = max(seq.max_degree(), 1)
+        report = release(seq, f, 0.8, 0.05, RandomSource(50 + i), adjacency=adjacency, D=D)
+        assert len(built) == i + 1
+        gamma = sensitivity_bound(f, adjacency, PD, D=D)
+        n = len(seq.node_universe())
+        per_bin = [
+            BinaryMechanism(seq.T, 0.8, RandomSource(50 + i).child(f"coord{b}"),
+                            item_width=gamma)
+            for b in range(n)
+        ]
+        prev = [0.0] * n
+        for rec, g in zip(report.records, seq.iter_graphs()):
+            truth = evaluate(f, g, n_bins=n)
+            vec = [float(v) for v in truth]
+            est = [m.feed(v - p)[1] for m, v, p in zip(per_bin, vec, prev)]
+            prev = vec
+            assert rec.true == truth
+            assert rec.released == tuple(est)
+            assert all(type(v) is float for v in rec.released)
+            assert rec.abs_error == max(abs(e - v) for e, v in zip(est, vec))
+
+
+def test_histogram_release_without_nodes_is_empty():
+    from continualdp import Graph, Update
+
+    seq = GraphSequence(Graph.from_edges([]), [Update(), Update()])
+    report = release(seq, GraphFunction("degree_histogram"), 1.0, 0.05, RandomSource(1), D=1)
+    records = [(rec.true, rec.released, rec.abs_error) for rec in report.records]
+    assert records == [((), (), 0.0)] * 2
 
 
 def test_histogram_error_is_max_over_bins():
