@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownFunction,
 )
-from .graphs import Graph
+from .graphs import DynamicGraph, Graph
 
 MATCHING_DP_LIMIT = 22
 DENSEST_EXHAUSTIVE_LIMIT = 20
@@ -151,14 +151,17 @@ class _DSU:
         return True
 
 
-def mst_weight(g: Graph) -> int:
-    """Minimum spanning forest weight (Kruskal)."""
+def _kruskal(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Edges (u, v, w) of a minimum spanning forest."""
     dsu = _DSU(g.nodes)
-    total = 0
     for (u, v), w in sorted(g.edges.items(), key=lambda item: item[1]):
         if dsu.union(u, v):
-            total += w
-    return total
+            yield u, v, w
+
+
+def mst_weight(g: Graph) -> int:
+    """Minimum spanning forest weight (Kruskal)."""
+    return sum(w for _u, _v, w in _kruskal(g))
 
 
 def _components(g: Graph) -> int:
@@ -210,6 +213,8 @@ def min_cut(g: Graph, strategy: str = "stoer-wagner") -> float:
     if g.n <= 1 or not is_connected(g):
         return 0.0
     if strategy == "networkx":
+        import networkx as nx
+
         G = nx.Graph()
         G.add_nodes_from(g.nodes)
         G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
@@ -230,6 +235,8 @@ def st_min_cut(g: Graph, s: int, t: int) -> float:
     """Minimum s-t cut via max-flow; 0 when s and t are disconnected."""
     if s not in g.nodes or t not in g.nodes:
         raise MissingTerminal(f"terminal {s if s not in g.nodes else t} absent")
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(g.nodes)
     for (u, v), w in g.edges.items():
@@ -270,6 +277,8 @@ def max_weight_matching(g: Graph, strategy: str = "blossom") -> int:
         return _matching_dp(g, unit=False)
     if strategy != "blossom":
         raise OutOfRange(f"unknown matching strategy {strategy!r}")
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(g.nodes)
     G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
@@ -282,6 +291,8 @@ def max_cardinality_matching(g: Graph, strategy: str = "blossom") -> int:
         return _matching_dp(g, unit=True)
     if strategy != "blossom":
         raise OutOfRange(f"unknown matching strategy {strategy!r}")
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(g.nodes)
     G.add_edges_from(g.edges)
@@ -317,6 +328,8 @@ def _densest_exhaustive(g: Graph) -> float:
 
 def _densest_flow(g: Graph) -> float:
     """Parametric max-flow (binary search on the density guess)."""
+    import networkx as nx
+
     n, m = g.n, g.m
     if m == 0:
         return 0.0
@@ -363,12 +376,189 @@ def densest_subgraph(g: Graph, strategy: str = "exhaustive") -> float:
     raise OutOfRange(f"unknown densest strategy {strategy!r}")
 
 
+class _Running:
+    """An exact value kept on a DynamicGraph across its operations.
+
+    It is computed once from scratch; then ``edge`` and ``node`` see each
+    single-edge or single-node operation before it changes the graph
+    (sign 1 inserts, -1 deletes).  A stale value is recomputed by the
+    next ``evaluate``.
+    """
+
+    stale = False
+    total = 0
+
+    def node(self, g: DynamicGraph, v: int, sign: int) -> None:
+        """An isolated node adds nothing to a count or sum of phi(0) = 0."""
+
+    def value(self, g: DynamicGraph):
+        return self.total
+
+
+class _DegreeSum(_Running):
+    """sum over nodes of phi(degree), with phi(0) = 0: k-stars, high degree."""
+
+    def __init__(self, g: DynamicGraph, phi) -> None:
+        self.phi = phi
+        self.total = sum(phi(d) for d in g.degrees().values())
+
+    def edge(self, g, a, b, w, sign):
+        phi = self.phi
+        for d in (len(g.adj[a]), len(g.adj[b])):
+            self.total += phi(d + sign) - phi(d)
+
+
+class _Triangles(_Running):
+    """An edge {a, b} closes or opens one triangle per common neighbour."""
+
+    def __init__(self, g: DynamicGraph) -> None:
+        self.total = triangle_count(g)
+
+    def edge(self, g, a, b, w, sign):
+        self.total += sign * len(g.adj[a] & g.adj[b])
+
+
+class _Histogram(_Running):
+    """Node counts per degree; bins default to the current node count."""
+
+    def __init__(self, g: DynamicGraph, n_bins: int | None) -> None:
+        self.n_bins = n_bins
+        degs = g.degrees().values()
+        self.hist = [0] * (1 + max(degs, default=0))
+        for d in degs:
+            self.hist[d] += 1
+
+    def edge(self, g, a, b, w, sign):
+        hist = self.hist
+        for d in (len(g.adj[a]), len(g.adj[b])):
+            hist[d] -= 1
+            if d + sign == len(hist):
+                hist.append(0)
+            hist[d + sign] += 1
+
+    def node(self, g, v, sign):
+        self.hist[0] += sign
+
+    def value(self, g):
+        n = g.n if self.n_bins is None else self.n_bins
+        if any(self.hist[n:]):
+            return degree_histogram(g, n)  # a degree past the last bin: the oracle's error
+        return tuple(self.hist[:n]) + (0,) * (n - len(self.hist))
+
+
+class _SpanningForest(_Running):
+    """Minimum spanning forest weight on a kept forest, each tree rooted.
+
+    ``up[v]`` is v's parent with the weight of the edge to it, or None at
+    a root.  An inserted edge joins two trees, or closes one cycle whose
+    heaviest edge leaves (the cycle property); either way one endpoint's
+    tree is re-rooted there and hung from the other.  Deleting a forest
+    edge makes the value stale.
+    """
+
+    def __init__(self, g: DynamicGraph) -> None:
+        self.up: dict[int, tuple[int, int] | None] = dict.fromkeys(g.nodes)
+        forest: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
+        for u, v, w in _kruskal(g):
+            forest[u].append((v, w))
+            forest[v].append((u, w))
+            self.total += w
+        seen: set[int] = set()
+        for root in g.nodes:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, w in forest[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        self.up[y] = (x, w)
+                        stack.append(y)
+
+    def edge(self, g, a, b, w, sign):
+        up = self.up
+        if sign < 0:
+            self.stale = self.stale or up[a] == (b, w) or up[b] == (a, w)
+            return
+        if self.stale:
+            return
+        heaviest = self._heaviest_on_path(a, b)
+        if heaviest is not None:
+            child, wc = heaviest
+            if wc <= w:
+                return
+            up[child] = None
+            self.total -= wc
+        # re-root a's tree at a, then hang it from b
+        x, link = a, (b, w)
+        while True:
+            step, up[x] = up[x], link
+            if step is None:
+                break
+            x, link = step[0], (x, step[1])
+        self.total += w
+
+    def node(self, g, v, sign):
+        if sign > 0:
+            self.up[v] = None
+        else:
+            del self.up[v]
+
+    def _heaviest_on_path(self, a: int, b: int) -> tuple[int, int] | None:
+        """(child end, weight) of the heaviest forest edge on the a-b path;
+        None when a and b lie in different trees."""
+        up = self.up
+        # heaviest edge from a up to each of its ancestors
+        below: dict[int, tuple[int, int] | None] = {}
+        x, best = a, None
+        while True:
+            below[x] = best
+            step = up[x]
+            if step is None:
+                break
+            if best is None or step[1] > best[1]:
+                best = (x, step[1])
+            x = step[0]
+        x, best = b, None
+        while x not in below:
+            step = up[x]
+            if step is None:
+                return None
+            if best is None or step[1] > best[1]:
+                best = (x, step[1])
+            x = step[0]
+        other = below[x]
+        if other is None or (best is not None and best[1] > other[1]):
+            return best
+        return other
+
+
+_RUNNING = {
+    "high_degree": lambda g, f, n_bins: _DegreeSum(g, lambda d: int(d >= f.tau)),
+    "kstar_count": lambda g, f, n_bins: _DegreeSum(g, lambda d: math.comb(d, f.k)),
+    "degree_histogram": lambda g, f, n_bins: _Histogram(g, n_bins),
+    "triangle_count": lambda g, f, n_bins: _Triangles(g),
+    "mst_weight": lambda g, f, n_bins: _SpanningForest(g),
+}
+
+
 def evaluate(f: GraphFunction, g: Graph, *, n_bins: int | None = None, strategy: str | None = None):
     """Dispatch to the exact evaluator for ``f``.
 
-    Returns a scalar, or a tuple of counts for degree_histogram.
+    Returns a scalar, or a tuple of counts for degree_histogram.  On a
+    DynamicGraph the local statistics are memoised per ``(f, n_bins)`` and
+    kept up to date by the state's operations; edge_count is
+    ``len(g.edges)`` either way.
     """
     name = f.name
+    if name in _RUNNING and isinstance(g, DynamicGraph):
+        key = (f, n_bins)
+        run = g.running.get(key)
+        if run is None or run.stale:
+            run = g.running[key] = _RUNNING[name](g, f, n_bins)
+        return run.value(g)
     if name == "edge_count":
         return edge_count(g)
     if name == "high_degree":

@@ -10,8 +10,10 @@ Within a step, deletions apply before insertions:
 ``V_t = (V_{t-1} \\ v_del) | v_ins`` and likewise for edges.  Deleting
 a node requires all of its incident edges to be listed in ``e_del``.
 
-All public types are immutable by convention; operations return new
-objects and are safe to share read-only across threads.
+``Graph``, ``Update`` and ``GraphSequence`` are immutable by convention;
+operations return new objects and are safe to share read-only across
+threads.  ``DynamicGraph`` is the one mutable state: a pass over a
+sequence applies each update to it one edge or node at a time.
 """
 
 from __future__ import annotations
@@ -177,40 +179,95 @@ class Update:
         return "Update(" + " ".join(parts) + ")"
 
 
-def _apply(nodes: set[int], edges: dict[EdgeKey, int], u: Update) -> None:
-    """Validate one update against a mutable store and apply it in place.
+class DynamicGraph(Graph):
+    """A mutable graph state with adjacency sets, changed one edge or node
+    at a time.
 
-    On an error the store may be left part-way through the step.
+    ``nodes`` is a set and ``adj`` maps every node to its neighbour set.
+    ``running`` holds exact values that ``functions.evaluate`` memoised on
+    this state; every edge or node operation passes to each of them
+    before it changes the graph, so in-step interactions are counted
+    against the adjacency at that operation.
     """
-    if not u.v_del <= nodes:
-        raise InvalidUpdate(f"deleting absent nodes {sorted(u.v_del - nodes)}")
-    for k in u.e_del:
-        if edges.pop(k, None) is None:
-            raise InvalidUpdate(f"deleting absent edge {k}")
-    if u.v_del:
-        # a deleted node must shed every incident edge in the same step
-        for k in edges:
-            if k[0] in u.v_del or k[1] in u.v_del:
+
+    __slots__ = ("adj", "running")
+
+    def __init__(self, g: Graph) -> None:
+        self.nodes = set(g.nodes)  # type: ignore[assignment]
+        self.edges = dict(g.edges)
+        self.adj: dict[int, set[int]] = {v: set() for v in g.nodes}
+        for a, b in self.edges:
+            self.adj[a].add(b)
+            self.adj[b].add(a)
+        self.running: dict = {}
+
+    def degrees(self) -> dict[int, int]:
+        return {v: len(nbrs) for v, nbrs in self.adj.items()}
+
+    def apply(self, u: Update) -> None:
+        """Validate one update and apply it in place: edge deletions, node
+        deletions, node insertions, then edge insertions.
+
+        On an error the state may be left part-way through the step.
+        """
+        nodes, edges, adj = self.nodes, self.edges, self.adj
+        if not u.v_del <= nodes:
+            raise InvalidUpdate(f"deleting absent nodes {sorted(u.v_del - nodes)}")
+        for k in u.e_del:
+            if k not in edges:
+                raise InvalidUpdate(f"deleting absent edge {k}")
+            self._edge(k, edges[k], -1)
+        if u.v_del:
+            # a deleted node must shed every incident edge in the same step
+            kept = [edge_key(v, x) for v in u.v_del for x in adj[v]]
+            if kept:
+                k = min(kept)
                 v = k[0] if k[0] in u.v_del else k[1]
                 raise InvalidUpdate(f"node {v} deleted while edge {k} survives")
-    nodes -= u.v_del
+            for v in u.v_del:
+                self._node(v, -1)
+        if u.v_ins & nodes:
+            raise InvalidUpdate(f"inserting already-present nodes {sorted(u.v_ins & nodes)}")
+        for v in u.v_ins:
+            self._node(v, 1)
+        for k, w in u.e_ins.items():
+            if k in edges:
+                raise InvalidUpdate(f"inserting already-present edge {k}")
+            if k[0] not in nodes or k[1] not in nodes:
+                raise InvalidUpdate(f"inserting edge {k} with an absent endpoint")
+            self._edge(k, w, 1)
 
-    if u.v_ins & nodes:
-        raise InvalidUpdate(f"inserting already-present nodes {sorted(u.v_ins & nodes)}")
-    nodes |= u.v_ins
-    for k, w in u.e_ins.items():
-        if k in edges:
-            raise InvalidUpdate(f"inserting already-present edge {k}")
-        if k[0] not in nodes or k[1] not in nodes:
-            raise InvalidUpdate(f"inserting edge {k} with an absent endpoint")
-        edges[k] = w
+    def _edge(self, k: EdgeKey, w: int, sign: int) -> None:
+        """Insert (sign 1) or delete (sign -1) one edge."""
+        a, b = k
+        for run in self.running.values():
+            run.edge(self, a, b, w, sign)
+        if sign > 0:
+            self.edges[k] = w
+            self.adj[a].add(b)
+            self.adj[b].add(a)
+        else:
+            del self.edges[k]
+            self.adj[a].remove(b)
+            self.adj[b].remove(a)
+
+    def _node(self, v: int, sign: int) -> None:
+        """Insert (sign 1) or delete (sign -1) one isolated node."""
+        for run in self.running.values():
+            run.node(self, v, sign)
+        if sign > 0:
+            self.nodes.add(v)
+            self.adj[v] = set()
+        else:
+            self.nodes.remove(v)
+            del self.adj[v]
 
 
 def apply_update(g: Graph, u: Update) -> Graph:
     """Apply one update, validating it against the current graph."""
-    nodes, edges = set(g.nodes), dict(g.edges)
-    _apply(nodes, edges, u)
-    return Graph(nodes, edges, _validate=False)
+    state = DynamicGraph(g)
+    state.apply(u)
+    return Graph(state.nodes, state.edges, _validate=False)
 
 
 class SequenceKind(str, enum.Enum):
@@ -244,22 +301,21 @@ class GraphSequence:
         """Graphs G_1..G_T; raises InvalidUpdate with the offending index."""
         return [Graph(g.nodes, g.edges, _validate=False) for g in self.iter_graphs()]
 
-    def iter_graphs(self) -> Iterator[Graph]:
-        """Yield G_1..G_T as transient views sharing one mutable store.
+    def iter_graphs(self) -> Iterator[DynamicGraph]:
+        """Yield G_1..G_T as one DynamicGraph state, updated in place.
 
-        Each yielded Graph is overwritten by the next step; callers that
+        Each yielded graph is overwritten by the next step; callers that
         need snapshots must use materialize().  This keeps long releases
-        free of per-step copying.
+        free of per-step copying, and lets ``functions.evaluate`` keep
+        running values on the state.
         """
-        nodes, edges = set(self.initial.nodes), dict(self.initial.edges)
-        view = Graph.__new__(Graph)
-        view.nodes, view.edges = nodes, edges  # type: ignore[assignment]
+        state = DynamicGraph(self.initial)
         for t, u in enumerate(self.updates, start=1):
             try:
-                _apply(nodes, edges, u)
+                state.apply(u)
             except InvalidUpdate as exc:
                 raise InvalidUpdate(f"at t={t}: {exc}") from exc
-            yield view
+            yield state
 
     def validate(self) -> None:
         for _ in self.iter_graphs():
@@ -274,17 +330,11 @@ class GraphSequence:
 
     def max_degree(self) -> int:
         """Largest degree in G_0..G_T; a degree only grows on an edge insert."""
-        deg = self.initial.degrees()
-        best = max(deg.values(), default=0)
+        best = max(self.initial.degrees().values(), default=0)
         # zip applies (and so validates) each step before the body reads it
-        for u, _g in zip(self.updates, self.iter_graphs()):
-            for a, b in u.e_del:
-                deg[a] -= 1
-                deg[b] -= 1
+        for u, g in zip(self.updates, self.iter_graphs()):
             for a, b in u.e_ins:
-                deg[a] = deg.get(a, 0) + 1
-                deg[b] = deg.get(b, 0) + 1
-                best = max(best, deg[a], deg[b])
+                best = max(best, len(g.adj[a]), len(g.adj[b]))
         return best
 
     def max_weight(self) -> int:

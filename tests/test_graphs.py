@@ -55,28 +55,40 @@ def test_apply_update_deletions_before_insertions():
     assert g2.edges == {(0, 1): 7}
 
 
+REJECTIONS = [
+    (Update(e_del={(0, 2)}), "deleting absent edge (0, 2)"),
+    (Update(v_del={5}), "deleting absent nodes [5]"),
+    (Update(v_del={0}), "node 0 deleted while edge (0, 1) survives"),
+    (Update(v_ins={1}), "inserting already-present nodes [1]"),
+    (Update(e_ins={(0, 1): 2}), "inserting already-present edge (0, 1)"),
+    (Update(e_ins={(0, 9): 1}), "inserting edge (0, 9) with an absent endpoint"),
+]
+
+
 @pytest.mark.parametrize(
-    "update",
-    [
-        Update(e_del={(0, 2)}),  # absent edge
-        Update(v_del={5}),  # absent node
-        Update(v_del={0}),  # node keeps an incident edge
-        Update(v_ins={1}),  # re-insert present node
-        Update(e_ins={(0, 1): 2}),  # re-insert present edge
-        Update(e_ins={(0, 9): 1}),  # absent endpoint
-    ],
+    "update, message",
+    [pytest.param(u, msg, id=f"update{i}") for i, (u, msg) in enumerate(REJECTIONS)],
 )
-def test_apply_update_rejections(update):
+def test_apply_update_rejections(update, message):
     g = Graph.from_edges([(0, 1)])
-    with pytest.raises(InvalidUpdate):
+    with pytest.raises(InvalidUpdate) as exc:
         apply_update(g, update)
+    assert str(exc.value) == message
     # every pass over a sequence applies the same rule and names the step
     seq = GraphSequence(g, [update])
     passes = [lambda: list(seq.iter_graphs()), seq.materialize, seq.max_degree,
               lambda: reversed_sequence(seq)]
     for run in passes:
-        with pytest.raises(InvalidUpdate, match="t=1"):
+        with pytest.raises(InvalidUpdate) as exc:
             run()
+        assert str(exc.value) == f"at t=1: {message}"
+
+
+def test_node_deletion_error_names_smallest_surviving_edge():
+    g = Graph.from_edges([(2, 3), (1, 4), (0, 4)])
+    with pytest.raises(InvalidUpdate) as exc:
+        apply_update(g, Update(v_del={3, 4}))
+    assert str(exc.value) == "node 4 deleted while edge (0, 4) survives"
 
 
 def test_sequence_kind():
