@@ -6,7 +6,17 @@ tests as a dual route):
 
 * minimum cut: hand-rolled Stoer-Wagner (vectorized) vs. networkx
 * max weight matching: blossom (networkx) vs. bitmask subset DP
-* densest subgraph: exhaustive subset scan vs. parametric max-flow
+* max cardinality matching: Edmonds' blossom search vs. bitmask subset DP
+* densest subgraph: table of |E(S)| over every node subset vs.
+  parametric max-flow
+
+On a ``DynamicGraph`` state, ``evaluate`` keeps a running value of every
+statistic but edge count and weighted matching: computed once from
+scratch, then updated by each edge or node operation (see ``_Running``).
+The monotone ones (the cuts, cardinality matching, densest subgraph) are
+kept under edge insertions only; any other operation makes them stale,
+and the next ``evaluate`` recomputes them.  ``release.exact_values``
+evaluates decremental sequences backward, so they only see insertions.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -19,6 +29,7 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -164,25 +175,28 @@ def mst_weight(g: Graph) -> int:
     return sum(w for _u, _v, w in _kruskal(g))
 
 
-def _components(g: Graph) -> int:
+def _component(g: Graph) -> set[int]:
+    """The connected component of the smallest node of a non-empty graph."""
     dsu = _DSU(g.nodes)
-    count = g.n
     for u, v in g.edges:
-        if dsu.union(u, v):
-            count -= 1
-    return count
+        dsu.union(u, v)
+    root = dsu.find(min(g.nodes))
+    return {v for v in g.nodes if dsu.find(v) == root}
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or _components(g) == 1
+    return g.n <= 1 or len(_component(g)) == g.n
 
 
-def _stoer_wagner(weights: np.ndarray) -> float:
-    """Global min cut of a connected weighted graph given as a matrix."""
+def _stoer_wagner(weights: np.ndarray) -> tuple[float, list[int]]:
+    """Global min cut of a connected weighted graph given as a matrix, with
+    the rows of one side of it: the group merged into the last vertex of
+    the best phase."""
     n = weights.shape[0]
     w = weights.astype(float).copy()
     alive = list(range(n))
-    best = math.inf
+    group = [[i] for i in range(n)]
+    best, side = math.inf, group[0]
     while len(alive) > 1:
         # maximum-adjacency phase starting from alive[0]
         sub = w[np.ix_(alive, alive)]
@@ -198,41 +212,55 @@ def _stoer_wagner(weights: np.ndarray) -> float:
             prev_pos, last_pos = last_pos, pos
             conn += sub[pos]
             conn[pos] = -math.inf
-        best = min(best, cut_of_phase)
         s, t = alive[prev_pos], alive[last_pos]
+        if cut_of_phase < best:
+            best, side = float(cut_of_phase), group[t]
         # merge t into s
+        group[s] += group[t]
         w[s, :] += w[t, :]
         w[:, s] += w[:, t]
         w[s, s] = 0.0
         alive.remove(t)
-    return best
+    return best, side
 
 
-def min_cut(g: Graph, strategy: str = "stoer-wagner") -> float:
-    """Global minimum cut; 0 for disconnected or trivial graphs."""
-    if g.n <= 1 or not is_connected(g):
-        return 0.0
-    if strategy == "networkx":
-        import networkx as nx
-
-        G = nx.Graph()
-        G.add_nodes_from(g.nodes)
-        G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
-        value, _part = nx.stoer_wagner(G)
-        return float(value)
-    if strategy != "stoer-wagner":
-        raise OutOfRange(f"unknown min_cut strategy {strategy!r}")
+def _min_cut_side(g: Graph) -> tuple[float, set[int]]:
+    """Global minimum cut with one side S of it; a disconnected graph takes
+    one component as S, with value 0."""
+    if g.n <= 1:
+        return 0.0, set(g.nodes)
+    component = _component(g)
+    if len(component) < g.n:
+        return 0.0, component
     order = sorted(g.nodes)
     idx = {v: i for i, v in enumerate(order)}
     mat = np.zeros((g.n, g.n))
     for (u, v), w in g.edges.items():
         mat[idx[u], idx[v]] = w
         mat[idx[v], idx[u]] = w
-    return _stoer_wagner(mat)
+    value, side = _stoer_wagner(mat)
+    return value, {order[i] for i in side}
 
 
-def st_min_cut(g: Graph, s: int, t: int) -> float:
-    """Minimum s-t cut via max-flow; 0 when s and t are disconnected."""
+def min_cut(g: Graph, strategy: str = "stoer-wagner") -> float:
+    """Global minimum cut; 0 for disconnected or trivial graphs."""
+    if strategy == "stoer-wagner":
+        return _min_cut_side(g)[0]
+    if strategy != "networkx":
+        raise OutOfRange(f"unknown min_cut strategy {strategy!r}")
+    if g.n <= 1 or not is_connected(g):
+        return 0.0
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(g.nodes)
+    G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
+    value, _part = nx.stoer_wagner(G)
+    return float(value)
+
+
+def _st_cut_side(g: Graph, s: int, t: int) -> tuple[float, set[int]]:
+    """Minimum s-t cut via max-flow, with its s-side."""
     if s not in g.nodes or t not in g.nodes:
         raise MissingTerminal(f"terminal {s if s not in g.nodes else t} absent")
     import networkx as nx
@@ -241,7 +269,13 @@ def st_min_cut(g: Graph, s: int, t: int) -> float:
     G.add_nodes_from(g.nodes)
     for (u, v), w in g.edges.items():
         G.add_edge(u, v, capacity=w)
-    return float(nx.minimum_cut_value(G, s, t, capacity="capacity"))
+    value, (side, _t_side) = nx.minimum_cut(G, s, t, capacity="capacity")
+    return float(value), side
+
+
+def st_min_cut(g: Graph, s: int, t: int) -> float:
+    """Minimum s-t cut via max-flow; 0 when s and t are disconnected."""
+    return _st_cut_side(g, s, t)[0]
 
 
 def _matching_dp(g: Graph, unit: bool) -> int:
@@ -286,44 +320,94 @@ def max_weight_matching(g: Graph, strategy: str = "blossom") -> int:
     return sum(g.edges[(min(u, v), max(u, v))] for u, v in mate)
 
 
+def _augment(adj, mate: dict[int, int | None], root: int) -> bool:
+    """Edmonds' blossom search for an augmenting path from the free vertex
+    ``root``; when one exists, flip it into ``mate`` and return True.
+
+    ``adj`` maps every vertex to its neighbours.  Outer vertices are the
+    root, the mates of inner vertices and every vertex of a contracted
+    blossom; ``parent`` maps an inner vertex to the outer vertex it was
+    reached from, and ``base`` each vertex to the base of its blossom.
+    """
+    base = {v: v for v in adj}
+    parent: dict[int, int] = {}
+    outer = {root}
+    queue = deque([root])
+
+    def common_base(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] is None:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    while queue:
+        v = queue.popleft()
+        for x in adj[v]:
+            if base[v] == base[x] or mate[v] == x:
+                continue
+            if x == root or mate[x] is not None and mate[x] in parent:
+                # x is outer too: the edge closes a blossom
+                b = common_base(v, x)
+                blossom: set[int] = set()
+                mark(v, b, x, blossom)
+                mark(x, b, v, blossom)
+                for y in adj:
+                    if base[y] in blossom:
+                        base[y] = b
+                        if y not in outer:
+                            outer.add(y)
+                            queue.append(y)
+            elif x not in parent:
+                parent[x] = v
+                if mate[x] is None:
+                    while x is not None:
+                        v = parent[x]
+                        nxt = mate[v]
+                        mate[x], mate[v] = v, x
+                        x = nxt
+                    return True
+                outer.add(mate[x])
+                queue.append(mate[x])
+    return False
+
+
+def _max_matching(adj) -> dict[int, int | None]:
+    """Maximum cardinality matching as a mate map: a greedy matching, then
+    one augmenting-path search per free vertex.  A vertex without an
+    augmenting path never gains one by later augmentations (Edmonds), so
+    one search each suffices."""
+    mate: dict[int, int | None] = dict.fromkeys(adj)
+    for a in adj:
+        for b in adj[a]:
+            if mate[a] is None and mate[b] is None:
+                mate[a], mate[b] = b, a
+    for v in adj:
+        if mate[v] is None:
+            _augment(adj, mate, v)
+    return mate
+
+
 def max_cardinality_matching(g: Graph, strategy: str = "blossom") -> int:
     if strategy == "exhaustive":
         return _matching_dp(g, unit=True)
     if strategy != "blossom":
         raise OutOfRange(f"unknown matching strategy {strategy!r}")
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(g.nodes)
-    G.add_edges_from(g.edges)
-    return len(nx.max_weight_matching(G, maxcardinality=True))
-
-
-def _densest_exhaustive(g: Graph) -> float:
-    if g.n > DENSEST_EXHAUSTIVE_LIMIT:
-        raise SizeLimitExceeded(
-            f"exhaustive densest subgraph limited to n <= {DENSEST_EXHAUSTIVE_LIMIT}"
-        )
-    if g.n == 0:
-        return 0.0
-    order = sorted(g.nodes)
-    idx = {v: i for i, v in enumerate(order)}
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
-    # edge count per subset, built incrementally over the lowest bit
-    edges_of = [0] * (1 << g.n)
-    best = 0.0
-    for mask in range(1, 1 << g.n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        e = edges_of[rest] + (adj[low] & rest).bit_count()
-        edges_of[mask] = e
-        dens = e / mask.bit_count()
-        if dens > best:
-            best = dens
-    return best
+    mate = _max_matching(g.adjacency())
+    return sum(x is not None for x in mate.values()) // 2
 
 
 def _densest_flow(g: Graph) -> float:
@@ -370,7 +454,7 @@ def _densest_flow(g: Graph) -> float:
 def densest_subgraph(g: Graph, strategy: str = "exhaustive") -> float:
     """max over nonempty S of |E(S)| / |S| (unweighted)."""
     if strategy == "exhaustive":
-        return _densest_exhaustive(g)
+        return _SubsetEdges(g).total
     if strategy == "flow":
         return _densest_flow(g)
     raise OutOfRange(f"unknown densest strategy {strategy!r}")
@@ -381,8 +465,8 @@ class _Running:
 
     It is computed once from scratch; then ``edge`` and ``node`` see each
     single-edge or single-node operation before it changes the graph
-    (sign 1 inserts, -1 deletes).  A stale value is recomputed by the
-    next ``evaluate``.
+    (sign 1 inserts, -1 deletes).  A stale value sees no further
+    operations and is recomputed by the next ``evaluate``.
     """
 
     stale = False
@@ -480,9 +564,7 @@ class _SpanningForest(_Running):
     def edge(self, g, a, b, w, sign):
         up = self.up
         if sign < 0:
-            self.stale = self.stale or up[a] == (b, w) or up[b] == (a, w)
-            return
-        if self.stale:
+            self.stale = up[a] == (b, w) or up[b] == (a, w)
             return
         heaviest = self._heaviest_on_path(a, b)
         if heaviest is not None:
@@ -535,22 +617,120 @@ class _SpanningForest(_Running):
         return other
 
 
+class _Insertions(_Running):
+    """A value kept under edge insertions only; deleting an edge and
+    inserting or deleting a node make it stale."""
+
+    def edge(self, g, a, b, w, sign):
+        if sign > 0:
+            self.insert(g, a, b)
+        else:
+            self.stale = True
+
+    def node(self, g, v, sign):
+        self.stale = True
+
+
+class _Cut(_Insertions):
+    """Global (or s-t) minimum cut on a kept side S of a minimum cut.
+
+    Insertions only let every cut grow, so an edge that does not cross S
+    leaves the value; one that crosses S makes it stale.
+    """
+
+    def __init__(self, g: Graph, s: int | None = None, t: int | None = None) -> None:
+        self.total, self.side = _min_cut_side(g) if s is None else _st_cut_side(g, s, t)
+
+    def insert(self, g, a, b):
+        self.stale = (a in self.side) != (b in self.side)
+
+
+class _Matching(_Insertions):
+    """Maximum cardinality matching on a kept mate map.
+
+    An inserted edge matches two free endpoints.  Otherwise, unless the
+    matching already covers all but at most one node, one augmenting path
+    may now exist, and it runs through the new edge: it ends at a free
+    endpoint if there is one, else at any free vertex.
+    """
+
+    def __init__(self, g: DynamicGraph) -> None:
+        self.mate = _max_matching(g.adj)
+        self.total = sum(x is not None for x in self.mate.values()) // 2
+
+    def insert(self, g, a, b):
+        mate = self.mate
+        if mate[a] is None and mate[b] is None:
+            mate[a], mate[b] = b, a
+            self.total += 1
+            return
+        if self.total == len(g.nodes) // 2:
+            return
+        adj = dict(g.adj)  # the graph with the new edge
+        adj[a], adj[b] = adj[a] | {b}, adj[b] | {a}
+        free = [v for v in (a, b) if mate[v] is None] or [v for v in adj if mate[v] is None]
+        if any(_augment(adj, mate, v) for v in free):
+            self.total += 1
+
+
+class _SubsetEdges(_Insertions):
+    """Densest subgraph on a table of |E(S)| for every node subset S.
+
+    Bit i of a subset's index is the i-th smallest node.  An inserted edge
+    {a, b} adds 1 to every subset holding both, and only those can beat
+    the kept optimum.  Counts fit uint8: n <= 20 has at most 190 edges.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        n = g.n
+        if n > DENSEST_EXHAUSTIVE_LIMIT:
+            raise SizeLimitExceeded(
+                f"exhaustive densest subgraph limited to n <= {DENSEST_EXHAUSTIVE_LIMIT}"
+            )
+        self.bit = {v: i for i, v in enumerate(sorted(g.nodes))}
+        size = np.zeros(1 << n, np.uint8)
+        for i in range(n):
+            size[1 << i:2 << i] = size[:1 << i] + 1
+        # axis n-1-i of the (2,)*n views is bit i
+        self.size = size.reshape((2,) * n)
+        self.count = np.zeros_like(self.size)
+        for a, b in g.edges:
+            self.count[self._both(a, b)] += 1
+        self.total = float((self.count.ravel()[1:] / size[1:]).max()) if n else 0.0
+
+    def _both(self, a: int, b: int) -> tuple:
+        """Index of the subsets holding both a and b."""
+        n = len(self.bit)
+        idx = [slice(None)] * n
+        idx[n - 1 - self.bit[a]] = idx[n - 1 - self.bit[b]] = 1
+        return tuple(idx)
+
+    def insert(self, g, a, b):
+        idx = self._both(a, b)
+        self.count[idx] += 1
+        self.total = max(self.total, float((self.count[idx] / self.size[idx]).max()))
+
+
 _RUNNING = {
     "high_degree": lambda g, f, n_bins: _DegreeSum(g, lambda d: int(d >= f.tau)),
     "kstar_count": lambda g, f, n_bins: _DegreeSum(g, lambda d: math.comb(d, f.k)),
     "degree_histogram": lambda g, f, n_bins: _Histogram(g, n_bins),
     "triangle_count": lambda g, f, n_bins: _Triangles(g),
     "mst_weight": lambda g, f, n_bins: _SpanningForest(g),
+    "min_cut": lambda g, f, n_bins: _Cut(g),
+    "st_min_cut": lambda g, f, n_bins: _Cut(g, f.s, f.t),
+    "max_cardinality_matching": lambda g, f, n_bins: _Matching(g),
+    "densest_subgraph": lambda g, f, n_bins: _SubsetEdges(g),
 }
 
 
-def evaluate(f: GraphFunction, g: Graph, *, n_bins: int | None = None, strategy: str | None = None):
+def evaluate(f: GraphFunction, g: Graph, *, n_bins: int | None = None):
     """Dispatch to the exact evaluator for ``f``.
 
     Returns a scalar, or a tuple of counts for degree_histogram.  On a
-    DynamicGraph the local statistics are memoised per ``(f, n_bins)`` and
-    kept up to date by the state's operations; edge_count is
-    ``len(g.edges)`` either way.
+    DynamicGraph every statistic but edge_count (``len(g.edges)`` either
+    way) and weighted matching is memoised per ``(f, n_bins)`` and kept up
+    to date by the state's operations.
     """
     name = f.name
     if name in _RUNNING and isinstance(g, DynamicGraph):
@@ -572,15 +752,15 @@ def evaluate(f: GraphFunction, g: Graph, *, n_bins: int | None = None, strategy:
     if name == "mst_weight":
         return mst_weight(g)
     if name == "min_cut":
-        return min_cut(g, strategy=strategy or "stoer-wagner")
+        return min_cut(g)
     if name == "st_min_cut":
         return st_min_cut(g, f.s, f.t)
     if name == "max_weight_matching":
-        return max_weight_matching(g, strategy=strategy or "blossom")
+        return max_weight_matching(g)
     if name == "max_cardinality_matching":
-        return max_cardinality_matching(g, strategy=strategy or "blossom")
+        return max_cardinality_matching(g)
     if name == "densest_subgraph":
-        return densest_subgraph(g, strategy=strategy or "exhaustive")
+        return densest_subgraph(g)
     raise UnknownFunction(name)
 
 

@@ -185,9 +185,9 @@ class DynamicGraph(Graph):
 
     ``nodes`` is a set and ``adj`` maps every node to its neighbour set.
     ``running`` holds exact values that ``functions.evaluate`` memoised on
-    this state; every edge or node operation passes to each of them
-    before it changes the graph, so in-step interactions are counted
-    against the adjacency at that operation.
+    this state; every edge or node operation passes to each of them that
+    is not stale before it changes the graph, so in-step interactions are
+    counted against the adjacency at that operation.
     """
 
     __slots__ = ("adj", "running")
@@ -241,7 +241,8 @@ class DynamicGraph(Graph):
         """Insert (sign 1) or delete (sign -1) one edge."""
         a, b = k
         for run in self.running.values():
-            run.edge(self, a, b, w, sign)
+            if not run.stale:
+                run.edge(self, a, b, w, sign)
         if sign > 0:
             self.edges[k] = w
             self.adj[a].add(b)
@@ -254,7 +255,8 @@ class DynamicGraph(Graph):
     def _node(self, v: int, sign: int) -> None:
         """Insert (sign 1) or delete (sign -1) one isolated node."""
         for run in self.running.values():
-            run.node(self, v, sign)
+            if not run.stale:
+                run.node(self, v, sign)
         if sign > 0:
             self.nodes.add(v)
             self.adj[v] = set()

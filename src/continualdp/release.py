@@ -29,7 +29,7 @@ from .errors import (
     WeightViolation,
 )
 from .functions import GraphFunction, evaluate
-from .graphs import GraphSequence, SequenceKind
+from .graphs import GraphSequence, SequenceKind, Update, reversed_sequence
 from .noise import RandomSource
 
 UNBOUNDED = math.inf
@@ -160,10 +160,16 @@ def exact_values(seq: GraphSequence, f: GraphFunction, n_bins: int | None = None
     """Exact f(G_1), ..., f(G_T) in one pass over the sequence.
 
     Histogram bins default to the size of the node universe, so every
-    step's vector has the same length.
+    step's vector has the same length.  A decremental sequence is
+    evaluated backward, as the incremental G_T, ..., G_1, so that the
+    running values on the graph state only ever see insertions.
     """
     if n_bins is None and f.name == "degree_histogram":
         n_bins = len(seq.node_universe())
+    if seq.kind is SequenceKind.DECREMENTAL:
+        rev = reversed_sequence(seq)
+        back = GraphSequence(rev.initial, (Update(),) + rev.updates[:-1])
+        return [evaluate(f, g, n_bins=n_bins) for g in back.iter_graphs()][::-1]
     return [evaluate(f, g, n_bins=n_bins) for g in seq.iter_graphs()]
 
 

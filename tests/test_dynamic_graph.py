@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from continualdp import Graph, GraphFunction, GraphSequence, RandomSource, Update, evaluate
+from continualdp import functions
+from continualdp.errors import MissingTerminal, SizeLimitExceeded
 from continualdp.graphs import DynamicGraph
 from continualdp.release import exact_values
 
@@ -24,6 +26,20 @@ LOCAL = [
     GraphFunction("mst_weight"),
     GraphFunction("degree_histogram"),
 ]
+MONOTONE = [
+    GraphFunction("min_cut"),
+    GraphFunction("st_min_cut", s=0, t=1),
+    GraphFunction("max_cardinality_matching"),
+    GraphFunction("densest_subgraph"),
+]
+
+
+def _outcome(f, g, n_bins=None):
+    """The value, or the type of the error the evaluation raised."""
+    try:
+        return evaluate(f, g, n_bins=n_bins)
+    except (MissingTerminal, SizeLimitExceeded) as exc:
+        return type(exc)
 
 
 def _with_weight_change(seq: GraphSequence, rng: RandomSource) -> GraphSequence:
@@ -52,7 +68,7 @@ def test_running_values_equal_snapshot_evaluation(seed, kind, start):
     seq = _with_weight_change(seq, rng.child("change"))
     # oracle.diff_sensitivity bins a histogram over a pair's union universe
     wide = len(seq.node_universe()) + 3
-    cases = [(f, None) for f in LOCAL] + [(GraphFunction("degree_histogram"), wide)]
+    cases = [(f, None) for f in LOCAL + MONOTONE] + [(GraphFunction("degree_histogram"), wide)]
     # every value is kept on the same state from step ``start`` on
     for t, g in enumerate(seq.iter_graphs(), start=1):
         assert isinstance(g, DynamicGraph)
@@ -60,13 +76,17 @@ def test_running_values_equal_snapshot_evaluation(seed, kind, start):
             continue
         snap = Graph(g.nodes, g.edges)
         for f, n_bins in cases:
-            assert evaluate(f, g, n_bins=n_bins) == evaluate(f, snap, n_bins=n_bins), (t, f)
-    assert len(g.running) == len(cases) - 1 or start > seq.T  # edge_count keeps none
+            assert _outcome(f, g, n_bins) == _outcome(f, snap, n_bins), (t, f)
+    if start <= seq.T:
+        # every value is kept but edge_count and those whose evaluation raised
+        raised = sum(isinstance(_outcome(f, snap, n_bins), type) for f, n_bins in cases)
+        assert len(g.running) >= len(cases) - 1 - raised
 
 
-def _values(initial: Graph, *updates: Update, f: str = "triangle_count") -> list:
+def _values(initial: Graph, *updates: Update, f: str | GraphFunction = "triangle_count") -> list:
     # an empty first step makes the later steps run on the memoised value
-    return exact_values(GraphSequence(initial, [Update(), *updates]), GraphFunction(f))[1:]
+    f = f if isinstance(f, GraphFunction) else GraphFunction(f)
+    return exact_values(GraphSequence(initial, [Update(), *updates]), f)[1:]
 
 
 def test_one_step_inserting_a_triangle_adds_one():
@@ -122,11 +142,96 @@ def test_histogram_with_too_few_bins_raises_as_the_oracle_does():
         evaluate(f, state, n_bins=3)
 
 
-def test_import_does_not_load_networkx():
+def _loads_networkx(code: str) -> bool:
+    """Whether ``code`` run in a fresh interpreter leaves networkx loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, continualdp, continualdp.cli; print('networkx' in sys.modules)"
+    code += "\nimport sys; print('networkx' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_networkx():
+    assert not _loads_networkx("import continualdp, continualdp.cli")
+
+
+def test_monotone_release_does_not_load_networkx():
+    code = """
+from continualdp import Graph, GraphFunction, GraphSequence, RandomSource, Update
+from continualdp import monotone_release
+seq = GraphSequence(Graph(range(4)), [Update(e_ins={(0, 1): 1, (2, 3): 1}),
+                                      Update(e_ins={(1, 2): 1}), Update(e_ins={(0, 3): 1})])
+for name in ("min_cut", "max_cardinality_matching", "densest_subgraph"):
+    monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(1), W=1)
+"""
+    assert not _loads_networkx(code)
+
+
+@pytest.mark.parametrize("f", MONOTONE, ids=lambda f: f.name)
+def test_node_insert_then_edge_to_it_in_one_step(f):
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    step = Update(v_ins={3}, e_ins={(2, 3): 1, (1, 3): 2})
+    after = Graph.from_edges([(0, 1), (1, 2), (2, 3), (1, 3, 2)])
+    assert _values(g, step, f=f) == [evaluate(f, after)]
+
+
+def test_min_cut_insert_inside_and_across_the_kept_side():
+    # the bridge (2, 3) is the only minimum cut, so the kept side is {3} or
+    # its complement; (1, 4) stays on one side, (1, 3) crosses it
+    g = Graph.from_edges([(0, 1, 2), (1, 2, 2), (0, 2, 2), (2, 3, 1), (0, 4, 5)])
+    inside, across = Update(e_ins={(1, 4): 1}), Update(e_ins={(1, 3): 1})
+    assert _values(g, inside, across, f="min_cut") == [1.0, 2.0]
+
+
+def test_min_cut_insert_joining_two_components():
+    g = Graph.from_edges([(0, 1), (1, 2), (3, 4)])
+    inside, join = Update(e_ins={(0, 2): 1}), Update(e_ins={(2, 3): 1})
+    assert _values(g, inside, join, f="min_cut") == [0.0, 1.0]
+
+
+def test_matching_augments_through_a_blossom_from_matched_endpoints():
+    # two 5-cycles matched on {1,2},{3,4} and {6,7},{8,9}, so 0 and 5 are
+    # free; (1, 6) joins two matched nodes, and the augmenting path
+    # 0-4-3-2-1-6-7-8-9-5 needs a blossom from either free end
+    matched = Update(e_ins={(1, 2): 1, (3, 4): 1, (6, 7): 1, (8, 9): 1})
+    cycles = Update(e_ins={(0, 1): 1, (2, 3): 1, (0, 4): 1, (5, 6): 1, (7, 8): 1, (5, 9): 1})
+    bridge = Update(e_ins={(1, 6): 1})
+    assert _values(Graph(range(10)), matched, cycles, bridge,
+                   f="max_cardinality_matching") == [4, 4, 5]
+
+
+def test_matching_after_deleting_a_matched_edge():
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+    steps = Update(e_del={(0, 1)}), Update(e_ins={(0, 1): 1}), Update(e_ins={(0, 3): 1})
+    assert _values(g, *steps, f="max_cardinality_matching") == [1, 2, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_decremental_exact_values_equal_snapshot_evaluation(seed):
+    seq = random_sequence(RandomSource(seed), n_max=9, T_max=12, kind="decremental")
+    snaps = seq.materialize()
+    n_bins = len(seq.node_universe())
+    for name in sorted(functions.FUNCTION_NAMES):
+        f = GraphFunction(name, tau=2, k=2, s=0, t=1)
+        want = [_outcome(f, g, n_bins if name == "degree_histogram" else None) for g in snaps]
+        error = next((x for x in want if isinstance(x, type)), None)
+        if error is None:
+            assert exact_values(seq, f) == want, name
+        else:
+            with pytest.raises(error):
+                exact_values(seq, f)
+
+
+def test_decremental_mst_runs_kruskal_once(monkeypatch):
+    calls = []
+    kruskal = functions._kruskal
+    monkeypatch.setattr(functions, "_kruskal", lambda g: calls.append(g.m) or kruskal(g))
+    g = Graph.from_edges([(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1), (4, 5, 2), (0, 5, 3)])
+    # every step deletes an edge of the minimum spanning forest
+    steps = [Update(e_del={k}) for k in [(1, 2), (3, 4), (0, 1), (4, 5)]]
+    values = exact_values(GraphSequence(g, steps), GraphFunction("mst_weight"))
+    assert values == [11, 10, 8, 6]
+    assert len(calls) == 1

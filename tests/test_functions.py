@@ -10,6 +10,7 @@ from continualdp.errors import (
     SizeLimitExceeded,
     UnknownFunction,
 )
+from continualdp.graphs import DynamicGraph
 from continualdp.functions import (
     degree_histogram,
     densest_subgraph,
@@ -124,6 +125,28 @@ def test_matching_dual_routes_agree():
         assert max_cardinality_matching(g, "blossom") == max_cardinality_matching(
             g, "exhaustive"
         )
+
+
+def test_cardinality_matching_equals_networkx_blossom():
+    import networkx as nx
+
+    rng = RandomSource(16)
+    for i in range(500):
+        r = rng.child(i)
+        g = random_graph(r, n=1 + r.integers(0, 14), density=r.uniform())
+        G = nx.Graph()
+        G.add_nodes_from(g.nodes)
+        G.add_edges_from(g.edges)
+        assert max_cardinality_matching(g) == len(nx.max_weight_matching(G, maxcardinality=True))
+
+
+def test_min_cut_returns_a_python_float():
+    assert type(min_cut(k4())) is float
+    assert type(min_cut(Graph({0, 1}))) is float
+    state = DynamicGraph(k4())
+    f = GraphFunction("min_cut")
+    # the first call computes the value, the second reads the kept one
+    assert [type(evaluate(f, state)) for _ in range(2)] == [float, float]
 
 
 def test_densest_dual_routes_agree():
