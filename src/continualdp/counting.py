@@ -1,14 +1,13 @@
 """p-sum framework and the binary mechanism for continual counting.
 
-Streams carry integers in a declared range [L1, L2].  The mechanism
-maintains one running partial sum per dyadic level; a level-i p-sum
+Streams carry integers in a declared range [L1, L2].  A level-i p-sum
 covers an interval of length 2^i and closes when the time index is
 divisible by 2^i.  Each closed p-sum is released once with Laplace
 noise of scale ``item_width * x / epsilon`` where ``x = floor(log2 T)+1``
 is the number of levels, so every stream item touches at most x noisy
 values.  The running count at time t is the sum of the at most
 ``y = floor(log2(T+1))`` closed p-sums given by the binary expansion
-of t.
+of t, added from the highest level down.
 
 The horizon T must be declared up front.  When T is not a power of two
 the dyadic tree is padded virtually; p-sums that would extend past T
@@ -17,12 +16,24 @@ never close.
 A vector stream takes one source per coordinate, and coordinate i releases
 exactly what a scalar mechanism on source i would.  Noise is drawn in blocks
 of at most ``_BLOCK`` per source, never past the draws owed before T.
+
+``feed`` takes one item or a block of consecutive items along a leading
+time axis, and the two can be mixed.  Both compute the p-sum of level i
+ending at e as ``S_e - S_(e - 2^i)`` from the running prefix total S, and
+both draw the same noise in the same order, so any split of a stream into
+blocks releases bit for bit what feeding it item by item does.  On integer
+streams (exact in float64) every p-sum is the exact interval sum.  The
+released p-sums are kept in one store, one clean and one noisy array per
+level, row ``(e >> i) - 1``; ``estimate`` and ``trace`` read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +69,7 @@ class StreamBounds:
 BINARY = StreamBounds(0, 1)
 
 
-@dataclass(frozen=True)
-class PSumRecord:
+class PSumRecord(NamedTuple):
     """One released p-sum: interval, clean value, noisy value, scale."""
 
     level: int
@@ -157,13 +167,19 @@ class BinaryMechanism:
         self.noise_off = noise_off
         self._scalar = isinstance(rng, RandomSource)
         self._rngs = [rng] if self._scalar else list(rng)
+        k = len(self._rngs)
         self._t = 0
-        self._acc = np.zeros((self.x, len(self._rngs)))
+        # running prefix total S_t, and S at each level's last close
+        self._total = np.zeros(k)
+        self._last = np.zeros((self.x, k))
+        # the released p-sums: level i's ending at e is row (e >> i) - 1
+        self._clean = [np.zeros((T >> i, k)) for i in range(self.x)]
+        self._noisy = [np.zeros((T >> i, k)) for i in range(self.x)]
+        # row i: the estimate at the last multiple of 2^i so far (0 at t=0)
+        self._head = np.zeros((self.x + 1, k))
         # unused noise, one row per coordinate; draws each row owes up to T
-        self._noise = np.zeros((len(self._rngs), 0))
+        self._noise = np.zeros((k, 0))
         self._owed = sum(T >> i for i in range(self.x))
-        # keyed by (level, start); insertion order is release order
-        self._released: dict[tuple[int, int], PSumRecord] = {}
 
     @property
     def t(self) -> int:
@@ -171,36 +187,98 @@ class BinaryMechanism:
 
     def _draw(self, n: int) -> np.ndarray:
         """The next n Laplace draws of every coordinate, shape (n, k)."""
-        if self._noise.shape[1] < n:
-            m = min(self._owed, _BLOCK)
+        have = self._noise.shape[1]
+        if have < n:
+            m = min(self._owed, max(n - have, _BLOCK))
             fresh = [laplace_block(r, self.per_psum_scale, m) for r in self._rngs]
             self._noise = np.hstack([self._noise, np.reshape(fresh, (len(fresh), m))])
             self._owed -= m
         out, self._noise = self._noise[:, :n], self._noise[:, n:]
         return out.T
 
-    def feed(self, item: float | np.ndarray) -> tuple[list[PSumRecord], float | np.ndarray]:
-        """Consume one item; returns (newly released p-sums, estimate)."""
-        if self._t >= self.T:
-            raise HorizonExceeded(f"horizon T={self.T} already reached")
+    def _check(self, items, n: int) -> None:
+        """Refuse n more items past T, or an item outside ``bounds``."""
+        if self._t + n > self.T:
+            raise HorizonExceeded(f"{n} more items at t={self._t} exceed horizon T={self.T}")
         b = self.bounds
-        if b is not None and not b.L1 <= np.min(item) <= np.max(item) <= b.L2:
-            raise ItemOutOfBounds(f"item {item} outside [{b.L1}, {b.L2}]")
+        if b is not None and np.size(items):
+            lo, hi = np.min(items), np.max(items)
+            if not b.L1 <= lo <= hi <= b.L2:
+                raise ItemOutOfBounds(f"item {lo if lo < b.L1 else hi} outside [{b.L1}, {b.L2}]")
+
+    def feed(self, item: float | np.ndarray) -> tuple[list[PSumRecord], float | np.ndarray]:
+        """Consume one item, or a block of consecutive items.
+
+        One item returns (newly released p-sums, estimate).  A block is a
+        1-D array for one source, or an (n, k) array for k sources, along
+        the time axis; it returns the p-sums released at any of its n steps,
+        in release order, and an array of the n estimates, one per step.
+        """
+        if getattr(item, "ndim", 0) == (1 if self._scalar else 2):
+            return self._feed_block(np.asarray(item, float))
+        self._check(item, 1)
         self._t += 1
         t = self._t
-        self._acc += item
+        self._total += item
         closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
-        clean = self._acc[:closing].copy()
-        self._acc[:closing] = 0.0
+        clean = self._total - self._last[:closing]
+        self._last[:closing] = self._total
         noisy = clean + (0.0 if self.noise_off else self._draw(closing))
-        if self._scalar:
-            clean, noisy = clean[:, 0].tolist(), noisy[:, 0].tolist()
-        released: list[PSumRecord] = []
         for i in range(closing):
-            rec = PSumRecord(i, t - (1 << i) + 1, t, clean[i], noisy[i], self.per_psum_scale)
-            self._released[(i, rec.start)] = rec
-            released.append(rec)
-        return released, self.estimate(t)
+            self._clean[i][(t >> i) - 1] = clean[i]
+            self._noisy[i][(t >> i) - 1] = noisy[i]
+        # the estimate at t minus its lowest bit, plus that bit's p-sum
+        est = self._head[closing] + noisy[-1]
+        self._head[:closing] = est
+        if self._scalar:
+            clean, noisy, est = clean[:, 0].tolist(), noisy[:, 0].tolist(), est[0].item()
+        released = [PSumRecord(i, t - (1 << i) + 1, t, clean[i], noisy[i], self.per_psum_scale)
+                    for i in range(closing)]
+        return released, est
+
+    def _feed_block(self, items: np.ndarray) -> tuple[list[PSumRecord], np.ndarray]:
+        n, k = len(items), len(self._rngs)
+        self._check(items, n)
+        t0 = self._t
+        # prefix totals S_{t0}, ..., S_{t0+n}, summed in stream order
+        S = np.cumsum(np.vstack([self._total, items.reshape(n, k)]), axis=0)
+        ts = np.arange(t0 + 1, t0 + n + 1)
+        closing = np.frexp(ts & -ts)[1]
+        # step t's p-sums are draws and records offset[t - t0 - 1] + level
+        offset = np.cumsum(closing) - closing
+        total = int(closing.sum())
+        noise = None if self.noise_off else self._draw(total)
+        levels, ends = np.empty(total, int), np.empty(total, int)
+        clean, noisy = np.empty((total, k)), np.empty((total, k))
+        for i in range(self.x):
+            first = ((t0 >> i) + 1) << i  # level i closes at first, first + 2^i, ...
+            if first > t0 + n:
+                break
+            steps = slice(first - t0 - 1, n, 1 << i)
+            at = S[1:][steps]
+            c = np.diff(at, axis=0, prepend=self._last[i:i + 1])
+            self._last[i] = at[-1]
+            pos = offset[steps] + i
+            nz = c + (0.0 if noise is None else noise[pos])
+            levels[pos], ends[pos], clean[pos], noisy[pos] = i, ts[steps], c, nz
+            row = (first >> i) - 1
+            self._clean[i][row:row + len(c)], self._noisy[i][row:row + len(c)] = c, nz
+        self._total = S[-1]
+        self._t = t0 + n
+        # highest level first, as estimate(t) sums
+        est = np.zeros((n, k))
+        for i in reversed(range(self.x)):
+            on = np.flatnonzero(ts >> i & 1)
+            est[on] += self._noisy[i][(ts[on] >> i) - 1]
+        for i in range(self.x + 1):
+            if (last := self._t >> i << i) > t0:
+                self._head[i] = est[last - t0 - 1]
+        if self._scalar:
+            clean, noisy, est = clean[:, 0].tolist(), noisy[:, 0].tolist(), est[:, 0]
+        fields = zip(levels.tolist(), (ends - (1 << levels) + 1).tolist(), ends.tolist(),
+                     clean, noisy, repeat(self.per_psum_scale))
+        # tuple.__new__ skips the generated PSumRecord.__new__, a Python call per record
+        return list(map(partial(tuple.__new__, PSumRecord), fields)), est
 
     def estimate(self, t: int | None = None) -> float | np.ndarray:
         """Noisy prefix sum at time t (defaults to the current time)."""
@@ -209,12 +287,20 @@ class BinaryMechanism:
         if not 1 <= t <= self._t:
             raise OutOfRange(f"no estimate available for t={t}")
         # prefix_intervals(t): per set bit i, highest first, the level-i p-sum
-        return sum(self._released[(i, (t >> i + 1 << i + 1) + 1)].noisy
-                   for i in reversed(range(t.bit_length())) if t >> i & 1)
+        est = sum(self._noisy[i][(t >> i) - 1]
+                  for i in reversed(range(t.bit_length())) if t >> i & 1)
+        return float(est[0]) if self._scalar else est
 
     def trace(self) -> list[PSumRecord]:
         """All released p-sums in release order (audit hook)."""
-        return list(self._released.values())
+        clean, noisy = self._clean, self._noisy
+        if self._scalar:
+            clean, noisy = [c[:, 0].tolist() for c in clean], [c[:, 0].tolist() for c in noisy]
+        else:
+            clean, noisy = [c.copy() for c in clean], [c.copy() for c in noisy]
+        return [PSumRecord(i, e - (1 << i) + 1, e, clean[i][(e >> i) - 1],
+                           noisy[i][(e >> i) - 1], self.per_psum_scale)
+                for e in range(1, self._t + 1) for i in range((e & -e).bit_length())]
 
 
 def theoretical_count_error(width: float, epsilon: float, delta: float, T: int) -> float:

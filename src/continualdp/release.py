@@ -6,7 +6,8 @@ graph is non-empty) into a binary counting mechanism whose noise scale
 is calibrated to the continuous global sensitivity Gamma of the
 difference sequence.  Gamma comes from a closed-form registry keyed by
 (function, adjacency, regime); cells without a finite bound are
-rejected with :class:`UnboundedSensitivity`.
+rejected with :class:`UnboundedSensitivity`.  The whole difference
+sequence goes to the mechanism as one block.
 
 Histograms run one vector mechanism; bin i draws from the child source
 ``coord{i}`` at scale Gamma * x / epsilon, because Gamma bounds the L1
@@ -186,7 +187,11 @@ def release(
     gamma: float | None = None,
     noise_off: bool = False,
 ) -> ReleaseReport:
-    """Release f(t) privately at every step of a partially dynamic sequence.
+    """Release f(t) privately at every step of an update sequence.
+
+    The sequence may be partially or fully dynamic; the sensitivity table
+    decides which statistics have a finite Gamma in its regime (fully
+    dynamic: only edge_count under edge adjacency).
 
     ``D`` and ``W`` are caller-declared contract parameters and are
     validated against the sequence; ``gamma`` may override the table
@@ -211,7 +216,7 @@ def release(
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
     mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0],
                            item_width=gamma, noise_off=noise_off)
-    bound = theoretical_release_error(gamma, epsilon, delta, T) if T >= 1 else 0.0
+    bound = theoretical_release_error(gamma, epsilon, delta, T)
 
     report = ReleaseReport(
         function=f.label(),
@@ -222,16 +227,18 @@ def release(
         seed=rng.seed,
         noise_off=noise_off,
     )
-    prev = 0.0
-    for t, value in enumerate(exact_values(seq, f), start=1):
-        vec = np.array(value, float) if histogram else float(value)
-        _recs, est = mech.feed(vec - prev)
-        prev = vec
-        if histogram:
-            err = float(np.max(np.abs(est - vec), initial=0.0))
-            report.records.append(ReleaseRecord(t, value, tuple(est.tolist()), err, bound))
-        else:
-            report.records.append(ReleaseRecord(t, vec, est, abs(est - vec), bound))
+    values = exact_values(seq, f)
+    exact = np.array(values, float).reshape(T, coords) if histogram else np.array(values, float)
+    est = mech.feed(np.diff(exact, axis=0, prepend=0.0))[1]
+    if histogram:
+        errors = np.max(np.abs(est - exact), axis=1, initial=0.0).tolist()
+        rows = zip(values, est.tolist(), errors)
+        report.records = [ReleaseRecord(t, value, tuple(e), err, bound)
+                          for t, (value, e, err) in enumerate(rows, start=1)]
+    else:
+        rows = zip(exact.tolist(), est.tolist())
+        report.records = [ReleaseRecord(t, v, e, abs(e - v), bound)
+                          for t, (v, e) in enumerate(rows, start=1)]
     return report
 
 

@@ -246,6 +246,21 @@ def test_experiment_rejects_trials_below_one(runner, tmp_path, trials):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("command", ["release", "experiment"])
+def test_release_refuses_a_log_without_steps(runner, tmp_path, command):
+    seq = tmp_path / "empty.log"
+    seq.write_text("t=0\n")
+    csv = tmp_path / "out.csv"
+    result = runner.invoke(
+        main,
+        [command, "--function", "edge_count", "--epsilon", "1", "--delta", "0.05",
+         "--input", str(seq), "--seed", "1", "--out", str(csv)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "horizon must be >= 1, got 0" in result.output
+    assert not csv.exists()
+
+
 def test_seed_is_printed_when_unset(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("CONTINUAL_DP_SEED", raising=False)
     out = _generate(runner, tmp_path)

@@ -233,3 +233,100 @@ def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, noise_off, block
             assert v.noisy[i] == r.noisy == r.clean + noise
         # every source has consumed exactly the scalar path's draws
         assert vec_rngs[i].uniform() == scalar_rngs[i].uniform() == ref.uniform()
+
+
+def _bits(x) -> bytes:
+    """The exact float64 bytes of a value or array, so that -0.0 != 0.0."""
+    return np.asarray(x, float).tobytes()
+
+
+def _records_bits(records):
+    return [(r.level, r.start, r.end, r.scale, _bits(r.clean), _bits(r.noisy))
+            for r in records]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    T=st.integers(min_value=1, max_value=70),
+    k=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32),
+    noise_off=st.booleans(),
+    data=st.data(),
+)
+def test_blocks_match_single_items(T, k, seed, noise_off, data):
+    scalar = k == 1 and data.draw(st.booleans(), label="scalar")
+    items = np.array(data.draw(st.lists(
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=k, max_size=k),
+        min_size=T, max_size=T,
+    )), float)
+    if scalar:
+        items = items[:, 0]
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(T - 1, 1))),
+                            label="cuts") - {T})
+    # (cut points, feed size-1 blocks as single items)
+    splits = {
+        "size 1": (list(range(1, T)), False),
+        "whole": ([], False),
+        "random": (cuts, False),
+        "mixed": (cuts, True),
+    }
+
+    def build():
+        root = RandomSource(seed)
+        rngs = root.child(0) if scalar else [root.child(i) for i in range(k)]
+        mech = BinaryMechanism(T, 0.7, rngs, item_width=2.0, noise_off=noise_off)
+        return mech, [rngs] if scalar else rngs
+
+    with mock.patch.object(counting, "_BLOCK", 8):  # refills often; x <= 7 here
+        ref, ref_rngs = build()
+        ref_est = [_bits(ref.feed(item)[1]) for item in items]
+        ref_past = [_bits(ref.estimate(t)) for t in range(1, T + 1)]
+        ref_trace = _records_bits(ref.trace())
+        ref_next = [r.uniform() for r in ref_rngs]
+        assert ref_past == ref_est
+        for name, (cut, singles) in splits.items():
+            mech, rngs = build()
+            est, released = [], []
+            for block in np.split(items, cut):
+                if singles and len(block) == 1:
+                    recs, e = mech.feed(block[0])
+                    est.append(_bits(e))
+                else:
+                    recs, block_est = mech.feed(block)
+                    assert len(block_est) == len(block)
+                    est.extend(_bits(e) for e in block_est)
+                released.extend(_records_bits(recs))
+            assert est == ref_est, name
+            assert released == _records_bits(mech.trace()) == ref_trace, name
+            assert [_bits(mech.estimate(t)) for t in range(1, T + 1)] == ref_past, name
+            # every source has drawn exactly the single-item path's noise
+            assert [r.uniform() for r in rngs] == ref_next, name
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_bad_block_leaves_state_unchanged(k):
+    def build():
+        root = RandomSource(6)
+        rngs = [root] if k is None else [root.child(i) for i in range(k)]
+        mech = BinaryMechanism(10, 1.0, root if k is None else rngs, bounds=StreamBounds(-2, 2))
+        return mech, rngs
+
+    def ones(n):
+        return np.ones(n if k is None else (n, k))
+
+    mech, rngs = build()
+    mech.feed(ones(4))
+    before = (mech.t, _records_bits(mech.trace()), _bits(mech.estimate()))
+    with pytest.raises(HorizonExceeded):
+        mech.feed(ones(7))  # steps 5..11 cross T=10
+    bad = ones(3)
+    bad[1] = 3  # one item outside [-2, 2]
+    with pytest.raises(ItemOutOfBounds):
+        mech.feed(bad)
+    assert (mech.t, _records_bits(mech.trace()), _bits(mech.estimate())) == before
+    _recs, est = mech.feed(ones(6))
+    ref, ref_rngs = build()
+    _recs, ref_est = ref.feed(ones(10))
+    assert _bits(est) == _bits(ref_est[4:])
+    assert _records_bits(mech.trace()) == _records_bits(ref.trace())
+    assert [r.uniform() for r in rngs] == [r.uniform() for r in ref_rngs]
