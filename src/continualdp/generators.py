@@ -159,9 +159,9 @@ def _cut_edge(sigma: list[int], W: int) -> GraphSequence:
     for t in range(1, T + 1):
         b_t = 1 + t
         b_hat = 1 + (mask ^ t) + (1 << T)
-        e_ins = {edge_key(b_t, b_hat): W}
+        e_ins = {(b_t, b_hat): W}  # b_t <= T + 1 < b_hat
         if sigma[t - 1]:
-            e_ins[edge_key(0, b_t)] = W
+            e_ins[(0, b_t)] = W
         updates.append(Update(e_ins=e_ins))
     return GraphSequence(init, updates)
 
@@ -174,13 +174,13 @@ def _cut_node(sigma: list[int], W: int) -> GraphSequence:
     for t, bit in enumerate(sigma, start=1):
         u_t = 2 * t
         v_ins = {u_t}
-        e_ins = {edge_key(u_t, 2 * j): W for j in range(t)}
+        e_ins = {(2 * j, u_t): W for j in range(t)}  # earlier ids are below u_t, v_t
         if bit:
             v_t = 2 * t + 1
             v_ins.add(v_t)
             for v_j in present_v:
-                e_ins[edge_key(v_t, v_j)] = W
-            e_ins[edge_key(v_t, 0)] = W
+                e_ins[(v_j, v_t)] = W
+            e_ins[(0, v_t)] = W
             present_v.append(v_t)
         updates.append(Update(v_ins=v_ins, e_ins=e_ins))
     return GraphSequence(init, updates)
@@ -196,14 +196,14 @@ def _match_edge(sigma: list[int], W: int) -> GraphSequence:
     init = Graph(
         nodes=range(1, 4 * T + 1),
         edges={
-            edge_key(i, 2 * T + (i % T) + 1): W for i in range(1, T + 1)
+            (i, 2 * T + (i % T) + 1): W for i in range(1, T + 1)
         },
     )
     updates = []
     for t in range(1, T + 1):
-        e_ins = {edge_key(t, 2 * T + t): 1}
+        e_ins = {(t, 2 * T + t): 1}
         if sigma[t - 1]:
-            e_ins[edge_key(T + t, 3 * T + t)] = W
+            e_ins[(T + t, 3 * T + t)] = W
         updates.append(Update(e_ins=e_ins))
     return GraphSequence(init, updates)
 
@@ -216,7 +216,7 @@ def _match_node(sigma: list[int], W: int) -> GraphSequence:
     for t, bit in enumerate(sigma, start=1):
         if bit:
             updates.append(
-                Update(v_ins={T + t, 2 * T + t}, e_ins={edge_key(2 * T + t, t): W})
+                Update(v_ins={T + t, 2 * T + t}, e_ins={(t, 2 * T + t): W})
             )
         else:
             updates.append(Update(v_ins={T + t}))
@@ -338,7 +338,7 @@ def _count_node(
             v_t = base + stride - 1
             if sigma[t - 1]:
                 updates.append(
-                    Update(v_ins={v_t}, e_ins={edge_key(v_t, a): 1 for a in hits})
+                    Update(v_ins={v_t}, e_ins={(a, v_t): 1 for a in hits})
                 )
             else:
                 updates.append(Update())
@@ -352,7 +352,7 @@ def _count_node(
             v_t = base + stride - 1
             if sigma[t - 1]:
                 updates.append(
-                    Update(v_ins={v_t}, e_ins={edge_key(v_t, a): 1 for a in group})
+                    Update(v_ins={v_t}, e_ins={(a, v_t): 1 for a in group})
                 )
             else:
                 updates.append(Update())
@@ -369,7 +369,7 @@ def _count_node(
             v_t = base + stride - 1
             if sigma[t - 1]:
                 updates.append(
-                    Update(v_ins={v_t}, e_ins={edge_key(v_t, a): 1 for a in cycle})
+                    Update(v_ins={v_t}, e_ins={(a, v_t): 1 for a in cycle})
                 )
             else:
                 updates.append(Update())

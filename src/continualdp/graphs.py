@@ -10,6 +10,9 @@ Within a step, deletions apply before insertions:
 ``V_t = (V_{t-1} \\ v_del) | v_ins`` and likewise for edges.  Deleting
 a node requires all of its incident edges to be listed in ``e_del``.
 
+``Update`` puts every edge key in order on construction (the parser
+already writes them so, and then no key is rebuilt), and an empty
+``Update`` field may be one shared, immutable empty ``frozenset``.
 ``Graph``, ``Update`` and ``GraphSequence`` are immutable by convention;
 operations return new objects and are safe to share read-only across
 threads.  ``DynamicGraph`` is the one mutable state: a pass over a
@@ -19,12 +22,14 @@ sequence applies each update to it one edge or node at a time.
 from __future__ import annotations
 
 import enum
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidUpdate, LengthMismatch
 
 EdgeKey = tuple[int, int]
+_EMPTY: frozenset = frozenset()  # shared by every empty Update field
 
 
 def edge_key(u: int, v: int) -> EdgeKey:
@@ -131,19 +136,30 @@ class Update:
         e_ins: Mapping[EdgeKey, int] | Iterable[tuple[int, int, int]] = (),
         e_del: Iterable[EdgeKey] = (),
     ) -> None:
-        self.v_ins: frozenset[int] = frozenset(v_ins)
-        self.v_del: frozenset[int] = frozenset(v_del)
-        if isinstance(e_ins, Mapping):
-            emap = {edge_key(u, v): w for (u, v), w in e_ins.items()}
-        else:
-            emap = {edge_key(u, v): w for u, v, w in e_ins}
+        self.v_ins: frozenset[int] = frozenset(v_ins) if v_ins else _EMPTY
+        self.v_del: frozenset[int] = frozenset(v_del) if v_del else _EMPTY
+        emap: dict[EdgeKey, int] = {}
+        bad_weight = False
+        if e_ins:
+            if not isinstance(e_ins, abc.Mapping):
+                e_ins = {((a, b) if a < b else edge_key(a, b)): w for a, b, w in e_ins}
+            for k, w in e_ins.items():
+                a, b = k
+                if a >= b:
+                    k = edge_key(a, b)
+                if not isinstance(w, int) or w < 1:
+                    bad_weight = True
+                emap[k] = w
         self.e_ins: dict[EdgeKey, int] = emap
-        self.e_del: frozenset[EdgeKey] = frozenset(edge_key(u, v) for u, v in e_del)
+        self.e_del: frozenset[EdgeKey] = (
+            frozenset((a, b) if a < b else edge_key(a, b) for a, b in e_del) if e_del else _EMPTY
+        )
         if self.v_ins & self.v_del:
             raise InvalidUpdate("a node cannot be inserted and deleted in the same step")
-        for k, w in self.e_ins.items():
-            if not isinstance(w, int) or w < 1:
-                raise InvalidUpdate(f"insert of edge {k} with non-positive weight {w!r}")
+        if bad_weight:  # checked on emap: a later weight for the same key replaces a bad one
+            for k, w in emap.items():
+                if not isinstance(w, int) or w < 1:
+                    raise InvalidUpdate(f"insert of edge {k} with non-positive weight {w!r}")
 
     @property
     def has_deletions(self) -> bool:
@@ -211,12 +227,19 @@ class DynamicGraph(Graph):
         On an error the state may be left part-way through the step.
         """
         nodes, edges, adj = self.nodes, self.edges, self.adj
+        running = self.running.values()
         if not u.v_del <= nodes:
             raise InvalidUpdate(f"deleting absent nodes {sorted(u.v_del - nodes)}")
         for k in u.e_del:
             if k not in edges:
                 raise InvalidUpdate(f"deleting absent edge {k}")
-            self._edge(k, edges[k], -1)
+            a, b = k
+            for run in running:
+                if not run.stale:
+                    run.edge(self, a, b, edges[k], -1)
+            del edges[k]
+            adj[a].remove(b)
+            adj[b].remove(a)
         if u.v_del:
             # a deleted node must shed every incident edge in the same step
             kept = [edge_key(v, x) for v in u.v_del for x in adj[v]]
@@ -233,24 +256,15 @@ class DynamicGraph(Graph):
         for k, w in u.e_ins.items():
             if k in edges:
                 raise InvalidUpdate(f"inserting already-present edge {k}")
-            if k[0] not in nodes or k[1] not in nodes:
+            a, b = k
+            if a not in nodes or b not in nodes:
                 raise InvalidUpdate(f"inserting edge {k} with an absent endpoint")
-            self._edge(k, w, 1)
-
-    def _edge(self, k: EdgeKey, w: int, sign: int) -> None:
-        """Insert (sign 1) or delete (sign -1) one edge."""
-        a, b = k
-        for run in self.running.values():
-            if not run.stale:
-                run.edge(self, a, b, w, sign)
-        if sign > 0:
-            self.edges[k] = w
-            self.adj[a].add(b)
-            self.adj[b].add(a)
-        else:
-            del self.edges[k]
-            self.adj[a].remove(b)
-            self.adj[b].remove(a)
+            for run in running:
+                if not run.stale:
+                    run.edge(self, a, b, w, 1)
+            edges[k] = w
+            adj[a].add(b)
+            adj[b].add(a)
 
     def _node(self, v: int, sign: int) -> None:
         """Insert (sign 1) or delete (sign -1) one isolated node."""
@@ -281,23 +295,22 @@ class SequenceKind(str, enum.Enum):
 class GraphSequence:
     """An initial graph plus an ordered list of T updates."""
 
-    __slots__ = ("initial", "updates")
+    __slots__ = ("initial", "updates", "kind")
 
     def __init__(self, initial: Graph, updates: Iterable[Update]) -> None:
         self.initial = initial
         self.updates: tuple[Update, ...] = tuple(updates)
+        # the updates are fixed here, so the kind is computed once
+        if not any(u.v_del or u.e_del for u in self.updates):
+            self.kind = SequenceKind.INCREMENTAL
+        elif not any(u.v_ins or u.e_ins for u in self.updates):
+            self.kind = SequenceKind.DECREMENTAL
+        else:
+            self.kind = SequenceKind.FULLY_DYNAMIC
 
     @property
     def T(self) -> int:
         return len(self.updates)
-
-    @property
-    def kind(self) -> SequenceKind:
-        if all(not u.has_deletions for u in self.updates):
-            return SequenceKind.INCREMENTAL
-        if all(not u.has_insertions for u in self.updates):
-            return SequenceKind.DECREMENTAL
-        return SequenceKind.FULLY_DYNAMIC
 
     def materialize(self) -> list[Graph]:
         """Graphs G_1..G_T; raises InvalidUpdate with the offending index."""
@@ -340,11 +353,8 @@ class GraphSequence:
         return best
 
     def max_weight(self) -> int:
-        w = self.initial.max_weight()
-        for u in self.updates:
-            for wt in u.e_ins.values():
-                w = max(w, wt)
-        return w
+        inserted = [max(u.e_ins.values()) for u in self.updates if u.e_ins]
+        return max([self.initial.max_weight(), *inserted])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSequence):

@@ -30,13 +30,14 @@ from .errors import (
     BadDelta,
     NonMonotoneInput,
     OutOfRange,
+    UnboundedSensitivity,
     UnknownRange,
     WeightViolation,
 )
 from .functions import MONOTONE_FUNCTIONS, GraphFunction, static_sensitivity
 from .graphs import GraphSequence, SequenceKind
 from .noise import RandomSource, sample_laplace
-from .release import exact_values
+from .release import EDGE, exact_values
 
 
 class SvtAnswer(enum.Enum):
@@ -238,10 +239,13 @@ def monotone_release(
     r: float | None = None,
     rho: float | None = None,
     W: int | None = None,
+    adjacency: str = EDGE,
     noise_off: bool = False,
     true_values=None,
 ) -> MonotoneReport:
     """Release a monotone statistic along a partially dynamic sequence.
+
+    No node-level rho is derived, so only ``adjacency="edge"`` is accepted.
 
     ``W`` is the declared maximum edge weight, validated against the
     sequence; it is required whenever rho or the default r depends on it.
@@ -252,6 +256,8 @@ def monotone_release(
     """
     if f.name not in MONOTONE_FUNCTIONS:
         raise UnknownRange(f"{f.name} is not released via the monotone mechanism")
+    if adjacency != EDGE:
+        raise UnboundedSensitivity(f"no {adjacency}-level rho is derived for monotone {f.label()}")
     kind = seq.kind
     if kind is SequenceKind.FULLY_DYNAMIC:
         raise NonMonotoneInput("monotone release requires a partially dynamic sequence")

@@ -4,10 +4,17 @@ One update per line:
 
     t=<int> +v:<id,...> -v:<id,...> +e:<u-v:w,...> -e:<u-v,...>
 
-Empty fields are omitted.  The initial graph is serialized as a ``t=0``
-line carrying only insertions; a ``t=0`` line is emitted even when the
-initial graph is empty so the horizon is unambiguous.  Lines starting
-with ``#`` are comments and ignored on parse.
+After ``t=<int>``, fields are whitespace-separated ``<tag>:<items>``
+with tag ``+v``, ``-v``, ``+e`` or ``-e`` (any order, repeats allowed)
+and comma-separated items ``<int>``, ``<int>-<int>:<int>`` or
+``<int>-<int>``, where ``<int>`` is what Python's ``int`` accepts.  Edge
+endpoints may come in either order; the parser puts each key in order.
+Empty fields are omitted on output.  The initial graph is serialized as
+a ``t=0`` line carrying only insertions; a ``t=0`` line is emitted even
+when the initial graph is empty so the horizon is unambiguous.  Lines
+starting with ``#`` are comments and ignored on parse.  ``parse_sequence``
+needs each of the lines ``t=0..T`` once, and validates the whole
+sequence by one replay (``GraphSequence.validate``).
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ def _fmt_update(t: int, u: Update) -> str:
 
 def serialize_sequence(seq: GraphSequence) -> str:
     g0 = seq.initial
-    init = Update(v_ins=g0.nodes, e_ins=dict(g0.edges))
+    init = Update(v_ins=g0.nodes, e_ins=g0.edges)
     lines = [_fmt_update(0, init)]
     lines.extend(_fmt_update(t, u) for t, u in enumerate(seq.updates, start=1))
     return "\n".join(lines) + "\n"
@@ -46,6 +53,20 @@ def _parse_int(tok: str, what: str) -> int:
         raise FormatError(f"bad {what}: {tok!r}") from None
 
 
+def _reject_item(tag: str, item: str) -> None:
+    """Raise the FormatError of an item whose inline int() conversion failed."""
+    if tag in ("+v", "-v"):
+        _parse_int(item, "node id")
+    op = "insert" if tag == "+e" else "delete"
+    try:
+        uv, w = item.split(":") if op == "insert" else (item, "1")
+        a, b = uv.split("-")
+    except ValueError:
+        raise FormatError(f"bad edge {op} {item!r}") from None
+    for tok, what in ((a, "node id"), (b, "node id"), (w, "weight")):
+        _parse_int(tok, what)
+
+
 def _parse_update(line: str) -> tuple[int, Update]:
     fields = line.split()
     if not fields or not fields[0].startswith("t="):
@@ -53,34 +74,37 @@ def _parse_update(line: str) -> tuple[int, Update]:
     t = _parse_int(fields[0][2:], "time index")
     v_ins: list[int] = []
     v_del: list[int] = []
-    e_ins: list[tuple[int, int, int]] = []
+    e_ins: dict[tuple[int, int], int] = {}
     e_del: list[tuple[int, int]] = []
     for field in fields[1:]:
         if ":" not in field:
             raise FormatError(f"malformed field {field!r}")
         tag, body = field.split(":", 1)
         items = body.split(",") if body else []
-        if tag == "+v":
-            v_ins.extend(_parse_int(x, "node id") for x in items)
-        elif tag == "-v":
-            v_del.extend(_parse_int(x, "node id") for x in items)
+        if tag in ("+v", "-v"):
+            nodes = v_ins if tag == "+v" else v_del
+            for item in items:
+                try:
+                    nodes.append(int(item))
+                except ValueError:
+                    _reject_item(tag, item)
         elif tag == "+e":
             for item in items:
                 try:
                     uv, w = item.split(":")
                     a, b = uv.split("-")
+                    a, b = int(a), int(b)
+                    e_ins[(a, b) if a < b else (b, a)] = int(w)
                 except ValueError:
-                    raise FormatError(f"bad edge insert {item!r}") from None
-                e_ins.append(
-                    (_parse_int(a, "node id"), _parse_int(b, "node id"), _parse_int(w, "weight"))
-                )
+                    _reject_item(tag, item)
         elif tag == "-e":
             for item in items:
                 try:
                     a, b = item.split("-")
+                    a, b = int(a), int(b)
+                    e_del.append((a, b) if a < b else (b, a))
                 except ValueError:
-                    raise FormatError(f"bad edge delete {item!r}") from None
-                e_del.append((_parse_int(a, "node id"), _parse_int(b, "node id")))
+                    _reject_item(tag, item)
         else:
             raise FormatError(f"unknown field tag {tag!r}")
     return t, Update(v_ins=v_ins, v_del=v_del, e_ins=e_ins, e_del=e_del)

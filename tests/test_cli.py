@@ -285,3 +285,40 @@ def test_seed_env_fallback(runner, tmp_path, monkeypatch):
     )
     assert result.exit_code == 0, result.output
     assert "# seed: 42" in csv.read_text()
+
+
+def test_release_monotone_refuses_node_adjacency(runner, tmp_path):
+    log = tmp_path / "k5.txt"
+    edges = ",".join(f"{a}-{b}:1" for a in range(5) for b in range(a + 1, 5))
+    log.write_text(f"t=0 +v:0,1,2,3,4 +e:{edges}\nt=1\nt=2 +v:9 +e:0-9:1\n")
+    out = tmp_path / "rel.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--mechanism", "monotone", "--function", "min_cut",
+         "--adjacency", "node", "-W", "1", "--epsilon", "1", "--delta", "0.05",
+         "--input", str(log), "--out", str(out), "--seed", "1"],
+    )
+    assert result.exit_code == 3
+    assert "unsupported combination: no node-level rho" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t=0 +v:0,1\nt=1 +e:0-1\n", "error: bad edge insert '0-1'"),
+        ("t=0 +v:0,1\nt=1 -e:0-1\n", "error: at t=1: deleting absent edge (0, 1)"),
+    ],
+)
+def test_release_rejects_bad_logs(runner, tmp_path, text, message):
+    log = tmp_path / "bad.txt"
+    log.write_text(text)
+    out = tmp_path / "rel.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--function", "edge_count", "--epsilon", "1", "--delta", "0.05",
+         "--input", str(log), "--out", str(out), "--seed", "1"],
+    )
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not out.exists()

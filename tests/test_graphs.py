@@ -91,6 +91,72 @@ def test_node_deletion_error_names_smallest_surviving_edge():
     assert str(exc.value) == "node 4 deleted while edge (0, 4) survives"
 
 
+def test_update_puts_keys_in_order():
+    u = Update(e_ins={(3, 1): 2, (0, 5): 1}, e_del=[(4, 2)])
+    assert list(u.e_ins.items()) == [((1, 3), 2), ((0, 5), 1)]
+    assert u.e_del == {(2, 4)}
+    assert Update(e_ins=[(3, 1, 2)]).e_ins == {(1, 3): 2}
+
+
+@pytest.mark.parametrize("field", ["e_ins", "e_del"])
+def test_update_rejects_self_loops(field):
+    arg = {(2, 2): 1} if field == "e_ins" else [(2, 2)]
+    with pytest.raises(InvalidUpdate, match=r"^self-loop on node 2$"):
+        Update(**{field: arg})
+
+
+@pytest.mark.parametrize("w", [0, -1, "1"])
+def test_update_rejects_weights_that_are_not_positive_integers(w):
+    with pytest.raises(InvalidUpdate) as exc:
+        Update(e_ins={(1, 0): w})
+    assert str(exc.value) == f"insert of edge (0, 1) with non-positive weight {w!r}"
+
+
+def test_update_checks_weights_after_keys_and_nodes():
+    # a self-loop anywhere, then a node inserted and deleted, then a weight
+    with pytest.raises(InvalidUpdate, match=r"^self-loop on node 2$"):
+        Update(e_ins={(0, 1): 0, (2, 2): 1})
+    with pytest.raises(InvalidUpdate, match="inserted and deleted"):
+        Update(v_ins={1}, v_del={1}, e_ins={(0, 1): 0})
+    # only the last weight given for a key is checked
+    assert Update(e_ins={(1, 0): 0, (0, 1): 2}).e_ins == {(0, 1): 2}
+    assert Update(e_ins=[(0, 1, 0), (1, 0, 2)]).e_ins == {(0, 1): 2}
+
+
+def test_empty_updates_are_equal_and_share_empty_fields():
+    a, b = Update(), Update(v_ins=(), e_del=[])
+    assert a == b and hash(a) == hash(b)
+    assert a.v_ins is b.v_del is a.e_del
+    u = Update(v_ins=[1], v_del={2}, e_ins=[(0, 1, 1)], e_del=[(0, 2)])
+    for x in (a, u):
+        assert [type(x.v_ins), type(x.v_del), type(x.e_ins), type(x.e_del)] == [
+            frozenset, frozenset, dict, frozenset
+        ]
+
+
+def test_update_copies_the_edge_dict():
+    e_ins = {(0, 1): 1}
+    u = Update(e_ins=e_ins)
+    assert u.e_ins is not e_ins
+    e_ins[(0, 1)] = 5
+    e_ins[(1, 2)] = 1
+    assert u.e_ins == {(0, 1): 1}
+
+
+def test_kind_matches_the_rule_from_scratch():
+    rng = RandomSource(20261018)
+    for i in range(300):
+        kind = ("incremental", "decremental", "fully-dynamic")[i % 3]
+        seq = random_sequence(rng.child(i), kind=kind)
+        if not any(u.has_deletions for u in seq.updates):
+            want = SequenceKind.INCREMENTAL
+        elif not any(u.has_insertions for u in seq.updates):
+            want = SequenceKind.DECREMENTAL
+        else:
+            want = SequenceKind.FULLY_DYNAMIC
+        assert seq.kind is want
+
+
 def test_sequence_kind():
     g = Graph.from_edges([(0, 1)])
     assert GraphSequence(g, [Update(e_ins={(0, 2): 1}, v_ins={2})]).kind is SequenceKind.INCREMENTAL

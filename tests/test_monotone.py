@@ -3,7 +3,9 @@ import math
 import pytest
 
 from continualdp import (
+    Graph,
     GraphFunction,
+    GraphSequence,
     RandomSource,
     SparseVector,
     SvtAnswer,
@@ -13,8 +15,15 @@ from continualdp import (
     monotone_run,
     reversed_sequence,
     threshold_budget,
+    Update,
 )
-from continualdp.errors import NonMonotoneInput, OutOfRange, UnknownRange, WeightViolation
+from continualdp.errors import (
+    NonMonotoneInput,
+    OutOfRange,
+    UnboundedSensitivity,
+    UnknownRange,
+    WeightViolation,
+)
 from continualdp.monotone import MonotoneMechanism, default_range
 
 
@@ -185,3 +194,26 @@ def test_monotone_release_without_weight_when_calibration_ignores_it():
         r=8.0, noise_off=True,
     )
     assert (report.rho, report.r) == (1, 8.0)
+
+
+def _k5_then_node_9():
+    # node adjacency: the twin without node 9 has min cut 4, this one 1
+    k5 = Graph.from_edges([(a, b) for a in range(5) for b in range(a + 1, 5)])
+    return GraphSequence(k5, [Update(), Update(v_ins={9}, e_ins={(0, 9): 1})])
+
+
+@pytest.mark.parametrize("name", ["min_cut", "max_cardinality_matching", "densest_subgraph"])
+def test_monotone_release_refuses_node_adjacency(name):
+    seq = _k5_then_node_9()
+    with pytest.raises(UnboundedSensitivity, match="node-level"):
+        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(1),
+                         W=1, adjacency="node")
+
+
+def test_monotone_release_default_adjacency_is_edge():
+    seq = _k5_then_node_9()
+    f = GraphFunction("max_cardinality_matching")
+    rep = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), W=1, noise_off=True)
+    same = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), W=1, noise_off=True,
+                            adjacency="edge")
+    assert [r.true for r in rep.records] == [r.true for r in same.records] == [2.0, 3.0]

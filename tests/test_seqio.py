@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from continualdp import (
     Graph,
@@ -9,8 +11,10 @@ from continualdp import (
     serialize_sequence,
 )
 from continualdp.errors import FormatError, InvalidUpdate
+from continualdp.seqio import _parse_update
 
 from conftest import random_sequence
+from parse_reference import parse_update
 
 
 def test_round_trip_500_random_sequences():
@@ -73,3 +77,29 @@ def test_parse_rejects_malformed_input(text):
 def test_parse_validates_the_sequence():
     with pytest.raises(InvalidUpdate):
         parse_sequence("t=0 +v:0,1\nt=1 -e:0-1\n")
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except (FormatError, InvalidUpdate) as exc:
+        return type(exc), str(exc)
+
+
+_TOKENS = ["t=", "+v:", "-v:", "+e:", "-e:", "-", ":", ",", " ", "x", "a"]
+_TOKENS += list("0123456789")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join))
+@example("t=1 +e:1-0:0,0-1:2")  # one key listed twice, a bad weight replaced
+@example("t=1 +e:0-1:0,2-2:1")  # a self-loop is reported before a bad weight
+@example("t=1 +e:1-0:5,0-1:6,1-0:7 -e:3-2,2-3")
+@example("t=1 +v:1 -v:1 +e:0-0:1")
+def test_fast_parser_matches_reference(body):
+    for line in (body, "t=3 " + body):
+        want = _outcome(parse_update, line)
+        got = _outcome(_parse_update, line)
+        assert got == want
+        if isinstance(want, tuple) and isinstance(want[1], Update):
+            assert hash(got[1]) == hash(want[1])
