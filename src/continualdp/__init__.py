@@ -15,7 +15,6 @@ from .counting import (
     max_summands,
     num_levels,
     prefix_intervals,
-    psum_index,
     theoretical_count_error,
 )
 from .functions import GraphFunction, evaluate, static_sensitivity
@@ -117,7 +116,6 @@ __all__ = [
     "num_levels",
     "parse_sequence",
     "prefix_intervals",
-    "psum_index",
     "release",
     "reversed_sequence",
     "sample_laplace",

@@ -66,9 +66,6 @@ class StreamBounds:
         return self.L2 - self.L1
 
 
-BINARY = StreamBounds(0, 1)
-
-
 class PSumRecord(NamedTuple):
     """One released p-sum: interval, clean value, noisy value, scale."""
 
@@ -110,31 +107,15 @@ def prefix_intervals(t: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def psum_index(i: int, t: int, T: int) -> int:
-    """Bijective label of the level-i p-sum interval containing time t.
-
-    Levels are laid out consecutively: level j contributes
-    ceil(T / 2^j) intervals, and within level i the interval containing
-    t has ordinal (t-1) >> i.
-    """
-    x = num_levels(T)
-    if not 0 <= i < x:
-        raise OutOfRange(f"level {i} outside [0, {x - 1}]")
-    if not 1 <= t <= T:
-        raise OutOfRange(f"time {t} outside [1, {T}]")
-    offset = sum((T + (1 << j) - 1) >> j for j in range(i))
-    return offset + ((t - 1) >> i)
-
-
 class BinaryMechanism:
     """Continual counting over a declared horizon T.
 
     ``item_width`` is the sensitivity of one stream item (L2 - L1 for
     plain counting, or the difference-sequence sensitivity Gamma).  The
-    total budget ``epsilon`` is split as epsilon/x per p-sum; passing
-    ``per_psum_scale`` instead selects a raw mode with an explicit
-    noise scale.  ``noise_off`` is a test hook that substitutes 0 for
-    every Laplace draw and is flagged in the trace metadata.
+    total budget ``epsilon`` is split as epsilon/x per p-sum, so each
+    p-sum's noise scale is ``per_psum_scale = item_width * x / epsilon``.
+    ``noise_off`` is a test hook that substitutes 0 for every Laplace
+    draw and is flagged in the trace metadata.
 
     ``rng`` is one source, or a list of k sources for a stream of length-k
     arrays, whose p-sums and estimates are then arrays too.
@@ -148,21 +129,16 @@ class BinaryMechanism:
         *,
         item_width: float = 1.0,
         bounds: StreamBounds | None = None,
-        per_psum_scale: float | None = None,
         noise_off: bool = False,
     ) -> None:
         self.T = T
         self.x = num_levels(T)
         self.y = max_summands(T)
-        if per_psum_scale is None:
-            if not 0 < epsilon < math.inf:
-                raise NonPositiveScale(f"epsilon must be positive and finite, got {epsilon}")
-            per_psum_scale = item_width * self.x / epsilon
-        elif per_psum_scale <= 0:
-            raise NonPositiveScale(f"per_psum_scale must be positive, got {per_psum_scale}")
+        if not 0 < epsilon < math.inf:
+            raise NonPositiveScale(f"epsilon must be positive and finite, got {epsilon}")
         self.epsilon = epsilon
         self.item_width = item_width
-        self.per_psum_scale = per_psum_scale
+        self.per_psum_scale = item_width * self.x / epsilon
         self.bounds = bounds
         self.noise_off = noise_off
         self._scalar = isinstance(rng, RandomSource)

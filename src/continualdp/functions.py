@@ -1,13 +1,13 @@
 """Exact evaluators for every released graph statistic.
 
-These are the ground truth against which noisy releases are judged, so
-each non-trivial one ships with a second, independent strategy (used in
-tests as a dual route):
+These are the ground truth against which noisy releases are judged.
+Each statistic has one route here; the non-trivial ones are checked
+against independent oracles in ``tests/oracles.py``:
 
-* minimum cut: hand-rolled Stoer-Wagner (vectorized) vs. networkx
-* max weight matching: blossom (networkx) vs. bitmask subset DP
-* max cardinality matching: Edmonds' blossom search vs. bitmask subset DP
-* densest subgraph: table of |E(S)| over every node subset vs.
+* minimum cut: hand-rolled Stoer-Wagner (vectorized), against networkx
+* max weight matching: blossom (networkx), against a bitmask subset DP
+* max cardinality matching: Edmonds' blossom search, against the DP
+* densest subgraph: table of |E(S)| over every node subset, against
   parametric max-flow
 
 On a ``DynamicGraph`` state, ``evaluate`` keeps a running value of every
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .graphs import DynamicGraph, Graph
 
-MATCHING_DP_LIMIT = 22
 DENSEST_EXHAUSTIVE_LIMIT = 20
 
 SCALAR_FUNCTIONS = frozenset(
@@ -242,21 +241,9 @@ def _min_cut_side(g: Graph) -> tuple[float, set[int]]:
     return value, {order[i] for i in side}
 
 
-def min_cut(g: Graph, strategy: str = "stoer-wagner") -> float:
+def min_cut(g: Graph) -> float:
     """Global minimum cut; 0 for disconnected or trivial graphs."""
-    if strategy == "stoer-wagner":
-        return _min_cut_side(g)[0]
-    if strategy != "networkx":
-        raise OutOfRange(f"unknown min_cut strategy {strategy!r}")
-    if g.n <= 1 or not is_connected(g):
-        return 0.0
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(g.nodes)
-    G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
-    value, _part = nx.stoer_wagner(G)
-    return float(value)
+    return _min_cut_side(g)[0]
 
 
 def _st_cut_side(g: Graph, s: int, t: int) -> tuple[float, set[int]]:
@@ -278,39 +265,7 @@ def st_min_cut(g: Graph, s: int, t: int) -> float:
     return _st_cut_side(g, s, t)[0]
 
 
-def _matching_dp(g: Graph, unit: bool) -> int:
-    """Exact matching by subset DP over the node set."""
-    if g.n > MATCHING_DP_LIMIT:
-        raise SizeLimitExceeded(f"matching DP limited to n <= {MATCHING_DP_LIMIT}")
-    order = sorted(g.nodes)
-    idx = {v: i for i, v in enumerate(order)}
-    nbr: list[list[tuple[int, int]]] = [[] for _ in order]
-    for (u, v), w in g.edges.items():
-        wv = 1 if unit else w
-        nbr[idx[u]].append((idx[v], wv))
-        nbr[idx[v]].append((idx[u], wv))
-    memo: dict[int, int] = {0: 0}
-
-    def best(mask: int) -> int:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        i = (mask & -mask).bit_length() - 1
-        res = best(mask & ~(1 << i))
-        for j, w in nbr[i]:
-            if mask >> j & 1:
-                res = max(res, w + best(mask & ~(1 << i) & ~(1 << j)))
-        memo[mask] = res
-        return res
-
-    return best((1 << len(order)) - 1)
-
-
-def max_weight_matching(g: Graph, strategy: str = "blossom") -> int:
-    if strategy == "exhaustive":
-        return _matching_dp(g, unit=False)
-    if strategy != "blossom":
-        raise OutOfRange(f"unknown matching strategy {strategy!r}")
+def max_weight_matching(g: Graph) -> int:
     import networkx as nx
 
     G = nx.Graph()
@@ -401,63 +356,14 @@ def _max_matching(adj) -> dict[int, int | None]:
     return mate
 
 
-def max_cardinality_matching(g: Graph, strategy: str = "blossom") -> int:
-    if strategy == "exhaustive":
-        return _matching_dp(g, unit=True)
-    if strategy != "blossom":
-        raise OutOfRange(f"unknown matching strategy {strategy!r}")
+def max_cardinality_matching(g: Graph) -> int:
     mate = _max_matching(g.adjacency())
     return sum(x is not None for x in mate.values()) // 2
 
 
-def _densest_flow(g: Graph) -> float:
-    """Parametric max-flow (binary search on the density guess)."""
-    import networkx as nx
-
-    n, m = g.n, g.m
-    if m == 0:
-        return 0.0
-    deg = g.degrees()
-    nodes = sorted(g.nodes)
-
-    def cut_value(guess: float) -> tuple[float, set[int]]:
-        G = nx.DiGraph()
-        src, snk = "s", "t"
-        for v in nodes:
-            G.add_edge(src, v, capacity=float(m))
-            G.add_edge(v, snk, capacity=m + 2.0 * guess - deg[v])
-        for u, v in g.edges:
-            G.add_edge(u, v, capacity=1.0)
-            G.add_edge(v, u, capacity=1.0)
-        value, (side_s, _side_t) = nx.minimum_cut(G, src, snk)
-        return value, {v for v in side_s if v != src}
-
-    lo, hi = 0.0, float(m)
-    gap = 1.0 / (n * (n + 1))
-    best_set: set[int] = set()
-    while hi - lo > gap:
-        mid = (lo + hi) / 2.0
-        value, side = cut_value(mid)
-        if value < float(n) * m - 1e-9 and side:
-            lo = mid
-            best_set = side
-        else:
-            hi = mid
-    if not best_set:
-        _value, best_set = cut_value(lo)
-    if not best_set:
-        return 0.0
-    inside = sum(1 for u, v in g.edges if u in best_set and v in best_set)
-    return inside / len(best_set)
-
-
-def densest_subgraph(g: Graph, strategy: str = "exhaustive") -> float:
+def densest_subgraph(g: Graph) -> float:
     """max over nonempty S of |E(S)| / |S| (unweighted)."""
-    if strategy == "exhaustive":
-        return _SubsetEdges(g).total
-    if strategy == "flow":
-        return _densest_flow(g)
-    raise OutOfRange(f"unknown densest strategy {strategy!r}")
+    return _SubsetEdges(g).total
 
 
 class _Running:

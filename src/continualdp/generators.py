@@ -302,7 +302,8 @@ def _count_node(
             size = k
             if size != D - 1:
                 raise ParameterOutOfRange("node reduction requires k = D-1")
-        # per group: D-1 stars with size-1 leaves each
+        # per group: D-1 stars with size-1 leaves each, then v_t
+        stride = max(stride, (D - 1) * size + 1)
         for t in range(1, T + 1):
             base = t * stride
             centers = []

@@ -2,7 +2,8 @@
 
 Node identifiers are opaque non-negative integers.  Edge keys are
 canonically ordered pairs ``(min(u, v), max(u, v))`` with positive
-integer weights; self-loops and multi-edges are rejected.  A weight
+integer weights; self-loops, multi-edges, negative ids and weights whose
+type is not ``int`` (``True`` among them) are rejected.  A weight
 change is modeled as delete-then-insert of the same key within one
 update, so a graph never stores two weights for one edge.
 
@@ -36,6 +37,8 @@ def edge_key(u: int, v: int) -> EdgeKey:
     """Canonical unordered key for the edge {u, v}."""
     if u == v:
         raise InvalidUpdate(f"self-loop on node {u}")
+    if u < 0 or v < 0:
+        raise InvalidUpdate(f"negative node id {min(u, v)}")
     return (u, v) if u < v else (v, u)
 
 
@@ -61,12 +64,14 @@ class Graph:
             self._validate()
 
     def _validate(self) -> None:
+        if min(self.nodes, default=0) < 0:
+            raise InvalidUpdate(f"negative node id {min(self.nodes)}")
         for (u, v), w in self.edges.items():
             if u >= v:
                 raise InvalidUpdate(f"edge key ({u},{v}) not canonical")
             if u not in self.nodes or v not in self.nodes:
                 raise InvalidUpdate(f"edge ({u},{v}) has an endpoint outside the node set")
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise InvalidUpdate(f"edge ({u},{v}) weight {w!r} is not a positive integer")
 
     @classmethod
@@ -142,23 +147,26 @@ class Update:
         bad_weight = False
         if e_ins:
             if not isinstance(e_ins, abc.Mapping):
-                e_ins = {((a, b) if a < b else edge_key(a, b)): w for a, b, w in e_ins}
+                e_ins = {((a, b) if 0 <= a < b else edge_key(a, b)): w for a, b, w in e_ins}
             for k, w in e_ins.items():
                 a, b = k
-                if a >= b:
+                if not 0 <= a < b:
                     k = edge_key(a, b)
-                if not isinstance(w, int) or w < 1:
+                if type(w) is not int or w < 1:
                     bad_weight = True
                 emap[k] = w
         self.e_ins: dict[EdgeKey, int] = emap
         self.e_del: frozenset[EdgeKey] = (
-            frozenset((a, b) if a < b else edge_key(a, b) for a, b in e_del) if e_del else _EMPTY
+            frozenset((a, b) if 0 <= a < b else edge_key(a, b) for a, b in e_del)
+            if e_del else _EMPTY
         )
         if self.v_ins & self.v_del:
             raise InvalidUpdate("a node cannot be inserted and deleted in the same step")
+        if self.v_ins and min(self.v_ins) < 0 or self.v_del and min(self.v_del) < 0:
+            raise InvalidUpdate(f"negative node id {min(self.v_ins | self.v_del)}")
         if bad_weight:  # checked on emap: a later weight for the same key replaces a bad one
             for k, w in emap.items():
-                if not isinstance(w, int) or w < 1:
+                if type(w) is not int or w < 1:
                     raise InvalidUpdate(f"insert of edge {k} with non-positive weight {w!r}")
 
     @property

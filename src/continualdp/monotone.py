@@ -237,7 +237,6 @@ def monotone_release(
     rng: RandomSource,
     *,
     r: float | None = None,
-    rho: float | None = None,
     W: int | None = None,
     adjacency: str = EDGE,
     noise_off: bool = False,
@@ -249,6 +248,7 @@ def monotone_release(
 
     ``W`` is the declared maximum edge weight, validated against the
     sequence; it is required whenever rho or the default r depends on it.
+    rho always comes from ``static_sensitivity``.
     ``true_values`` may carry precomputed exact values (one per step)
     to avoid re-evaluating expensive statistics across repeated trials.
     Decremental sequences are processed in reverse and the outputs are
@@ -262,12 +262,11 @@ def monotone_release(
     if kind is SequenceKind.FULLY_DYNAMIC:
         raise NonMonotoneInput("monotone release requires a partially dynamic sequence")
     weighted = f.name in {"min_cut", "st_min_cut", "max_weight_matching"}
-    if W is None and (weighted and rho is None or f.name != "densest_subgraph" and r is None):
+    if W is None and (weighted or f.name != "densest_subgraph" and r is None):
         raise OutOfRange(f"{f.label()} release requires a declared weight bound W")
     if W is not None and (max_weight := seq.max_weight()) > W:
         raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
-    if rho is None:
-        rho = static_sensitivity(f, 1 if W is None else W)
+    rho = static_sensitivity(f, 1 if W is None else W)
     if r is None:
         r = default_range(f, len(seq.node_universe()), W)
 

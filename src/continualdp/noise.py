@@ -41,9 +41,6 @@ class RandomSource:
         """One uniform integer in [low, high)."""
         return int(self._gen.integers(low, high))
 
-    def choice(self, items):
-        return items[self.integers(0, len(items))]
-
 
 def sample_laplace(rng: RandomSource, b: float) -> float:
     """Sample Lap(0, b) by inverse CDF on one uniform in (-1/2, 1/2)."""

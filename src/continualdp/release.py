@@ -184,7 +184,6 @@ def release(
     adjacency: str = EDGE,
     D: int | None = None,
     W: int | None = None,
-    gamma: float | None = None,
     noise_off: bool = False,
 ) -> ReleaseReport:
     """Release f(t) privately at every step of an update sequence.
@@ -194,13 +193,11 @@ def release(
     dynamic: only edge_count under edge adjacency).
 
     ``D`` and ``W`` are caller-declared contract parameters and are
-    validated against the sequence; ``gamma`` may override the table
-    value (used by negative-control tests).
+    validated against the sequence; Gamma always comes from the table.
     """
     kind = seq.kind
     regime = FULLY_DYNAMIC if kind is SequenceKind.FULLY_DYNAMIC else PARTIALLY_DYNAMIC
-    if gamma is None:
-        gamma = sensitivity_bound(f, adjacency, regime, D=D, W=W)
+    gamma = sensitivity_bound(f, adjacency, regime, D=D, W=W)
     if math.isinf(gamma):
         raise UnboundedSensitivity(
             f"{f.label()} has no finite sensitivity for {adjacency}/{regime} release"

@@ -167,8 +167,10 @@ def test_criterion_4_zero_noise_reconstruction():
     for i in range(500):
         seq = random_sequence(rng.child(i), n_max=6, T_max=10, kind="incremental")
         f = functions[i % len(functions)]
+        # +2 and +1 keep Gamma positive: k-stars with D < k and MST with W = 1 give 0
         report = release(
-            seq, f, 1.0, 0.05, rng.child(f"rel{i}"), gamma=1.0, noise_off=True
+            seq, f, 1.0, 0.05, rng.child(f"rel{i}"),
+            D=seq.max_degree() + 2, W=seq.max_weight() + 1, noise_off=True,
         )
         assert all(rec.abs_error == 0 for rec in report.records), (i, f.label())
     _ok("criterion 4: 500 random incremental sequences reconstructed exactly")

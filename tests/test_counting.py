@@ -13,11 +13,9 @@ from continualdp import (
     max_summands,
     num_levels,
     prefix_intervals,
-    psum_index,
     theoretical_count_error,
 )
 from continualdp import counting
-from continualdp.counting import BINARY
 from continualdp.errors import (
     HorizonExceeded,
     ItemOutOfBounds,
@@ -29,7 +27,7 @@ from continualdp.noise import concentration_bound, sample_laplace
 
 def test_stream_bounds():
     assert StreamBounds(-2, 3).width == 5
-    assert BINARY.width == 1
+    assert StreamBounds(0, 1).width == 1
     with pytest.raises(OutOfRange):
         StreamBounds(4, 2)
 
@@ -56,33 +54,11 @@ def test_prefix_intervals_cover_exactly():
         assert len(ivs) == t.bit_count()
 
 
-def test_psum_index_is_a_bijection_on_intervals():
-    for T in range(1, 25):
-        seen = {}
-        for i in range(num_levels(T)):
-            for t in range(1, T + 1):
-                idx = psum_index(i, t, T)
-                interval = (i, (t - 1) >> i)
-                if idx in seen:
-                    assert seen[idx] == interval
-                else:
-                    seen[idx] = interval
-        # distinct intervals map to distinct indices
-        assert len(seen) == len(set(seen.values()))
-
-
-def test_psum_index_bounds():
-    with pytest.raises(OutOfRange):
-        psum_index(3, 1, 4)  # level beyond x-1
-    with pytest.raises(OutOfRange):
-        psum_index(0, 5, 4)  # time beyond T
-
-
 def test_zero_noise_counts_exhaustive_binary_streams():
     for T in range(1, 9):
         for bits in itertools.product((0, 1), repeat=T):
             mech = BinaryMechanism(
-                T, 1.0, RandomSource(0), bounds=BINARY, noise_off=True
+                T, 1.0, RandomSource(0), bounds=StreamBounds(0, 1), noise_off=True
             )
             total = 0
             for b in bits:
@@ -127,7 +103,7 @@ def test_estimate_uses_dyadic_decomposition():
 
 
 def test_horizon_and_bounds_enforced():
-    mech = BinaryMechanism(2, 1.0, RandomSource(0), bounds=BINARY, noise_off=True)
+    mech = BinaryMechanism(2, 1.0, RandomSource(0), bounds=StreamBounds(0, 1), noise_off=True)
     with pytest.raises(ItemOutOfBounds):
         mech.feed(2)
     mech.feed(1)
@@ -149,12 +125,8 @@ def test_noise_scale_calibration():
 
 
 def test_raw_scale_mode_and_validation():
-    mech = BinaryMechanism(4, 0.0, RandomSource(1), per_psum_scale=2.0)
-    assert mech.per_psum_scale == 2.0
     with pytest.raises(NonPositiveScale):
         BinaryMechanism(4, 0.0, RandomSource(1))
-    with pytest.raises(NonPositiveScale):
-        BinaryMechanism(4, 1.0, RandomSource(1), per_psum_scale=-1.0)
 
 
 def test_same_seed_same_release():

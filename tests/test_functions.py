@@ -25,6 +25,8 @@ from continualdp.functions import (
     triangle_count,
 )
 
+import oracles
+
 
 def k4():
     return Graph.from_edges((u, v) for u in range(4) for v in range(u + 1, 4))
@@ -114,17 +116,15 @@ def test_min_cut_dual_routes_agree():
     rng = RandomSource(13)
     for i in range(40):
         g = random_graph(rng.child(i), n=3 + rng.integers(0, 5), density=0.7)
-        assert min_cut(g, "stoer-wagner") == pytest.approx(min_cut(g, "networkx"))
+        assert min_cut(g) == pytest.approx(oracles.min_cut_networkx(g))
 
 
 def test_matching_dual_routes_agree():
     rng = RandomSource(14)
     for i in range(40):
         g = random_graph(rng.child(i), n=2 + rng.integers(0, 6))
-        assert max_weight_matching(g, "blossom") == max_weight_matching(g, "exhaustive")
-        assert max_cardinality_matching(g, "blossom") == max_cardinality_matching(
-            g, "exhaustive"
-        )
+        assert max_weight_matching(g) == oracles.matching_dp(g, unit=False)
+        assert max_cardinality_matching(g) == oracles.matching_dp(g, unit=True)
 
 
 def test_cardinality_matching_equals_networkx_blossom():
@@ -153,9 +153,7 @@ def test_densest_dual_routes_agree():
     rng = RandomSource(15)
     for i in range(200):
         g = random_graph(rng.child(i), n=2 + rng.integers(0, 9), density=0.4)
-        assert densest_subgraph(g, "flow") == pytest.approx(
-            densest_subgraph(g, "exhaustive")
-        )
+        assert oracles.densest_flow(g) == pytest.approx(densest_subgraph(g))
 
 
 def test_st_min_cut_requires_terminals():
@@ -165,19 +163,10 @@ def test_st_min_cut_requires_terminals():
 
 
 def test_size_limits_enforced():
-    big = Graph(range(23))
     with pytest.raises(SizeLimitExceeded):
-        max_weight_matching(big, "exhaustive")
+        oracles.matching_dp(Graph(range(23)), unit=False)
     with pytest.raises(SizeLimitExceeded):
-        densest_subgraph(Graph(range(21)), "exhaustive")
-
-
-def test_unknown_strategies_rejected():
-    g = k4()
-    with pytest.raises(OutOfRange):
-        min_cut(g, "monte-carlo")
-    with pytest.raises(OutOfRange):
-        densest_subgraph(g, "greedy")
+        densest_subgraph(Graph(range(21)))
 
 
 def test_graph_function_validation():

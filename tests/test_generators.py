@@ -26,6 +26,7 @@ from continualdp.errors import (
     TooSmall,
 )
 from continualdp.generators import EVENT_TARGETS
+from continualdp.release import exact_values
 
 
 def random_sigma(rng, T):
@@ -90,6 +91,19 @@ def test_generators_are_incremental():
         seq = gen_event_level(target, adjacency, [1, 0, 1], **kwargs)
         assert seq.kind is SequenceKind.INCREMENTAL
         seq.validate()
+
+
+def test_node_star_gadgets_fit_every_degree_bound():
+    # a group holds D-1 stars of tau (or k) nodes each, plus v_t
+    sigma = [1, 0, 1, 1]
+    for D in range(4, 13):
+        cases = [("high_degree", dict(tau=tau)) for tau in range(1, D)]
+        cases.append(("kstar", dict(k=D - 1)))
+        for target, kw in cases:
+            seq = gen_event_level(target, "node", sigma, D=D, **kw)
+            seq.validate()
+            want = expected_values(target, "node", sigma, D=D)
+            assert exact_values(seq, target_function(target, **kw)) == want, (D, kw)
 
 
 def test_sigma_validation():

@@ -99,9 +99,10 @@ def test_zero_noise_release_reconstructs_exactly():
     for i in range(40):
         seq = random_sequence(rng.child(i), kind="incremental")
         for f, _kw in _functions():
+            # +2 and +1 keep Gamma positive: k-stars with D < k and MST with W = 1 give 0
             report = release(
                 seq, f, 1.0, 0.05, rng.child(f"{i}:{f.name}"),
-                gamma=1.0, noise_off=True,
+                D=seq.max_degree() + 2, W=seq.max_weight() + 1, noise_off=True,
             )
             n_bins = len(seq.node_universe()) if f.name == "degree_histogram" else None
             for rec, g in zip(report.records, seq.iter_graphs()):

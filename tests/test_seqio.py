@@ -25,6 +25,34 @@ def test_round_trip_500_random_sequences():
         assert parse_sequence(serialize_sequence(seq)) == seq
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(("incremental", "decremental", "fully-dynamic")),
+    st.integers(1, 12),
+    st.integers(1, 1000),
+)
+def test_serialized_sequences_always_parse(seed, kind, n_max, W_max):
+    seq = random_sequence(RandomSource(seed), n_max=n_max, kind=kind, W_max=W_max)
+    assert parse_sequence(serialize_sequence(seq)) == seq
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Update(e_ins={(0, 1): True}),  # would serialize as +e:0-1:True
+        lambda: Graph({0, 1}, {(0, 1): True}),
+        lambda: Update(e_ins={(0, -1): 1}),  # would serialize as -1-0:1
+        lambda: Update(v_ins={-1}),
+        lambda: Update(e_del={(-1, 0)}),
+        lambda: Graph({-1, 0}, {(-1, 0): 1}),
+    ],
+)
+def test_unserializable_weights_and_node_ids_refused(make):
+    with pytest.raises(InvalidUpdate):
+        make()
+
+
 def test_serialized_form_is_stable():
     g = Graph.from_edges([(0, 1, 2)], extra_nodes=[5])
     seq = GraphSequence(
