@@ -8,6 +8,8 @@ package also ships exact evaluators, adversarial sequence generators
 with closed-form values, and a brute-force sensitivity oracle.
 """
 
+from importlib import import_module
+
 from .counting import (
     BinaryMechanism,
     PSumRecord,
@@ -18,19 +20,6 @@ from .counting import (
     theoretical_count_error,
 )
 from .functions import GraphFunction, evaluate, static_sensitivity
-from .generators import (
-    AdversarialPair,
-    SpreadSpec,
-    adjacent_pair,
-    expected_values,
-    gen_event_level,
-    gen_user_level,
-    mst_tightness_pair,
-    spread_of,
-    target_function,
-    trans,
-    unbounded_pair,
-)
 from .graphs import (
     AdjacencyKind,
     AdjacencyWitness,
@@ -43,25 +32,7 @@ from .graphs import (
     edge_key,
     reversed_sequence,
 )
-from .monotone import (
-    MonotoneMechanism,
-    MonotoneReport,
-    SparseVector,
-    SvtAnswer,
-    additive_error,
-    monotone_release,
-    monotone_run,
-    threshold_budget,
-)
 from .noise import RandomSource, concentration_bound, sample_laplace
-from .oracle import (
-    OracleResult,
-    OracleScope,
-    TableVerdict,
-    brute_sensitivity,
-    compare_with_table,
-    diff_sensitivity,
-)
 from .release import (
     UNBOUNDED,
     ReleaseReport,
@@ -73,46 +44,59 @@ from .seqio import parse_sequence, serialize_sequence
 
 __version__ = "0.1.0"
 
-__all__ = [
+# loaded on first access (PEP 562): no release, experiment or parse needs them
+_LAZY = {
+    "generators": (
+        "AdversarialPair", "SpreadSpec", "adjacent_pair", "expected_values", "gen_event_level",
+        "gen_user_level", "mst_tightness_pair", "spread_of", "target_function", "trans",
+        "unbounded_pair",
+    ),
+    "monotone": (
+        "MonotoneMechanism", "MonotoneReport", "SparseVector", "SvtAnswer", "additive_error",
+        "monotone_release", "monotone_run", "threshold_budget",
+    ),
+    "oracle": (
+        "OracleResult", "OracleScope", "TableVerdict", "brute_sensitivity",
+        "compare_with_table", "diff_sensitivity",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a lazy module, or one of its public names, and keep the name bound."""
+    module = name if name in _LAZY else _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = import_module(f".{module}", __name__)  # also binds the submodule attribute
+    value = globals()[name] = mod if module == name else getattr(mod, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = sorted([
     "AdjacencyKind",
     "AdjacencyWitness",
-    "AdversarialPair",
     "BinaryMechanism",
     "Graph",
     "GraphFunction",
     "GraphSequence",
-    "MonotoneMechanism",
-    "MonotoneReport",
-    "OracleResult",
-    "OracleScope",
     "PSumRecord",
     "RandomSource",
     "ReleaseReport",
     "SequenceKind",
-    "SparseVector",
-    "SpreadSpec",
     "StreamBounds",
-    "SvtAnswer",
-    "TableVerdict",
     "UNBOUNDED",
     "Update",
-    "additive_error",
-    "adjacent_pair",
     "apply_update",
-    "brute_sensitivity",
     "check_adjacency",
-    "compare_with_table",
     "concentration_bound",
-    "diff_sensitivity",
     "edge_key",
     "evaluate",
-    "expected_values",
-    "gen_event_level",
-    "gen_user_level",
     "max_summands",
-    "monotone_release",
-    "monotone_run",
-    "mst_tightness_pair",
     "num_levels",
     "parse_sequence",
     "prefix_intervals",
@@ -121,12 +105,8 @@ __all__ = [
     "sample_laplace",
     "sensitivity_bound",
     "serialize_sequence",
-    "spread_of",
     "static_sensitivity",
-    "target_function",
     "theoretical_count_error",
     "theoretical_release_error",
-    "threshold_budget",
-    "trans",
-    "unbounded_pair",
-]
+    *_LAZY_MODULE,
+])

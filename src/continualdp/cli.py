@@ -22,18 +22,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ContinualDPError, UnboundedSensitivity, UnknownCombination
-from .functions import GraphFunction, evaluate
-from .generators import (
-    EVENT_TARGETS,
-    adjacent_pair,
-    expected_values,
-    gen_event_level,
-    target_function,
-)
-from .graphs import GraphSequence, SequenceKind
-from .monotone import monotone_release
+from .functions import EVENT_TARGETS, GraphFunction, evaluate
+from .graphs import GraphSequence
 from .noise import RandomSource, concentration_bound, sample_laplace
-from .oracle import OracleScope, compare_with_table
 from .release import release as diff_release
 from .release import exact_values, sensitivity_bound, theoretical_release_error
 from .seqio import parse_sequence, serialize_sequence
@@ -124,6 +115,8 @@ def main() -> None:
 @_wrap_errors
 def generate(target, adjacency, sigma, weight, degree, tau, k, flip, out) -> None:
     """Emit an adversarial update log plus an expected-value sidecar."""
+    from .generators import adjacent_pair, expected_values, gen_event_level, target_function
+
     if any(ch not in "01" for ch in sigma) or not sigma:
         raise click.UsageError(f"sigma must be a non-empty 0/1 string, got {sigma!r}")
     bits = [int(ch) for ch in sigma]
@@ -244,6 +237,8 @@ def release_cmd(
             f"seed {rng.seed}"
         )
     else:
+        from .monotone import monotone_release
+
         config["beta"] = beta
         report = monotone_release(
             seq, f, epsilon, beta, delta, rng,
@@ -284,6 +279,8 @@ def sensitivity_cmd(
     max_pairs, seed, out,
 ) -> None:
     """Brute-force sensitivity check against the closed-form table."""
+    from .oracle import OracleScope, compare_with_table
+
     f = _build_function(function, tau, k, s, t_)
     rng = _resolve_seed(seed)
     scope = OracleScope(
@@ -315,6 +312,8 @@ def sensitivity_cmd(
 
 
 def _verify_sensitivity() -> list[tuple[str, bool]]:
+    from .oracle import OracleScope, compare_with_table
+
     cells = [
         (GraphFunction("edge_count"), "edge", "incremental", None),
         (GraphFunction("high_degree", tau=2), "edge", "incremental", None),
@@ -339,6 +338,8 @@ def _verify_sensitivity() -> list[tuple[str, bool]]:
 
 
 def _verify_generators() -> list[tuple[str, bool]]:
+    from .generators import expected_values, gen_event_level, target_function
+
     results = []
     sigma = [1, 0, 1, 1, 0, 1]
     cases = [
@@ -378,6 +379,8 @@ def _verify_generators() -> list[tuple[str, bool]]:
 
 
 def _verify_bounds() -> list[tuple[str, bool]]:
+    from .generators import gen_event_level
+
     rng = RandomSource(11)
     trials, exceed = 2000, 0
     scales = [1.0] * 10

@@ -24,12 +24,14 @@ both draw the same noise in the same order, so any split of a stream into
 blocks releases bit for bit what feeding it item by item does.  On integer
 streams (exact in float64) every p-sum is the exact interval sum.  The
 released p-sums are kept in one store, one clean and one noisy array per
-level, row ``(e >> i) - 1``; ``estimate`` and ``trace`` read it.
+level, row ``(e >> i) - 1``; ``estimate`` and ``trace`` read it, and a
+block's p-sums are a view of it whose records are built only when read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -136,6 +138,8 @@ class BinaryMechanism:
         self.y = max_summands(T)
         if not 0 < epsilon < math.inf:
             raise NonPositiveScale(f"epsilon must be positive and finite, got {epsilon}")
+        if not 0 < item_width < math.inf:
+            raise NonPositiveScale(f"item width must be positive and finite, got {item_width}")
         self.epsilon = epsilon
         self.item_width = item_width
         self.per_psum_scale = item_width * self.x / epsilon
@@ -182,13 +186,14 @@ class BinaryMechanism:
             if not b.L1 <= lo <= hi <= b.L2:
                 raise ItemOutOfBounds(f"item {lo if lo < b.L1 else hi} outside [{b.L1}, {b.L2}]")
 
-    def feed(self, item: float | np.ndarray) -> tuple[list[PSumRecord], float | np.ndarray]:
+    def feed(self, item: float | np.ndarray) -> tuple[Sequence[PSumRecord], float | np.ndarray]:
         """Consume one item, or a block of consecutive items.
 
-        One item returns (newly released p-sums, estimate).  A block is a
-        1-D array for one source, or an (n, k) array for k sources, along
-        the time axis; it returns the p-sums released at any of its n steps,
-        in release order, and an array of the n estimates, one per step.
+        One item returns (list of newly released p-sums, estimate).  A block
+        is a 1-D array for one source, or an (n, k) array for k sources,
+        along the time axis; it returns the p-sums released at any of its n
+        steps, in release order, as a read-only ``PSumView``, and an array
+        of the n estimates, one per step.
         """
         if getattr(item, "ndim", 0) == (1 if self._scalar else 2):
             return self._feed_block(np.asarray(item, float))
@@ -212,7 +217,7 @@ class BinaryMechanism:
                     for i in range(closing)]
         return released, est
 
-    def _feed_block(self, items: np.ndarray) -> tuple[list[PSumRecord], np.ndarray]:
+    def _feed_block(self, items: np.ndarray) -> tuple[PSumView, np.ndarray]:
         n, k = len(items), len(self._rngs)
         self._check(items, n)
         t0 = self._t
@@ -220,12 +225,9 @@ class BinaryMechanism:
         S = np.cumsum(np.vstack([self._total, items.reshape(n, k)]), axis=0)
         ts = np.arange(t0 + 1, t0 + n + 1)
         closing = np.frexp(ts & -ts)[1]
-        # step t's p-sums are draws and records offset[t - t0 - 1] + level
+        # step t's p-sums are draws offset[t - t0 - 1] + level
         offset = np.cumsum(closing) - closing
-        total = int(closing.sum())
-        noise = None if self.noise_off else self._draw(total)
-        levels, ends = np.empty(total, int), np.empty(total, int)
-        clean, noisy = np.empty((total, k)), np.empty((total, k))
+        noise = None if self.noise_off else self._draw(int(closing.sum()))
         for i in range(self.x):
             first = ((t0 >> i) + 1) << i  # level i closes at first, first + 2^i, ...
             if first > t0 + n:
@@ -234,9 +236,7 @@ class BinaryMechanism:
             at = S[1:][steps]
             c = np.diff(at, axis=0, prepend=self._last[i:i + 1])
             self._last[i] = at[-1]
-            pos = offset[steps] + i
-            nz = c + (0.0 if noise is None else noise[pos])
-            levels[pos], ends[pos], clean[pos], noisy[pos] = i, ts[steps], c, nz
+            nz = c + (0.0 if noise is None else noise[offset[steps] + i])
             row = (first >> i) - 1
             self._clean[i][row:row + len(c)], self._noisy[i][row:row + len(c)] = c, nz
         self._total = S[-1]
@@ -249,12 +249,7 @@ class BinaryMechanism:
         for i in range(self.x + 1):
             if (last := self._t >> i << i) > t0:
                 self._head[i] = est[last - t0 - 1]
-        if self._scalar:
-            clean, noisy, est = clean[:, 0].tolist(), noisy[:, 0].tolist(), est[:, 0]
-        fields = zip(levels.tolist(), (ends - (1 << levels) + 1).tolist(), ends.tolist(),
-                     clean, noisy, repeat(self.per_psum_scale))
-        # tuple.__new__ skips the generated PSumRecord.__new__, a Python call per record
-        return list(map(partial(tuple.__new__, PSumRecord), fields)), est
+        return PSumView(self, t0, self._t), est[:, 0] if self._scalar else est
 
     def estimate(self, t: int | None = None) -> float | np.ndarray:
         """Noisy prefix sum at time t (defaults to the current time)."""
@@ -269,14 +264,53 @@ class BinaryMechanism:
 
     def trace(self) -> list[PSumRecord]:
         """All released p-sums in release order (audit hook)."""
-        clean, noisy = self._clean, self._noisy
-        if self._scalar:
-            clean, noisy = [c[:, 0].tolist() for c in clean], [c[:, 0].tolist() for c in noisy]
-        else:
-            clean, noisy = [c.copy() for c in clean], [c.copy() for c in noisy]
-        return [PSumRecord(i, e - (1 << i) + 1, e, clean[i][(e >> i) - 1],
-                           noisy[i][(e >> i) - 1], self.per_psum_scale)
-                for e in range(1, self._t + 1) for i in range((e & -e).bit_length())]
+        return _psum_records(self, 0, self._t)
+
+
+def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
+    """Records of the p-sums released at steps t0+1..t1, in release order.
+
+    Level i closed at every 2^i-th step from the first multiple of 2^i after
+    t0, rows ``t0 >> i`` up to ``t1 >> i`` of its store.  Vector rows are
+    copied out, so no record aliases the store.
+    """
+    ts = np.arange(t0 + 1, t1 + 1)
+    closing = np.frexp(ts & -ts)[1]
+    # step t's records start at offset[t - t0 - 1], one per level
+    offset = np.cumsum(closing) - closing
+    total, k = int(closing.sum()), len(mech._rngs)
+    levels, ends = np.empty(total, int), np.empty(total, int)
+    clean, noisy = np.empty((total, k)), np.empty((total, k))
+    for i in range(t1.bit_length()):
+        steps = slice((((t0 >> i) + 1) << i) - t0 - 1, t1 - t0, 1 << i)
+        pos, rows = offset[steps] + i, slice(t0 >> i, t1 >> i)
+        levels[pos], ends[pos] = i, ts[steps]
+        clean[pos], noisy[pos] = mech._clean[i][rows], mech._noisy[i][rows]
+    if mech._scalar:
+        clean, noisy = clean[:, 0].tolist(), noisy[:, 0].tolist()
+    fields = zip(levels.tolist(), (ends - (1 << levels) + 1).tolist(), ends.tolist(),
+                 clean, noisy, repeat(mech.per_psum_scale))
+    # tuple.__new__ skips the generated PSumRecord.__new__, a Python call per record
+    return list(map(partial(tuple.__new__, PSumRecord), fields))
+
+
+class PSumView(Sequence):
+    """The p-sums a block feed released (steps t0+1..t1, release order), read
+    from the store when iterated or indexed; ``len`` builds no record.  A
+    released row is never written again, so later feeds leave the view as is."""
+
+    def __init__(self, mech: BinaryMechanism, t0: int, t1: int) -> None:
+        self._mech, self._t0, self._t1 = mech, t0, t1
+
+    def __len__(self) -> int:
+        # level i closes at the multiples of 2^i in (t0, t1]
+        return sum((self._t1 >> i) - (self._t0 >> i) for i in range(self._t1.bit_length()))
+
+    def __getitem__(self, index):
+        return _psum_records(self._mech, self._t0, self._t1)[index]
+
+    def __iter__(self):
+        return iter(_psum_records(self._mech, self._t0, self._t1))
 
 
 def theoretical_count_error(width: float, epsilon: float, delta: float, T: int) -> float:

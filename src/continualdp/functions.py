@@ -72,6 +72,18 @@ MONOTONE_FUNCTIONS = frozenset(
     }
 )
 
+# generator targets; defined here so the CLI can list them without loading generators
+EVENT_TARGETS = (
+    "mst",
+    "min_cut",
+    "matching",
+    "edge_count",
+    "high_degree",
+    "degree_histogram",
+    "triangle",
+    "kstar",
+)
+
 
 @dataclass(frozen=True)
 class GraphFunction:

@@ -32,7 +32,7 @@ from .errors import (
     SparedEdgeMissing,
     TooSmall,
 )
-from .functions import GraphFunction, evaluate
+from .functions import EVENT_TARGETS, GraphFunction, evaluate
 from .graphs import (
     AdjacencyKind,
     AdjacencyWitness,
@@ -42,17 +42,6 @@ from .graphs import (
     Update,
     check_adjacency,
     edge_key,
-)
-
-EVENT_TARGETS = (
-    "mst",
-    "min_cut",
-    "matching",
-    "edge_count",
-    "high_degree",
-    "degree_histogram",
-    "triangle",
-    "kstar",
 )
 
 COUNTING_TARGETS = frozenset(

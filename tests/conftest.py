@@ -2,7 +2,24 @@
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from continualdp import Graph, GraphSequence, RandomSource, Update, edge_key
+
+
+def loaded_modules(code: str, *modules: str) -> list[str]:
+    """Which of ``modules`` are loaded after ``code`` runs in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code += f"\nimport sys; print([m for m in {list(modules)!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.splitlines()[-1])
 
 
 def random_sequence(

@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -302,3 +303,57 @@ def test_bad_block_leaves_state_unchanged(k):
     assert _bits(est) == _bits(ref_est[4:])
     assert _records_bits(mech.trace()) == _records_bits(ref.trace())
     assert [r.uniform() for r in rngs] == [r.uniform() for r in ref_rngs]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_item_width_must_be_positive_and_finite(value):
+    with pytest.raises(NonPositiveScale, match="item width"):
+        BinaryMechanism(4, 1.0, RandomSource(1), item_width=value)
+
+
+def _closed_in(t0: int, t1: int) -> int:
+    """p-sums closing at steps t0+1..t1: levels 0..ctz(t) at each step t."""
+    return sum((t & -t).bit_length() for t in range(t0 + 1, t1 + 1))
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_block_psum_length_builds_no_record(k):
+    mech = BinaryMechanism(101, 1.0, RandomSource(2) if k is None
+                           else [RandomSource(i) for i in range(k)])
+    views, t0 = [], 0
+    with mock.patch.object(counting, "_psum_records", side_effect=AssertionError("built")):
+        for n in (1, 7, 24, 3, 65):
+            recs, _est = mech.feed(np.ones(n if k is None else (n, k)))
+            assert len(recs) == _closed_in(t0, t0 + n)
+            views.append((recs, t0, n))
+            t0 += n
+    for recs, t0, n in views:
+        assert [(r.level, r.end) for r in recs] == [
+            (i, t) for t in range(t0 + 1, t0 + n + 1) for i in range((t & -t).bit_length())]
+        assert _records_bits(recs) == _records_bits(recs[j] for j in range(len(recs)))
+    assert isinstance(mech.feed(1.0 if k is None else np.ones(k))[0], list)
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_block_psums_unchanged_by_later_feeds(k):
+    mech = BinaryMechanism(64, 1.0, RandomSource(4) if k is None
+                           else [RandomSource(i) for i in range(k)])
+    ones = (lambda n: np.ones(n)) if k is None else (lambda n: np.ones((n, k)))
+    recs, _est = mech.feed(ones(12))
+    before = _records_bits(recs)
+    assert before == _records_bits(mech.trace())
+    mech.feed(ones(20))
+    mech.feed(1.0 if k is None else np.ones(k))
+    mech.feed(ones(31))
+    assert _records_bits(recs) == before == _records_bits(mech.trace())[:len(before)]
+
+
+def test_vector_records_do_not_alias_the_store():
+    mech = BinaryMechanism(16, 1.0, [RandomSource(1), RandomSource(2)])
+    recs, est = mech.feed(np.arange(20.0).reshape(10, 2))
+    trace, estimates = _records_bits(mech.trace()), [_bits(mech.estimate(t)) for t in range(1, 11)]
+    for r in list(recs) + mech.trace():
+        r.clean[:] = 99.0
+        r.noisy[:] = -99.0
+    assert _records_bits(mech.trace()) == _records_bits(recs) == trace
+    assert [_bits(mech.estimate(t)) for t in range(1, 11)] == estimates

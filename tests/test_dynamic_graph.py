@@ -1,11 +1,6 @@
 """Running exact values on the DynamicGraph state against the from-scratch
 evaluators, which stay the oracle."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +11,7 @@ from continualdp.errors import MissingTerminal, SizeLimitExceeded
 from continualdp.graphs import DynamicGraph
 from continualdp.release import exact_values
 
-from conftest import random_sequence
+from conftest import loaded_modules, random_sequence
 
 LOCAL = [
     GraphFunction("edge_count"),
@@ -144,13 +139,7 @@ def test_histogram_with_too_few_bins_raises_as_the_oracle_does():
 
 def _loads_networkx(code: str) -> bool:
     """Whether ``code`` run in a fresh interpreter leaves networkx loaded."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code += "\nimport sys; print('networkx' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip() == "True"
+    return loaded_modules(code, "networkx") == ["networkx"]
 
 
 def test_import_does_not_load_networkx():

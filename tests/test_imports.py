@@ -1,0 +1,81 @@
+"""What a run loads: generators, oracle and monotone only on first use.
+
+Each check runs in a fresh interpreter, so modules loaded by other tests
+do not count.
+"""
+
+import pytest
+
+from conftest import loaded_modules
+
+LAZY = ("continualdp.generators", "continualdp.oracle", "continualdp.monotone")
+
+_CLI = """
+from continualdp.cli import main
+try:
+    main(args={args!r}, prog_name="continual-dp")
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+"""
+
+
+@pytest.mark.parametrize("code", ["import continualdp", "import continualdp.cli"])
+def test_import_loads_no_lazy_module(code):
+    assert loaded_modules(code, *LAZY) == []
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["release", "--function", "edge_count"], []),
+        (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"], []),
+        # the control: the monotone mechanism is loaded when it runs
+        (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1"],
+         ["continualdp.monotone"]),
+    ],
+    ids=["release", "experiment", "monotone"],
+)
+def test_cli_runs_load_only_what_they_use(tmp_path, args, loaded):
+    log, out = tmp_path / "seq.txt", tmp_path / "out.csv"
+    log.write_text("t=0 +v:0,1,2,3\nt=1 +e:0-1:1,1-2:1\nt=2 +e:2-3:1\nt=3 +e:0-3:1\n")
+    args = [*args, "--epsilon", "1", "--delta", "0.05", "--input", str(log),
+            "--out", str(out), "--seed", "1"]
+    assert loaded_modules(_CLI.format(args=args), *LAZY) == loaded
+    assert out.read_text().count("\n") > 3
+
+
+def test_every_public_name_resolves():
+    code = """
+import continualdp as c
+assert set(c.__all__) <= set(dir(c))  # before any lazy name is bound
+missing = [name for name in c.__all__ if getattr(c, name, None) is None]
+assert not missing, missing
+assert c.gen_event_level is c.generators.gen_event_level  # bound once, then kept
+try:
+    c.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("no AttributeError")
+"""
+    assert loaded_modules(code, *LAZY) == list(LAZY)
+
+
+def test_star_and_module_imports():
+    code = """
+from continualdp import *
+from continualdp import oracle
+assert callable(brute_sensitivity) and callable(monotone_release)
+assert oracle.brute_sensitivity is brute_sensitivity
+"""
+    assert loaded_modules(code, *LAZY) == list(LAZY)
+
+
+def test_release_stays_the_function_after_importing_monotone():
+    code = """
+import types
+import continualdp.monotone
+import continualdp
+assert callable(continualdp.release) and not isinstance(continualdp.release, types.ModuleType)
+"""
+    assert loaded_modules(code, *LAZY) == ["continualdp.monotone"]
