@@ -187,7 +187,8 @@ def eval_cmd(function, tau, k, s, t_, input_, out) -> None:
 @click.option("--epsilon", type=float, required=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--beta", type=float, default=0.5, help="monotone multiplicative error")
-@click.option("--range-r", type=float, default=None, help="monotone value range override")
+@click.option("--range-r", type=float, default=None,
+              help="declared top r of the monotone value range [1, r]; required by monotone")
 @click.option("--adjacency", default="edge", type=click.Choice(["edge", "node"]))
 @click.option("--degree-bound", "-D", type=int, default=None)
 @click.option("--weight-bound", "-W", type=int, default=None)
@@ -201,6 +202,8 @@ def release_cmd(
     adjacency, degree_bound, weight_bound, input_, out, seed, noise_off,
 ) -> None:
     """Private per-step release of a statistic along an update log."""
+    if mechanism == "monotone" and range_r is None:
+        raise click.UsageError("--mechanism monotone requires a declared --range-r")
     f = _build_function(function, tau, k, s, t_)
     seq = _load_sequence(input_)
     rng = _resolve_seed(seed)
@@ -321,6 +324,7 @@ def _verify_sensitivity() -> list[tuple[str, bool]]:
         (GraphFunction("triangle_count"), "edge", "incremental", 3),
         (GraphFunction("kstar_count", k=2), "edge", "incremental", 3),
         (GraphFunction("mst_weight"), "edge", "incremental", None),
+        (GraphFunction("mst_weight"), "edge", "decremental", None),
         (GraphFunction("edge_count"), "edge", "fully-dynamic", None),
         (GraphFunction("edge_count"), "node", "incremental", 4),
         (GraphFunction("triangle_count"), "node", "incremental", 4),

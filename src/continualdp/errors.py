@@ -81,7 +81,7 @@ class NonMonotoneInput(ContinualDPError):
 
 
 class UnknownRange(ContinualDPError):
-    """No default value range r for this function."""
+    """The function has no value range r: it is not a monotone release."""
 
 
 class ParameterOutOfRange(ContinualDPError):

@@ -125,12 +125,12 @@ def high_degree(g: Graph, tau: int) -> int:
     return sum(1 for d in g.degrees().values() if d >= tau)
 
 
-def degree_histogram(g: Graph, n_bins: int | None = None) -> tuple[int, ...]:
-    """Counts per degree 0..n_bins-1; entries sum to |V|."""
-    if n_bins is None:
-        n_bins = g.n
-    hist = [0] * n_bins
-    for d in g.degrees().values():
+def degree_histogram(g: Graph) -> tuple[int, ...]:
+    """Counts per degree 0..max degree, () for a graph without nodes;
+    entries sum to |V|."""
+    degs = g.degrees().values()
+    hist = [0] * (1 + max(degs, default=-1))
+    for d in degs:
         hist[d] += 1
     return tuple(hist)
 
@@ -193,10 +193,6 @@ def _component(g: Graph) -> set[int]:
         dsu.union(u, v)
     root = dsu.find(min(g.nodes))
     return {v for v in g.nodes if dsu.find(v) == root}
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(_component(g)) == g.n
 
 
 def _stoer_wagner(weights: np.ndarray) -> tuple[float, list[int]]:
@@ -421,14 +417,10 @@ class _Triangles(_Running):
 
 
 class _Histogram(_Running):
-    """Node counts per degree; bins default to the current node count."""
+    """Node counts per degree, up to the largest degree seen on this state."""
 
-    def __init__(self, g: DynamicGraph, n_bins: int | None) -> None:
-        self.n_bins = n_bins
-        degs = g.degrees().values()
-        self.hist = [0] * (1 + max(degs, default=0))
-        for d in degs:
-            self.hist[d] += 1
+    def __init__(self, g: DynamicGraph) -> None:
+        self.hist = list(degree_histogram(g)) or [0]
 
     def edge(self, g, a, b, w, sign):
         hist = self.hist
@@ -442,10 +434,11 @@ class _Histogram(_Running):
         self.hist[0] += sign
 
     def value(self, g):
-        n = g.n if self.n_bins is None else self.n_bins
-        if any(self.hist[n:]):
-            return degree_histogram(g, n)  # a degree past the last bin: the oracle's error
-        return tuple(self.hist[:n]) + (0,) * (n - len(self.hist))
+        hist = self.hist
+        end = len(hist)
+        while end and not hist[end - 1]:
+            end -= 1
+        return tuple(hist[:end])
 
 
 class _SpanningForest(_Running):
@@ -630,39 +623,38 @@ class _SubsetEdges(_Insertions):
 
 
 _RUNNING = {
-    "high_degree": lambda g, f, n_bins: _DegreeSum(g, lambda d: int(d >= f.tau)),
-    "kstar_count": lambda g, f, n_bins: _DegreeSum(g, lambda d: math.comb(d, f.k)),
-    "degree_histogram": lambda g, f, n_bins: _Histogram(g, n_bins),
-    "triangle_count": lambda g, f, n_bins: _Triangles(g),
-    "mst_weight": lambda g, f, n_bins: _SpanningForest(g),
-    "min_cut": lambda g, f, n_bins: _Cut(g),
-    "st_min_cut": lambda g, f, n_bins: _Cut(g, f.s, f.t),
-    "max_cardinality_matching": lambda g, f, n_bins: _Matching(g),
-    "densest_subgraph": lambda g, f, n_bins: _SubsetEdges(g),
+    "high_degree": lambda g, f: _DegreeSum(g, lambda d: int(d >= f.tau)),
+    "kstar_count": lambda g, f: _DegreeSum(g, lambda d: math.comb(d, f.k)),
+    "degree_histogram": lambda g, f: _Histogram(g),
+    "triangle_count": lambda g, f: _Triangles(g),
+    "mst_weight": lambda g, f: _SpanningForest(g),
+    "min_cut": lambda g, f: _Cut(g),
+    "st_min_cut": lambda g, f: _Cut(g, f.s, f.t),
+    "max_cardinality_matching": lambda g, f: _Matching(g),
+    "densest_subgraph": lambda g, f: _SubsetEdges(g),
 }
 
 
-def evaluate(f: GraphFunction, g: Graph, *, n_bins: int | None = None):
+def evaluate(f: GraphFunction, g: Graph):
     """Dispatch to the exact evaluator for ``f``.
 
-    Returns a scalar, or a tuple of counts for degree_histogram.  On a
-    DynamicGraph every statistic but edge_count (``len(g.edges)`` either
-    way) and weighted matching is memoised per ``(f, n_bins)`` and kept up
-    to date by the state's operations.
+    Returns a scalar, or for degree_histogram the tuple of counts per
+    degree 0..max degree.  On a DynamicGraph every statistic but
+    edge_count (``len(g.edges)`` either way) and weighted matching is
+    memoised per ``f`` and kept up to date by the state's operations.
     """
     name = f.name
     if name in _RUNNING and isinstance(g, DynamicGraph):
-        key = (f, n_bins)
-        run = g.running.get(key)
+        run = g.running.get(f)
         if run is None or run.stale:
-            run = g.running[key] = _RUNNING[name](g, f, n_bins)
+            run = g.running[f] = _RUNNING[name](g, f)
         return run.value(g)
     if name == "edge_count":
         return edge_count(g)
     if name == "high_degree":
         return high_degree(g, f.tau)
     if name == "degree_histogram":
-        return degree_histogram(g, n_bins=n_bins)
+        return degree_histogram(g)
     if name == "triangle_count":
         return triangle_count(g)
     if name == "kstar_count":

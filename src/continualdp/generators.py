@@ -608,25 +608,19 @@ def spread_of(f: GraphFunction, n: int, W: int = 1) -> SpreadSpec:
 
 
 def mst_tightness_pair(W: int) -> tuple[GraphSequence, GraphSequence]:
-    """Edge-adjacent T=3 pair whose MST difference sequences are exactly
-    2W - 2 apart in L1."""
-    if W < 2:
-        raise ParameterOutOfRange(f"W must be >= 2, got {W}")
-    a_nodes = list(range(W + 2))
-    b_nodes = list(range(100, 100 + W + 2))
-    edges = {(i, i + 1): 1 for i in range(W + 1)}
-    edges.update({(i, i + 1): 1 for i in range(100, 100 + W + 1)})
-    edges[(0, 100)] = W
-    init = Graph(a_nodes + b_nodes, edges)
-    seq_a = GraphSequence(
-        init,
-        [Update(), Update(e_ins={(1, 101): 1}), Update(e_ins={(2, 102): 1})],
-    )
-    seq_b = GraphSequence(
-        init,
-        [Update(), Update(), Update(e_ins={(2, 102): 1})],
-    )
-    return seq_a, seq_b
+    """Edge-adjacent T=3 pair on three nodes whose MST difference sequences
+    are exactly 2W apart in L1, the table's edge-level Gamma.
+
+    A inserts (0,1) of weight W, then (1,2) and (0,2) of weight 1; B skips
+    the first insert.  A's forest weight runs W, W+1, 2 and B's 0, 1, 2:
+    the heavy edge adds W, then leaves the cycle closed by (0,2).
+    """
+    if W < 1:
+        raise ParameterOutOfRange(f"W must be >= 1, got {W}")
+    init = Graph(range(3))
+    rest = [Update(e_ins={(1, 2): 1}), Update(e_ins={(0, 2): 1})]
+    return (GraphSequence(init, [Update(e_ins={(0, 1): W}), *rest]),
+            GraphSequence(init, [Update(), *rest]))
 
 
 def _alternating(T: int, on: Update, off: Update, first: Update) -> list[Update]:

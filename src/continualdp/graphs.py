@@ -2,10 +2,10 @@
 
 Node identifiers are opaque non-negative integers.  Edge keys are
 canonically ordered pairs ``(min(u, v), max(u, v))`` with positive
-integer weights; self-loops, multi-edges, negative ids and weights whose
-type is not ``int`` (``True`` among them) are rejected.  A weight
-change is modeled as delete-then-insert of the same key within one
-update, so a graph never stores two weights for one edge.
+integer weights; self-loops, multi-edges, negative ids, and node ids and
+weights whose type is not ``int`` (``True`` among them) are rejected.  A
+weight change is modeled as delete-then-insert of the same key within
+one update, so a graph never stores two weights for one edge.
 
 Within a step, deletions apply before insertions:
 ``V_t = (V_{t-1} \\ v_del) | v_ins`` and likewise for edges.  Deleting
@@ -42,6 +42,15 @@ def edge_key(u: int, v: int) -> EdgeKey:
     return (u, v) if u < v else (v, u)
 
 
+def _check_node_ids(nodes: frozenset) -> None:
+    """Refuse a node id that is not a non-negative ``int`` (``True`` among them)."""
+    for v in nodes:
+        if type(v) is not int:
+            raise InvalidUpdate(f"node id {v!r} is not an int")
+    if min(nodes, default=0) < 0:
+        raise InvalidUpdate(f"negative node id {min(nodes)}")
+
+
 class Graph:
     """An undirected, integer-weighted graph.
 
@@ -64,8 +73,7 @@ class Graph:
             self._validate()
 
     def _validate(self) -> None:
-        if min(self.nodes, default=0) < 0:
-            raise InvalidUpdate(f"negative node id {min(self.nodes)}")
+        _check_node_ids(self.nodes)
         for (u, v), w in self.edges.items():
             if u >= v:
                 raise InvalidUpdate(f"edge key ({u},{v}) not canonical")
@@ -162,8 +170,10 @@ class Update:
         )
         if self.v_ins & self.v_del:
             raise InvalidUpdate("a node cannot be inserted and deleted in the same step")
-        if self.v_ins and min(self.v_ins) < 0 or self.v_del and min(self.v_del) < 0:
-            raise InvalidUpdate(f"negative node id {min(self.v_ins | self.v_del)}")
+        if self.v_ins:
+            _check_node_ids(self.v_ins)
+        if self.v_del:
+            _check_node_ids(self.v_del)
         if bad_weight:  # checked on emap: a later weight for the same key replaces a bad one
             for k, w in emap.items():
                 if type(w) is not int or w < 1:
@@ -343,13 +353,6 @@ class GraphSequence:
     def validate(self) -> None:
         for _ in self.iter_graphs():
             pass
-
-    def node_universe(self) -> frozenset[int]:
-        """All node ids that are ever present."""
-        ids = set(self.initial.nodes)
-        for u in self.updates:
-            ids |= u.v_ins
-        return frozenset(ids)
 
     def max_degree(self) -> int:
         """Largest degree in G_0..G_T; a degree only grows on an edge insert."""

@@ -218,16 +218,6 @@ def monotone_run(
     return report
 
 
-def default_range(f: GraphFunction, n: int, W: int) -> float:
-    """Default value range r: nW for cuts and matchings, n for densest."""
-    if f.name in {"min_cut", "st_min_cut", "max_weight_matching",
-                  "max_cardinality_matching"}:
-        return float(n * W)
-    if f.name == "densest_subgraph":
-        return float(n)
-    raise UnknownRange(f"no default range for {f.name}")
-
-
 def monotone_release(
     seq: GraphSequence,
     f: GraphFunction,
@@ -236,7 +226,7 @@ def monotone_release(
     delta: float,
     rng: RandomSource,
     *,
-    r: float | None = None,
+    r: float,
     W: int | None = None,
     adjacency: str = EDGE,
     noise_off: bool = False,
@@ -245,10 +235,15 @@ def monotone_release(
     """Release a monotone statistic along a partially dynamic sequence.
 
     No node-level rho is derived, so only ``adjacency="edge"`` is accepted.
+    Min cut and s-t min cut take only logs without node insertions or
+    deletions, on which they are monotone; the update types decide this
+    before any value is computed.
 
+    ``r`` is the declared top of the value range [1, r] and is required.
     ``W`` is the declared maximum edge weight, validated against the
-    sequence; it is required whenever rho or the default r depends on it.
-    rho always comes from ``static_sensitivity``.
+    sequence; it is required for the weighted statistics (the cuts and
+    weighted matching), whose rho is W.  rho always comes from
+    ``static_sensitivity``.
     ``true_values`` may carry precomputed exact values (one per step)
     to avoid re-evaluating expensive statistics across repeated trials.
     Decremental sequences are processed in reverse and the outputs are
@@ -261,14 +256,14 @@ def monotone_release(
     kind = seq.kind
     if kind is SequenceKind.FULLY_DYNAMIC:
         raise NonMonotoneInput("monotone release requires a partially dynamic sequence")
-    weighted = f.name in {"min_cut", "st_min_cut", "max_weight_matching"}
-    if W is None and (weighted or f.name != "densest_subgraph" and r is None):
+    if W is None and f.name in {"min_cut", "st_min_cut", "max_weight_matching"}:
         raise OutOfRange(f"{f.label()} release requires a declared weight bound W")
     if W is not None and (max_weight := seq.max_weight()) > W:
         raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
+    if f.name in {"min_cut", "st_min_cut"} and any(u.v_ins or u.v_del for u in seq.updates):
+        # a new node can lower a cut: its domain is edge-only logs
+        raise NonMonotoneInput(f"{f.label()} release requires a log without node updates")
     rho = static_sensitivity(f, 1 if W is None else W)
-    if r is None:
-        r = default_range(f, len(seq.node_universe()), W)
 
     if true_values is None:
         true_values = exact_values(seq, f)

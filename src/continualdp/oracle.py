@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import BudgetExceeded, OutOfRange
-from .functions import GraphFunction, is_connected
+from .functions import GraphFunction
 from .generators import adjacent_pair, mst_tightness_pair
 from .graphs import (
     AdjacencyKind,
@@ -73,21 +73,21 @@ class TableVerdict:
 
 
 def diff_sensitivity(f: GraphFunction, a: GraphSequence, b: GraphSequence) -> float:
-    """L1 distance between the difference sequences of a and b."""
-    histogram = f.name == "degree_histogram"
-    n_bins = len(a.node_universe() | b.node_universe()) if histogram else None
+    """L1 distance between the difference sequences of a and b; the
+    histograms of both are padded to their common width."""
+    va, vb = exact_values(a, f), exact_values(b, f)
+    if len(va) != len(vb):
+        raise OutOfRange("pair lengths differ")
+    width = max(map(len, va + vb), default=0) if f.name == "degree_histogram" else None
 
-    def diffs(seq: GraphSequence):
-        vecs = [tuple(float(v) for v in val) if histogram else (float(val),)
-                for val in exact_values(seq, f, n_bins)]
-        zero = (0.0,) * (n_bins if histogram else 1)
+    def diffs(vals: list):
+        vecs = [(float(val),) if width is None
+                else tuple(map(float, val)) + (0.0,) * (width - len(val)) for val in vals]
+        zero = (0.0,) * (1 if width is None else width)
         return [tuple(x - p for x, p in zip(vec, prev))
                 for prev, vec in zip([zero] + vecs, vecs)]
 
-    da, db = diffs(a), diffs(b)
-    if len(da) != len(db):
-        raise OutOfRange("pair lengths differ")
-    return sum(sum(abs(x - y) for x, y in zip(u, v)) for u, v in zip(da, db))
+    return sum(sum(abs(x - y) for x, y in zip(u, v)) for u, v in zip(diffs(va), diffs(vb)))
 
 
 # ---- random adjacent pair sampling ----
@@ -111,22 +111,12 @@ def _random_initial(
     return Graph(range(n), edges), edges
 
 
-def _sample_edge_incremental(
-    scope: OracleScope, rng: RandomSource, *, connected: bool = False
-) -> Pair | None:
+def _sample_edge_incremental(scope: OracleScope, rng: RandomSource) -> Pair | None:
     n = 2 + rng.integers(0, scope.n_max - 1)
     T = 1 + rng.integers(0, scope.T_max)
     D = scope.D_max
     pool = _fresh_pool(n)
     deg = [0] * n
-    init_edges: dict[tuple[int, int], int] = {}
-    if connected:
-        # spanning-path initial graph keeps every later graph connected
-        for i in range(n - 1):
-            init_edges[(i, i + 1)] = 1 + rng.integers(0, scope.W_max)
-            deg[i] += 1
-            deg[i + 1] += 1
-        pool = [e for e in pool if e not in init_edges]
     for i in range(len(pool) - 1, 0, -1):
         j = rng.integers(0, i + 1)
         pool[i], pool[j] = pool[j], pool[i]
@@ -134,7 +124,7 @@ def _sample_edge_incremental(
     def degree_ok(e: tuple[int, int]) -> bool:
         return D is None or (deg[e[0]] < D and deg[e[1]] < D)
 
-    initial = Graph(range(n), init_edges)
+    initial = Graph(range(n))
     updates: list[Update] = []
     for _ in range(T):
         e_ins: dict[tuple[int, int], int] = {}
@@ -404,39 +394,10 @@ def _sample_node_pair(scope: OracleScope, rng: RandomSource) -> Pair | None:
     return _sample_node_incremental(scope, rng)
 
 
-def _connected_everywhere(pair: Pair) -> bool:
-    for seq in pair:
-        if not is_connected(seq.initial):
-            return False
-        for g in seq.iter_graphs():
-            if not is_connected(g):
-                return False
-    return True
-
-
-def _pair_in_domain(f: GraphFunction, pair: Pair) -> bool:
-    """The closed-form registry bounds some cells only on a restricted
-    domain; pairs outside it are not counterexamples.
-
-    The spanning-tree-weight bound assumes every graph stays connected,
-    so that an inserted edge closes a cycle instead of joining two
-    components (which could raise the forest weight by up to W).
-    """
-    if f.name == "mst_weight":
-        return _connected_everywhere(pair)
-    return True
-
-
-def _draw_pair(f: GraphFunction, scope: OracleScope, rng: RandomSource) -> Pair | None:
+def _draw_pair(scope: OracleScope, rng: RandomSource) -> Pair | None:
     if scope.adjacency == "node":
-        pair = _sample_node_pair(scope, rng)
-    elif f.name == "mst_weight" and scope.regime not in ("decremental", "fully-dynamic"):
-        pair = _sample_edge_incremental(scope, rng, connected=True)
-    else:
-        pair = _sample_edge_pair(scope, rng)
-    if pair is None or not _pair_in_domain(f, pair):
-        return None
-    return pair
+        return _sample_node_pair(scope, rng)
+    return _sample_edge_pair(scope, rng)
 
 
 def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
@@ -445,7 +406,7 @@ def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
     if scope.regime == "fully-dynamic":
         return out
     if f.name == "mst_weight" and scope.adjacency == "edge":
-        for W in range(2, scope.W_max + 1):
+        for W in range(1, scope.W_max + 1):
             out.append(mst_tightness_pair(W))
     target = {
         "edge_count": "edge_count",
@@ -481,22 +442,20 @@ def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
 
 
 def _pairs(f: GraphFunction, scope: OracleScope) -> Iterator[Pair]:
-    """In-domain fixtures, then seeded adjacent draws, within the budget.
+    """Embedded fixtures, then seeded adjacent draws, within the budget.
 
     Draws stop once max_pairs pairs have been yielded in all or after
     4 * max_pairs attempts.
     """
-    yielded = 0
-    for pair in _embedded_fixtures(f, scope):
-        if _pair_in_domain(f, pair):
-            yielded += 1
-            yield pair
+    fixtures = _embedded_fixtures(f, scope)
+    yield from fixtures
+    yielded = len(fixtures)
     rng = RandomSource(scope.seed)
     kind = AdjacencyKind.NODE_EVENT if scope.adjacency == "node" else AdjacencyKind.EDGE_EVENT
     for attempt in range(1, 4 * scope.max_pairs + 1):
         if yielded >= scope.max_pairs:
             return
-        pair = _draw_pair(f, scope, rng.child(attempt))
+        pair = _draw_pair(scope, rng.child(attempt))
         if pair is None or check_adjacency(pair[0], pair[1], kind) is None:
             continue
         yielded += 1

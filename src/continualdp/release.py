@@ -9,9 +9,11 @@ difference sequence.  Gamma comes from a closed-form registry keyed by
 rejected with :class:`UnboundedSensitivity`.  The whole difference
 sequence goes to the mechanism as one block.
 
-Histograms run one vector mechanism; bin i draws from the child source
-``coord{i}`` at scale Gamma * x / epsilon, because Gamma bounds the L1
-distance of the whole vector difference sequence.
+Histograms run one vector mechanism over the bins 0..D of the declared
+degree bound D, so the output's shape never depends on the data; bin i
+draws from the child source ``coord{i}`` at scale Gamma * x / epsilon,
+because Gamma bounds the L1 distance of the whole vector difference
+sequence.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def sensitivity_bound(
             d = need_D()
             return 2.0 * (math.comb(d, f.k) - math.comb(d - 1, f.k))
         if name == "mst_weight":
-            return 2.0 * need_W() - 2.0
+            return 2.0 * need_W()
     else:
         if name == "edge_count":
             return float(need_D())
@@ -157,21 +159,19 @@ class ReleaseReport:
         return self.records[0].bound if self.records else 0.0
 
 
-def exact_values(seq: GraphSequence, f: GraphFunction, n_bins: int | None = None) -> list:
+def exact_values(seq: GraphSequence, f: GraphFunction) -> list:
     """Exact f(G_1), ..., f(G_T) in one pass over the sequence.
 
-    Histogram bins default to the size of the node universe, so every
-    step's vector has the same length.  A decremental sequence is
-    evaluated backward, as the incremental G_T, ..., G_1, so that the
-    running values on the graph state only ever see insertions.
+    A histogram has the counts per degree 0..max degree of its step.  A
+    decremental sequence is evaluated backward, as the incremental
+    G_T, ..., G_1, so that the running values on the graph state only
+    ever see insertions.
     """
-    if n_bins is None and f.name == "degree_histogram":
-        n_bins = len(seq.node_universe())
     if seq.kind is SequenceKind.DECREMENTAL:
         rev = reversed_sequence(seq)
         back = GraphSequence(rev.initial, (Update(),) + rev.updates[:-1])
-        return [evaluate(f, g, n_bins=n_bins) for g in back.iter_graphs()][::-1]
-    return [evaluate(f, g, n_bins=n_bins) for g in seq.iter_graphs()]
+        return [evaluate(f, g) for g in back.iter_graphs()][::-1]
+    return [evaluate(f, g) for g in seq.iter_graphs()]
 
 
 def release(
@@ -194,6 +194,8 @@ def release(
 
     ``D`` and ``W`` are caller-declared contract parameters and are
     validated against the sequence; Gamma always comes from the table.
+    A degree histogram releases the D + 1 bins 0..D, and each record's
+    ``true`` has the same D + 1 entries.
     """
     kind = seq.kind
     regime = FULLY_DYNAMIC if kind is SequenceKind.FULLY_DYNAMIC else PARTIALLY_DYNAMIC
@@ -209,7 +211,7 @@ def release(
 
     T = seq.T
     histogram = f.name == "degree_histogram"
-    coords = len(seq.node_universe()) if histogram else 1
+    coords = D + 1 if histogram else 1  # the histogram's table cell requires D
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
     mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0],
                            item_width=gamma, noise_off=noise_off)
@@ -225,12 +227,17 @@ def release(
         noise_off=noise_off,
     )
     values = exact_values(seq, f)
-    exact = np.array(values, float).reshape(T, coords) if histogram else np.array(values, float)
+    if histogram:
+        exact = np.zeros((T, coords))
+        for row, value in zip(exact, values):
+            row[:len(value)] = value
+    else:
+        exact = np.array(values, float)
     est = mech.feed(np.diff(exact, axis=0, prepend=0.0))[1]
     if histogram:
-        errors = np.max(np.abs(est - exact), axis=1, initial=0.0).tolist()
-        rows = zip(values, est.tolist(), errors)
-        report.records = [ReleaseRecord(t, value, tuple(e), err, bound)
+        errors = np.max(np.abs(est - exact), axis=1).tolist()
+        rows = zip(exact.astype(int).tolist(), est.tolist(), errors)
+        report.records = [ReleaseRecord(t, tuple(value), tuple(e), err, bound)
                           for t, (value, e, err) in enumerate(rows, start=1)]
     else:
         rows = zip(exact.tolist(), est.tolist())

@@ -9,8 +9,9 @@ with tag ``+v``, ``-v``, ``+e`` or ``-e`` (any order, repeats allowed)
 and comma-separated items ``<int>``, ``<int>-<int>:<int>`` or
 ``<int>-<int>``, where ``<int>`` is what Python's ``int`` accepts.  Edge
 endpoints may come in either order; the parser puts each key in order.
-``Update`` and ``Graph`` refuse a negative node id and a weight that is not
-a positive ``int``, which this format could not read back.
+``Update`` and ``Graph`` refuse a node id that is not a non-negative
+``int`` and a weight that is not a positive ``int``, which this format
+could not read back.
 Empty fields are omitted on output.  The initial graph is serialized as
 a ``t=0`` line carrying only insertions; a ``t=0`` line is emitted even
 when the initial graph is empty so the horizon is unambiguous.  Lines

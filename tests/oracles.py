@@ -7,20 +7,19 @@ from __future__ import annotations
 
 from continualdp import Graph
 from continualdp.errors import SizeLimitExceeded
-from continualdp.functions import is_connected
 
 MATCHING_DP_LIMIT = 22
 
 
 def min_cut_networkx(g: Graph) -> float:
     """Global minimum cut by networkx; 0 for disconnected or trivial graphs."""
-    if g.n <= 1 or not is_connected(g):
-        return 0.0
     import networkx as nx
 
     G = nx.Graph()
     G.add_nodes_from(g.nodes)
     G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
+    if g.n <= 1 or not nx.is_connected(G):
+        return 0.0
     value, _part = nx.stoer_wagner(G)
     return float(value)
 

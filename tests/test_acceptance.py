@@ -81,9 +81,9 @@ def test_criterion_1_sensitivity_table_soundness():
 
 def test_criterion_2_tightness_fixtures():
     mst = GraphFunction("mst_weight")
-    for W in (2, 3):
+    for W in (1, 2, 3):
         a, b = mst_tightness_pair(W)
-        assert diff_sensitivity(mst, a, b) == 2 * W - 2, W
+        assert diff_sensitivity(mst, a, b) == 2 * W, W
     unbounded_cells = [
         (GraphFunction("high_degree", tau=3), "edge"),
         (GraphFunction("high_degree", tau=3), "node"),
@@ -107,7 +107,7 @@ def test_criterion_2_tightness_fixtures():
         for T in (2, 4, 6):
             a, b = unbounded_pair(f, adjacency, T, W=3)
             assert diff_sensitivity(f, a, b) >= T, (f.label(), adjacency, T)
-    _ok("criterion 2: MST tight at 2W-2 and unbounded fixtures reach >= T")
+    _ok("criterion 2: MST tight at 2W and unbounded fixtures reach >= T")
 
 
 # 3 ---------------------------------------------------------------------
@@ -219,18 +219,19 @@ def test_criterion_6_polylog_growth():
 
 
 def test_criterion_7_monotone_mechanism():
+    # weighted matching of the node gadget runs W * S_t <= W * T, so r = W * T
     T, W, eps, beta, delta = 128, 2, 1.0, 0.5, 0.1
-    f = GraphFunction("min_cut")
+    f = GraphFunction("max_weight_matching")
     rng = RandomSource(SEED)
     all_hold = 0
     runs = 500
     for run in range(runs):
         child = rng.child(f"run{run}")
         sigma = [int(child.child(i).integers(0, 2)) for i in range(T)]
-        seq = gen_event_level("min_cut", "node", sigma, W=W)
-        trues = [float(v) for v in expected_values("min_cut", "node", sigma, W=W)]
+        seq = gen_event_level("matching", "node", sigma, W=W)
+        trues = [float(v) for v in expected_values("matching", "node", sigma, W=W)]
         report = monotone_release(
-            seq, f, eps, beta, delta, child.child("mech"), W=W, true_values=trues
+            seq, f, eps, beta, delta, child.child("mech"), r=W * T, W=W, true_values=trues
         )
         assert report.top_count <= report.c, run
         assert report.c == threshold_budget(beta, report.r)

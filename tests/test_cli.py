@@ -88,15 +88,14 @@ def test_release_monotone_outputs_powers_of_two(runner, tmp_path):
     out = tmp_path / "cut.txt"
     result = runner.invoke(
         main,
-        ["generate", "--target", "min_cut", "--adjacency", "node",
-         "--sigma", "1101", "-W", "2", "--out", str(out)],
+        ["generate", "--target", "min_cut", "--sigma", "1101", "-W", "2", "--out", str(out)],
     )
     assert result.exit_code == 0, result.output
     csv = tmp_path / "mono.csv"
     result = runner.invoke(
         main,
         ["release", "--mechanism", "monotone", "--function", "min_cut",
-         "--epsilon", "1", "--delta", "0.1", "--beta", "1", "-W", "2",
+         "--epsilon", "1", "--delta", "0.1", "--beta", "1", "-W", "2", "--range-r", "10",
          "--input", str(out), "--out", str(csv), "--seed", "1", "--noise-off"],
     )
     assert result.exit_code == 0, result.output
@@ -119,11 +118,27 @@ def test_release_monotone_requires_weight_bound(runner, tmp_path):
     result = runner.invoke(
         main,
         ["release", "--mechanism", "monotone", "--function", "min_cut",
-         "--epsilon", "1", "--delta", "0.1", "--input", str(out),
+         "--epsilon", "1", "--delta", "0.1", "--range-r", "10", "--input", str(out),
          "--out", str(csv), "--seed", "1"],
     )
     assert result.exit_code == 2, result.output
     assert "weight bound W" in result.output
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("function", ["max_cardinality_matching", "densest_subgraph"])
+def test_release_monotone_requires_declared_range(runner, tmp_path, function):
+    log = tmp_path / "path.txt"
+    log.write_text("t=0 +v:0,1,2\nt=1 +e:0-1:1\nt=2 +e:1-2:1\n")
+    csv = tmp_path / "mono.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--mechanism", "monotone", "--function", function,
+         "--epsilon", "1", "--delta", "0.1", "--input", str(log),
+         "--out", str(csv), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--range-r" in result.output
     assert not csv.exists()
 
 
@@ -153,7 +168,8 @@ def test_release_rejects_non_finite_epsilon(runner, tmp_path, mechanism, functio
         main,
         ["release", "--mechanism", mechanism, "--function", function,
          "--epsilon", epsilon, "--delta", "0.05", "-W", "5", "--input", str(seq),
-         "--out", str(csv), "--seed", "1"],
+         "--out", str(csv), "--seed", "1"]
+        + (["--range-r", "10"] if mechanism == "monotone" else []),
     )
     assert result.exit_code == 2, result.output
     assert "epsilon" in result.output
@@ -167,7 +183,7 @@ def test_release_monotone_rejects_delta_outside_unit_interval(runner, tmp_path, 
     result = runner.invoke(
         main,
         ["release", "--mechanism", "monotone", "--function", "max_weight_matching",
-         "--epsilon", "1", "--delta", delta, "-W", "5", "--input", str(seq),
+         "--epsilon", "1", "--delta", delta, "-W", "5", "--range-r", "10", "--input", str(seq),
          "--out", str(csv), "--seed", "1"],
     )
     assert result.exit_code == 2, result.output
@@ -295,11 +311,42 @@ def test_release_monotone_refuses_node_adjacency(runner, tmp_path):
     result = runner.invoke(
         main,
         ["release", "--mechanism", "monotone", "--function", "min_cut",
-         "--adjacency", "node", "-W", "1", "--epsilon", "1", "--delta", "0.05",
-         "--input", str(log), "--out", str(out), "--seed", "1"],
+         "--adjacency", "node", "-W", "1", "--range-r", "10", "--epsilon", "1",
+         "--delta", "0.05", "--input", str(log), "--out", str(out), "--seed", "1"],
     )
     assert result.exit_code == 3
     assert "unsupported combination: no node-level rho" in result.output
+    assert not out.exists()
+
+
+def test_release_mst_with_unit_weights(runner, tmp_path):
+    # Gamma = 2W = 2 is positive at W = 1; one inserted edge moves the stream by 2
+    log = tmp_path / "one.txt"
+    log.write_text("t=0 +v:0,1,2\nt=1 +e:0-1:1\n")
+    out = tmp_path / "rel.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--function", "mst_weight", "-W", "1", "--epsilon", "1",
+         "--delta", "0.05", "--input", str(log), "--out", str(out), "--seed", "1"],
+    )
+    assert result.exit_code == 0, result.output
+    config = json.loads(out.read_text().splitlines()[2][len("# config: "):])
+    assert config["W"] == 1
+
+
+@pytest.mark.parametrize("last_edges", ["0-4:1,1-4:1", "0-4:1"])
+def test_release_monotone_min_cut_refuses_node_updates(runner, tmp_path, last_edges):
+    log = tmp_path / "tri.txt"
+    log.write_text(f"t=0 +v:0,1,2 +e:0-1:1,0-2:1,1-2:1\nt=1\nt=2 +v:4 +e:{last_edges}\n")
+    out = tmp_path / "rel.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
+         "--range-r", "10", "--epsilon", "1", "--delta", "0.05",
+         "--input", str(log), "--out", str(out), "--seed", "1"],
+    )
+    assert result.exit_code == 2
+    assert "error: min_cut release requires a log without node updates" in result.output
     assert not out.exists()
 
 

@@ -29,10 +29,10 @@ MONOTONE = [
 ]
 
 
-def _outcome(f, g, n_bins=None):
+def _outcome(f, g):
     """The value, or the type of the error the evaluation raised."""
     try:
-        return evaluate(f, g, n_bins=n_bins)
+        return evaluate(f, g)
     except (MissingTerminal, SizeLimitExceeded) as exc:
         return type(exc)
 
@@ -61,20 +61,18 @@ def test_running_values_equal_snapshot_evaluation(seed, kind, start):
     rng = RandomSource(seed)
     seq = random_sequence(rng.child("seq"), n_max=9, T_max=16, kind=kind)
     seq = _with_weight_change(seq, rng.child("change"))
-    # oracle.diff_sensitivity bins a histogram over a pair's union universe
-    wide = len(seq.node_universe()) + 3
-    cases = [(f, None) for f in LOCAL + MONOTONE] + [(GraphFunction("degree_histogram"), wide)]
+    cases = LOCAL + MONOTONE
     # every value is kept on the same state from step ``start`` on
     for t, g in enumerate(seq.iter_graphs(), start=1):
         assert isinstance(g, DynamicGraph)
         if t < start:
             continue
         snap = Graph(g.nodes, g.edges)
-        for f, n_bins in cases:
-            assert _outcome(f, g, n_bins) == _outcome(f, snap, n_bins), (t, f)
+        for f in cases:
+            assert _outcome(f, g) == _outcome(f, snap), (t, f)
     if start <= seq.T:
         # every value is kept but edge_count and those whose evaluation raised
-        raised = sum(isinstance(_outcome(f, snap, n_bins), type) for f, n_bins in cases)
+        raised = sum(isinstance(_outcome(f, snap), type) for f in cases)
         assert len(g.running) >= len(cases) - 1 - raised
 
 
@@ -121,20 +119,13 @@ def test_mst_insert_joining_trees_and_replacing_the_heaviest_cycle_edge():
 
 
 def test_histogram_bins_follow_node_insertions_and_deletions():
+    # bins run to the current max degree: the last step drops bin 2
     g = Graph.from_edges([(0, 1)], extra_nodes=[2])
     grow = Update(v_ins={3}, e_ins={(2, 3): 1, (1, 3): 1})
     shrink = Update(v_del={0}, e_del={(0, 1)})
-    assert _values(g, grow, shrink, f="degree_histogram") == [(0, 2, 2, 0), (0, 2, 1, 0)]
-
-
-def test_histogram_with_too_few_bins_raises_as_the_oracle_does():
-    g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-    state = DynamicGraph(g)
-    f = GraphFunction("degree_histogram")
-    with pytest.raises(IndexError):
-        evaluate(f, Graph(g.nodes, g.edges), n_bins=3)
-    with pytest.raises(IndexError):
-        evaluate(f, state, n_bins=3)
+    flatten = Update(e_del={(1, 3)})
+    assert _values(g, grow, shrink, flatten, f="degree_histogram") == [
+        (0, 2, 2), (0, 2, 1), (1, 2)]
 
 
 def _loads_networkx(code: str) -> bool:
@@ -153,7 +144,7 @@ from continualdp import monotone_release
 seq = GraphSequence(Graph(range(4)), [Update(e_ins={(0, 1): 1, (2, 3): 1}),
                                       Update(e_ins={(1, 2): 1}), Update(e_ins={(0, 3): 1})])
 for name in ("min_cut", "max_cardinality_matching", "densest_subgraph"):
-    monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(1), W=1)
+    monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(1), r=8.0, W=1)
 """
     assert not _loads_networkx(code)
 
@@ -202,10 +193,9 @@ def test_matching_after_deleting_a_matched_edge():
 def test_decremental_exact_values_equal_snapshot_evaluation(seed):
     seq = random_sequence(RandomSource(seed), n_max=9, T_max=12, kind="decremental")
     snaps = seq.materialize()
-    n_bins = len(seq.node_universe())
     for name in sorted(functions.FUNCTION_NAMES):
         f = GraphFunction(name, tau=2, k=2, s=0, t=1)
-        want = [_outcome(f, g, n_bins if name == "degree_histogram" else None) for g in snaps]
+        want = [_outcome(f, g) for g in snaps]
         error = next((x for x in want if isinstance(x, type)), None)
         if error is None:
             assert exact_values(seq, f) == want, name

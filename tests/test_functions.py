@@ -74,7 +74,9 @@ def test_histogram_sums_to_node_count():
         g = random_graph(rng.child(i), n=2 + rng.integers(0, 6))
         hist = degree_histogram(g)
         assert sum(hist) == g.n
-        assert degree_histogram(g, n_bins=g.n + 3) == hist + (0, 0, 0)
+        # bins run to the max degree, whose bin is never empty
+        assert len(hist) == 1 + max(g.degrees().values()) and hist[-1] > 0
+    assert degree_histogram(Graph()) == ()
 
 
 def test_one_star_count_is_twice_the_edges():
@@ -186,9 +188,7 @@ def test_evaluate_dispatch_matches_direct_calls():
     assert evaluate(GraphFunction("triangle_count"), g) == triangle_count(g)
     assert evaluate(GraphFunction("high_degree", tau=3), g) == high_degree(g, 3)
     assert evaluate(GraphFunction("st_min_cut", s=0, t=3), g) == st_min_cut(g, 0, 3)
-    assert evaluate(GraphFunction("degree_histogram"), g, n_bins=6) == degree_histogram(
-        g, 6
-    )
+    assert evaluate(GraphFunction("degree_histogram"), g) == degree_histogram(g)
 
 
 def test_static_sensitivity_values():

@@ -234,12 +234,14 @@ def test_spread_requires_enough_nodes():
 
 
 def test_mst_tightness_pair_is_adjacent_and_tight():
-    for W in (2, 3, 5):
+    for W in (1, 2, 3, 5):
         a, b = mst_tightness_pair(W)
         assert check_adjacency(a, b, AdjacencyKind.EDGE_EVENT) is not None
         from continualdp import diff_sensitivity
 
-        assert diff_sensitivity(GraphFunction("mst_weight"), a, b) == 2 * W - 2
+        assert diff_sensitivity(GraphFunction("mst_weight"), a, b) == 2 * W
+    with pytest.raises(ParameterOutOfRange):
+        mst_tightness_pair(0)
 
 
 def test_unbounded_pairs_are_valid_and_adjacent():

@@ -183,12 +183,11 @@ def test_materialize_reports_offending_step():
         seq.materialize()
 
 
-def test_node_universe_and_bounds():
+def test_degree_and_weight_bounds():
     g = Graph.from_edges([(0, 1, 4)])
     seq = GraphSequence(
         g, [Update(v_ins={5}, e_ins={(0, 5): 2}), Update(e_del={(0, 5)}, v_del={5})]
     )
-    assert seq.node_universe() == frozenset({0, 1, 5})
     assert seq.max_degree() == 2
     assert seq.max_weight() == 4
 

@@ -30,7 +30,8 @@ def test_import_loads_no_lazy_module(code):
         (["release", "--function", "edge_count"], []),
         (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"], []),
         # the control: the monotone mechanism is loaded when it runs
-        (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1"],
+        (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
+          "--range-r", "10"],
          ["continualdp.monotone"]),
     ],
     ids=["release", "experiment", "monotone"],

@@ -24,7 +24,7 @@ from continualdp.errors import (
     UnknownRange,
     WeightViolation,
 )
-from continualdp.monotone import MonotoneMechanism, default_range
+from continualdp.monotone import MonotoneMechanism
 
 
 def test_threshold_budget_values():
@@ -121,17 +121,11 @@ def test_mechanism_never_answers_more_than_c_tops():
         assert mech.svt.count <= mech.c
 
 
-def test_default_range():
-    assert default_range(GraphFunction("min_cut"), n=10, W=3) == 30.0
-    assert default_range(GraphFunction("densest_subgraph"), n=10, W=3) == 10.0
-    with pytest.raises(UnknownRange):
-        default_range(GraphFunction("edge_count"), n=10, W=3)
-
-
 def test_monotone_release_incremental_zero_noise():
-    seq = gen_event_level("min_cut", "node", [1, 1, 0, 1], W=2)
+    seq = gen_event_level("min_cut", "edge", [1, 1, 0, 1], W=2)
     report = monotone_release(
-        seq, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), W=2, noise_off=True
+        seq, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0),
+        r=16.0, W=2, noise_off=True,
     )
     assert [rec.true for rec in report.records] == [2.0, 4.0, 4.0, 6.0]
     for rec in report.records:
@@ -140,10 +134,11 @@ def test_monotone_release_incremental_zero_noise():
 
 
 def test_monotone_release_decremental_reverses():
-    fwd = gen_event_level("min_cut", "node", [1, 1, 1], W=2)
+    fwd = gen_event_level("min_cut", "edge", [1, 1, 1], W=2)
     dec = reversed_sequence(fwd)
     report = monotone_release(
-        dec, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), W=2, noise_off=True
+        dec, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0),
+        r=16.0, W=2, noise_off=True,
     )
     assert [rec.t for rec in report.records] == [1, 2, 3]
     trues = [rec.true for rec in report.records]
@@ -153,38 +148,63 @@ def test_monotone_release_decremental_reverses():
 
 
 def test_monotone_release_rejects_fully_dynamic():
-    from continualdp import Graph, GraphSequence, Update
-
     g = Graph.from_edges([(0, 1, 2)])
     seq = GraphSequence(g, [Update(e_del={(0, 1)}), Update(e_ins={(0, 1): 1})])
     with pytest.raises(NonMonotoneInput):
-        monotone_release(seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0))
+        monotone_release(seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0), r=8.0)
 
 
 def test_monotone_release_rejects_local_functions():
     seq = gen_event_level("edge_count", "edge", [1, 1])
     with pytest.raises(UnknownRange):
-        monotone_release(seq, GraphFunction("edge_count"), 1.0, 0.5, 0.1, RandomSource(0))
+        monotone_release(seq, GraphFunction("edge_count"), 1.0, 0.5, 0.1, RandomSource(0),
+                         r=8.0)
 
 
 def test_true_values_override_must_match_length():
-    seq = gen_event_level("min_cut", "node", [1, 0], W=2)
+    seq = gen_event_level("min_cut", "edge", [1, 0], W=2)
     with pytest.raises(OutOfRange):
         monotone_release(
-            seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0), W=2,
+            seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0), r=8.0, W=2,
             true_values=[2.0],
         )
 
 
-@pytest.mark.parametrize(
-    "name", ["min_cut", "max_weight_matching", "max_cardinality_matching"]
-)
+@pytest.mark.parametrize("name", ["min_cut", "max_weight_matching"])
 def test_monotone_release_requires_declared_weight_bound(name):
     seq = gen_event_level("min_cut", "node", [1, 1], W=2)
     with pytest.raises(OutOfRange, match="weight bound W"):
-        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0))
+        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0), r=8.0)
     with pytest.raises(WeightViolation, match="max weight 2 exceeds declared W=1"):
-        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0), W=1)
+        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0),
+                         r=8.0, W=1)
+
+
+def test_monotone_release_requires_a_declared_range():
+    seq = gen_event_level("min_cut", "edge", [1, 1], W=2)
+    with pytest.raises(TypeError, match="'r'"):
+        monotone_release(seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0), W=2)
+
+
+@pytest.mark.parametrize("name", ["min_cut", "st_min_cut"])
+@pytest.mark.parametrize("last_edges", [{(0, 4): 1, (1, 4): 1}, {(0, 4): 1}])
+def test_cut_release_refuses_node_updates_before_evaluating(monkeypatch, name, last_edges):
+    # at the second step the cut stays 2 with both edges and drops to 1
+    # without (1, 4); the update types alone decide, so both are refused
+    monkeypatch.setattr("continualdp.monotone.exact_values", lambda *a: pytest.fail("evaluated"))
+    triangle = Graph.from_edges([(0, 1), (0, 2), (1, 2)])
+    seq = GraphSequence(triangle, [Update(), Update(v_ins={4}, e_ins=last_edges)])
+    f = GraphFunction(name, s=0, t=1)
+    with pytest.raises(NonMonotoneInput, match="requires a log without node updates"):
+        monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(0), r=8.0, W=1)
+
+
+def test_cut_release_refuses_node_deletions():
+    g = Graph.from_edges([(0, 1), (1, 2)], extra_nodes=[3])
+    seq = GraphSequence(g, [Update(v_del={3})])
+    with pytest.raises(NonMonotoneInput, match="requires a log without node updates"):
+        monotone_release(seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0),
+                         r=8.0, W=1)
 
 
 def test_monotone_release_without_weight_when_calibration_ignores_it():
@@ -207,13 +227,14 @@ def test_monotone_release_refuses_node_adjacency(name):
     seq = _k5_then_node_9()
     with pytest.raises(UnboundedSensitivity, match="node-level"):
         monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(1),
-                         W=1, adjacency="node")
+                         r=8.0, W=1, adjacency="node")
 
 
 def test_monotone_release_default_adjacency_is_edge():
     seq = _k5_then_node_9()
     f = GraphFunction("max_cardinality_matching")
-    rep = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), W=1, noise_off=True)
-    same = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), W=1, noise_off=True,
-                            adjacency="edge")
+    rep = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), r=8.0, W=1,
+                           noise_off=True)
+    same = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), r=8.0, W=1,
+                            noise_off=True, adjacency="edge")
     assert [r.true for r in rep.records] == [r.true for r in same.records] == [2.0, 3.0]

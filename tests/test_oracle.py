@@ -11,6 +11,7 @@ from continualdp import (
     diff_sensitivity,
     gen_event_level,
     mst_tightness_pair,
+    sensitivity_bound,
 )
 from continualdp.errors import BudgetExceeded, OutOfRange
 from continualdp import oracle as oracle_mod
@@ -108,20 +109,54 @@ def test_halved_formula_is_flagged_as_violation(monkeypatch):
     assert verdict.details["worst_ratio"] > 1.0
 
 
-def test_disconnected_pairs_are_outside_the_mst_domain():
-    # a weight-2 bridge between two components raises the forest weight
-    # by 2, and a later unit edge swaps it back out of the tree; the
-    # distance reaches 4 > 2W - 2 at W = 2, so such pairs are excluded
-    # from the connected domain of the closed form
-    init = Graph(range(4), {(0, 1): 1, (2, 3): 1})
-    bridge = Update(e_ins={(1, 2): 2})
-    close = Update(e_ins={(0, 3): 1})
-    a = GraphSequence(init, [bridge, close])
-    b = GraphSequence(init, [Update(), close])
+def test_forest_pairs_count_in_the_mst_domain():
+    # A's weight-3 edge joins two trees, then leaves the cycle (0, 2)
+    # closes: L1 = 6 = 2W, and no connectivity filter drops such a pair
+    init = Graph(range(3))
+    rest = [Update(e_ins={(1, 2): 1}), Update(e_ins={(0, 2): 1})]
+    a = GraphSequence(init, [Update(e_ins={(0, 1): 3}), *rest])
+    b = GraphSequence(init, [Update(), *rest])
     f = GraphFunction("mst_weight")
-    assert diff_sensitivity(f, a, b) == 4.0
-    assert not oracle_mod._pair_in_domain(f, (a, b))
-    assert oracle_mod._pair_in_domain(GraphFunction("edge_count"), (a, b))
+    assert diff_sensitivity(f, a, b) == 6.0 == sensitivity_bound(f, "edge", "incremental", W=3)
+    assert (a, b) == mst_tightness_pair(3)
+    scope = OracleScope(n_max=3, T_max=3, W_max=3, max_pairs=1)
+    assert (a, b) in list(oracle_mod._pairs(f, scope))
+    # a bridge between two components, swapped out by a later unit edge
+    init = Graph(range(4), {(0, 1): 1, (2, 3): 1})
+    close = Update(e_ins={(0, 3): 1})
+    a = GraphSequence(init, [Update(e_ins={(1, 2): 2}), close])
+    b = GraphSequence(init, [Update(), close])
+    assert diff_sensitivity(f, a, b) == 4.0 == sensitivity_bound(f, "edge", "incremental", W=2)
+
+
+@pytest.mark.parametrize("regime", ["incremental", "decremental"])
+def test_mst_edge_cells_are_tight_at_2w(regime):
+    # the embedded fixtures are incremental pairs in either regime
+    verdict = compare_with_table(
+        GraphFunction("mst_weight"),
+        OracleScope(n_max=4, T_max=4, W_max=3, regime=regime, max_pairs=200, seed=7),
+    )
+    assert verdict.status == "Tight"
+    assert verdict.oracle_value == verdict.formula_at_max == 6.0
+
+
+@pytest.mark.parametrize("regime", ["incremental", "decremental"])
+def test_mst_node_cells_are_sound(regime):
+    verdict = compare_with_table(
+        GraphFunction("mst_weight"),
+        OracleScope(n_max=5, T_max=4, W_max=3, D_max=4, adjacency="node", regime=regime,
+                    max_pairs=200, seed=3),
+    )
+    assert verdict.status != "Violation"
+
+
+def test_diff_sensitivity_pads_histograms_to_a_common_width():
+    # b's star gives node 0 degree 2, a bin a's histograms never reach
+    init = Graph(range(3))
+    a = GraphSequence(init, [Update(e_ins={(0, 1): 1})])
+    b = GraphSequence(init, [Update(e_ins={(0, 1): 1, (0, 2): 1})])
+    # (1, 2) against (0, 2, 1): bins 0, 1 and 2 move by 1, 0 and 1
+    assert diff_sensitivity(GraphFunction("degree_histogram"), a, b) == 2.0
 
 
 def test_node_level_counting_cells_are_sound():

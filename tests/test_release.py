@@ -5,12 +5,18 @@ import pytest
 
 from continualdp import (
     UNBOUNDED,
+    AdjacencyKind,
     BinaryMechanism,
+    Graph,
     GraphFunction,
     GraphSequence,
     RandomSource,
+    Update,
+    check_adjacency,
+    diff_sensitivity,
     evaluate,
     gen_event_level,
+    parse_sequence,
     release,
     sensitivity_bound,
     theoretical_release_error,
@@ -36,7 +42,7 @@ def test_edge_adjacent_table():
     assert sensitivity_bound(GraphFunction("triangle_count"), "edge", PD, D=5) == 5
     # 2 * (C(4,2) - C(3,2)) = 6
     assert sensitivity_bound(GraphFunction("kstar_count", k=2), "edge", PD, D=4) == 6
-    assert sensitivity_bound(GraphFunction("mst_weight"), "edge", PD, W=10) == 18
+    assert sensitivity_bound(GraphFunction("mst_weight"), "edge", PD, W=10) == 20
 
 
 def test_node_adjacent_table():
@@ -99,17 +105,18 @@ def test_zero_noise_release_reconstructs_exactly():
     for i in range(40):
         seq = random_sequence(rng.child(i), kind="incremental")
         for f, _kw in _functions():
-            # +2 and +1 keep Gamma positive: k-stars with D < k and MST with W = 1 give 0
+            # +2 keeps Gamma positive: k-stars with D < k give 0
+            D = seq.max_degree() + 2
             report = release(
                 seq, f, 1.0, 0.05, rng.child(f"{i}:{f.name}"),
-                D=seq.max_degree() + 2, W=seq.max_weight() + 1, noise_off=True,
+                D=D, W=seq.max_weight(), noise_off=True,
             )
-            n_bins = len(seq.node_universe()) if f.name == "degree_histogram" else None
             for rec, g in zip(report.records, seq.iter_graphs()):
                 assert rec.abs_error == 0
-                truth = evaluate(f, g, n_bins=n_bins)
+                truth = evaluate(f, g)
                 if isinstance(truth, tuple):
-                    assert tuple(rec.released) == tuple(float(v) for v in truth)
+                    padded = truth + (0,) * (D + 1 - len(truth))
+                    assert rec.released == tuple(float(v) for v in padded)
                 else:
                     assert rec.released == float(truth)
 
@@ -138,8 +145,6 @@ def test_unbounded_combination_is_rejected():
 
 
 def test_fully_dynamic_mst_is_rejected():
-    from continualdp import Graph, GraphSequence, Update
-
     g = Graph.from_edges([(0, 1, 2)])
     seq = GraphSequence(g, [Update(e_del={(0, 1)}), Update(e_ins={(0, 1): 3})])
     with pytest.raises(UnboundedSensitivity):
@@ -159,12 +164,10 @@ def test_declared_contract_bounds_are_validated():
 def test_histogram_release_runs_one_mechanism_per_bin():
     seq = gen_event_level("degree_histogram", "edge", [1, 0, 1])
     f = GraphFunction("degree_histogram")
-    report = release(
-        seq, f, 1.0, 0.05, RandomSource(2), D=seq.max_degree(), noise_off=True
-    )
-    n = len(seq.node_universe())
+    D = seq.max_degree() + 3
+    report = release(seq, f, 1.0, 0.05, RandomSource(2), D=D, noise_off=True)
     for rec in report.records:
-        assert len(rec.released) == n
+        assert len(rec.released) == len(rec.true) == D + 1
         assert rec.abs_error == 0
 
 
@@ -198,7 +201,7 @@ def test_histogram_release_equals_per_bin_mechanisms(monkeypatch, adjacency):
         report = release(seq, f, 0.8, 0.05, RandomSource(50 + i), adjacency=adjacency, D=D)
         assert len(built) == i + 1
         gamma = sensitivity_bound(f, adjacency, PD, D=D)
-        n = len(seq.node_universe())
+        n = D + 1
         per_bin = [
             BinaryMechanism(seq.T, 0.8, RandomSource(50 + i).child(f"coord{b}"),
                             item_width=gamma)
@@ -206,7 +209,8 @@ def test_histogram_release_equals_per_bin_mechanisms(monkeypatch, adjacency):
         ]
         prev = [0.0] * n
         for rec, g in zip(report.records, seq.iter_graphs()):
-            truth = evaluate(f, g, n_bins=n)
+            truth = evaluate(f, g)
+            truth += (0,) * (n - len(truth))
             vec = [float(v) for v in truth]
             est = [m.feed(v - p)[1] for m, v, p in zip(per_bin, vec, prev)]
             prev = vec
@@ -217,12 +221,36 @@ def test_histogram_release_equals_per_bin_mechanisms(monkeypatch, adjacency):
 
 
 def test_histogram_release_without_nodes_is_empty():
-    from continualdp import Graph, Update
-
+    # an empty histogram still has the D + 1 bins 0..D, all zero
     seq = GraphSequence(Graph.from_edges([]), [Update(), Update()])
-    report = release(seq, GraphFunction("degree_histogram"), 1.0, 0.05, RandomSource(1), D=1)
+    report = release(seq, GraphFunction("degree_histogram"), 1.0, 0.05, RandomSource(1),
+                     D=1, noise_off=True)
     records = [(rec.true, rec.released, rec.abs_error) for rec in report.records]
-    assert records == [((), (), 0.0)] * 2
+    assert records == [((0, 0), (0.0, 0.0), 0.0)] * 2
+
+
+def test_node_adjacent_histograms_release_the_same_width():
+    # the partner adds node 3 with edge (2, 3) at t=2; both release bins 0..D
+    a = parse_sequence("t=0 +v:0,1,2\nt=1 +e:0-1:1\nt=2 +e:1-2:1\n")
+    b = parse_sequence("t=0 +v:0,1,2\nt=1 +e:0-1:1\nt=2 +v:3 +e:1-2:1,2-3:1\n")
+    assert check_adjacency(a, b, AdjacencyKind.NODE_EVENT) is not None
+    f = GraphFunction("degree_histogram")
+    for seq in (a, b):
+        report = release(seq, f, 1.0, 0.05, RandomSource(1), adjacency="node", D=3)
+        assert report.gamma == 43
+        assert all(len(rec.released) == len(rec.true) == 4 for rec in report.records)
+    assert [rec.true for rec in report.records] == [(1, 2, 0, 0), (0, 2, 2, 0)]
+
+
+def test_mst_gamma_covers_a_forest_pair():
+    # a weight-W edge joins two trees, then leaves the cycle (0, 2) closes
+    init = Graph(range(3))
+    rest = [Update(e_ins={(1, 2): 1}), Update(e_ins={(0, 2): 1})]
+    a = GraphSequence(init, [Update(e_ins={(0, 1): 3}), *rest])
+    b = GraphSequence(init, [Update(), *rest])
+    f = GraphFunction("mst_weight")
+    report = release(a, f, 1.0, 0.05, RandomSource(1), W=3)
+    assert diff_sensitivity(f, a, b) == report.gamma == 6.0
 
 
 def test_histogram_error_is_max_over_bins():

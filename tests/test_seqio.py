@@ -53,6 +53,16 @@ def test_unserializable_weights_and_node_ids_refused(make):
         make()
 
 
+@pytest.mark.parametrize("node", [True, 1.5])
+def test_non_int_node_ids_refused_before_serializing(node):
+    # serialize_sequence would write +v:True,2 or +v:1.5,2, which the parser refuses
+    with pytest.raises(InvalidUpdate, match="is not an int"):
+        GraphSequence(Graph({node, 2}), [Update()])
+    for field in ("v_ins", "v_del"):
+        with pytest.raises(InvalidUpdate, match="is not an int"):
+            Update(**{field: {node, 2}})
+
+
 def test_serialized_form_is_stable():
     g = Graph.from_edges([(0, 1, 2)], extra_nodes=[5])
     seq = GraphSequence(
