@@ -15,7 +15,9 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -25,8 +27,8 @@ from .errors import ContinualDPError, UnboundedSensitivity, UnknownCombination
 from .functions import EVENT_TARGETS, GraphFunction, evaluate
 from .graphs import GraphSequence
 from .noise import RandomSource, concentration_bound, sample_laplace
+from .release import ReleaseReport, exact_values, sensitivity_bound, theoretical_release_error
 from .release import release as diff_release
-from .release import exact_values, sensitivity_bound, theoretical_release_error
 from .seqio import parse_sequence, serialize_sequence
 
 SEED_ENV = "CONTINUAL_DP_SEED"
@@ -56,18 +58,37 @@ def _resolve_seed(seed: int | None) -> RandomSource:
 
 def _metadata_lines(seed: int, config: dict) -> list[str]:
     return [
-        f"# artifact-version: {__version__}",
-        f"# seed: {seed}",
-        "# config: " + json.dumps(config, sort_keys=True),
+        f"# artifact-version: {__version__}\n",
+        f"# seed: {seed}\n",
+        "# config: " + json.dumps(config, sort_keys=True) + "\n",
     ]
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _write(path: str | None, *parts: Iterable[str]) -> None:
+    """Write each part's lines, which end in a newline, to ``path`` or to
+    stdout, as the parts yield them."""
     if path is None:
-        click.echo(text, nl=False)
+        out = click.get_text_stream("stdout")
+        out.writelines(chain(*parts))
+        out.flush()
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(chain(*parts))
+
+
+def _release_rows(report: ReleaseReport) -> Iterator[str]:
+    """The CSV rows of a difference release, formatted from its columns."""
+    steps = range(1, len(report.exact) + 1)
+    if report.exact.ndim == 1:  # %-formatting writes the same text as an f-string, faster
+        cols = (report.exact.tolist(), report.est.tolist(), report.abs_error.tolist())
+        return map("%d,%r,%.6f,%.6f,%.6f\n".__mod__,
+                   zip(steps, *cols, repeat(report.bound)))
+    bound = f"{report.bound:.6f}"
+    return (
+        f"{t},{';'.join(map(str, true))},{';'.join(f'{v:.6f}' for v in est)},{err:.6f},{bound}\n"
+        for t, true, est, err in zip(steps, report.exact.astype(int).tolist(),
+                                     report.est.tolist(), report.abs_error.tolist())
+    )
 
 
 def _load_sequence(path: str) -> GraphSequence:
@@ -171,14 +192,10 @@ def generate(target, adjacency, sigma, weight, degree, tau, k, flip, out) -> Non
 def eval_cmd(function, tau, k, s, t_, input_, out) -> None:
     """Exact per-step values of a statistic along an update log."""
     f = _build_function(function, tau, k, s, t_)
-    seq = _load_sequence(input_)
-    lines = ["t,value"]
-    for t, val in enumerate(exact_values(seq, f), start=1):
-        if isinstance(val, tuple):
-            lines.append(f"{t},\"{';'.join(str(v) for v in val)}\"")
-        else:
-            lines.append(f"{t},{val}")
-    _write_lines(out, lines)
+    values = exact_values(_load_sequence(input_), f)
+    rows = (f"{t},\"{';'.join(map(str, val))}\"\n" if isinstance(val, tuple) else f"{t},{val}\n"
+            for t, val in enumerate(values, start=1))
+    _write(out, ["t,value\n"], rows)
 
 
 @main.command("release")
@@ -222,19 +239,8 @@ def release_cmd(
             seq, f, epsilon, delta, rng,
             adjacency=adjacency, D=degree_bound, W=weight_bound, noise_off=noise_off,
         )
-        lines = _metadata_lines(rng.seed, config)
-        lines.append("t,true,released,abs_error,bound")
-        if f.name == "degree_histogram":  # one vector per step
-            for rec in report.records:
-                true = ";".join(map(str, rec.true))
-                rel = ";".join(f"{v:.6f}" for v in rec.released)
-                lines.append(f"{rec.t},{true},{rel},{rec.abs_error:.6f},{rec.bound:.6f}")
-        else:  # %-formatting writes the same text as an f-string, faster
-            lines.extend(
-                "%d,%r,%.6f,%.6f,%.6f" % (rec.t, rec.true, rec.released, rec.abs_error, rec.bound)
-                for rec in report.records
-            )
-        _write_lines(out, lines)
+        _write(out, _metadata_lines(rng.seed, config),
+               ["t,true,released,abs_error,bound\n"], _release_rows(report))
         click.echo(
             f"max |error| {report.max_abs_error:.4f}, bound {report.bound:.4f}, "
             f"seed {rng.seed}"
@@ -247,14 +253,11 @@ def release_cmd(
             seq, f, epsilon, beta, delta, rng,
             r=range_r, W=weight_bound, adjacency=adjacency, noise_off=noise_off,
         )
-        lines = _metadata_lines(rng.seed, config)
-        lines.append("t,true,output,lower_ok,upper_ok,alpha")
-        for rec in report.records:
-            lines.append(
-                f"{rec.t},{rec.true},{rec.output:.6f},"
-                f"{int(rec.lower_ok)},{int(rec.upper_ok)},{rec.alpha:.6f}"
-            )
-        _write_lines(out, lines)
+        rows = (f"{rec.t},{rec.true},{rec.output:.6f},"
+                f"{int(rec.lower_ok)},{int(rec.upper_ok)},{rec.alpha:.6f}\n"
+                for rec in report.records)
+        _write(out, _metadata_lines(rng.seed, config),
+               ["t,true,output,lower_ok,upper_ok,alpha\n"], rows)
         click.echo(
             f"alpha {report.alpha:.4f}, top answers {report.top_count}/{report.c}, "
             f"seed {rng.seed}"
@@ -400,7 +403,7 @@ def _verify_bounds() -> list[tuple[str, bool]]:
     report = diff_release(
         seq, GraphFunction("edge_count"), 1.0, 0.05, RandomSource(3), noise_off=True
     )
-    ok = all(rec.abs_error == 0 for rec in report.records)
+    ok = report.max_abs_error == 0
     results.append(("zero-noise reconstruction", ok))
     bound64 = theoretical_release_error(1.0, 1.0, 0.05, 64)
     bound4096 = theoretical_release_error(1.0, 1.0, 0.05, 4096)
@@ -459,7 +462,7 @@ def experiment_cmd(
         "adjacency": adjacency,
         "trials": trials,
     }
-    rows = ["trial,seed,max_abs_error,bound,within_bound"]
+    rows = ["trial,seed,max_abs_error,bound,within_bound\n"]
     errors = []
     bound = 0.0
     for i in range(trials):
@@ -472,7 +475,7 @@ def experiment_cmd(
         errors.append(report.max_abs_error)
         rows.append(
             f"{i},{child.seed},{report.max_abs_error:.6f},{bound:.6f},"
-            f"{int(report.max_abs_error <= bound)}"
+            f"{int(report.max_abs_error <= bound)}\n"
         )
     within = sum(e <= bound for e in errors)
     lo, median, p90, hi = np.quantile(errors, [0.0, 0.5, 0.9, 1.0])
@@ -486,9 +489,8 @@ def experiment_cmd(
         "p90": round(float(p90), 6),
         "max": round(float(hi), 6),
     }
-    lines = _metadata_lines(rng.seed, config)
-    lines.append("# summary: " + json.dumps(summary, sort_keys=True))
-    _write_lines(out, lines + rows)
+    summary_line = "# summary: " + json.dumps(summary, sort_keys=True) + "\n"
+    _write(out, _metadata_lines(rng.seed, config), [summary_line], rows)
     click.echo(f"{within}/{trials} trials within bound {bound:.4f}, seed {rng.seed}")
 
 

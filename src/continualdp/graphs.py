@@ -11,9 +11,11 @@ Within a step, deletions apply before insertions:
 ``V_t = (V_{t-1} \\ v_del) | v_ins`` and likewise for edges.  Deleting
 a node requires all of its incident edges to be listed in ``e_del``.
 
-``Update`` puts every edge key in order on construction (the parser
-already writes them so, and then no key is rebuilt), and an empty
-``Update`` field may be one shared, immutable empty ``frozenset``.
+``Update`` puts every edge key in order on construction; a key that is
+already an ordered pair of ``int`` is kept as given, in ``e_ins`` and
+``e_del`` alike, so the parser's one tuple per edge serves the whole
+log.  An empty ``Update`` field may be one shared, immutable empty
+``frozenset``.
 ``Graph``, ``Update`` and ``GraphSequence`` are immutable by convention;
 operations return new objects and are safe to share read-only across
 threads.  ``DynamicGraph`` is the one mutable state: a pass over a
@@ -35,11 +37,19 @@ _EMPTY: frozenset = frozenset()  # shared by every empty Update field
 
 def edge_key(u: int, v: int) -> EdgeKey:
     """Canonical unordered key for the edge {u, v}."""
+    _check_endpoints(u, v)
     if u == v:
         raise InvalidUpdate(f"self-loop on node {u}")
     if u < 0 or v < 0:
         raise InvalidUpdate(f"negative node id {min(u, v)}")
     return (u, v) if u < v else (v, u)
+
+
+def _check_endpoints(u: int, v: int) -> None:
+    """Refuse an edge endpoint that is not an ``int`` (``True`` among them)."""
+    for x in (u, v):
+        if type(x) is not int:
+            raise InvalidUpdate(f"edge endpoint {x!r} is not an int")
 
 
 def _check_node_ids(nodes: frozenset) -> None:
@@ -75,6 +85,7 @@ class Graph:
     def _validate(self) -> None:
         _check_node_ids(self.nodes)
         for (u, v), w in self.edges.items():
+            _check_endpoints(u, v)
             if u >= v:
                 raise InvalidUpdate(f"edge key ({u},{v}) not canonical")
             if u not in self.nodes or v not in self.nodes:
@@ -158,16 +169,22 @@ class Update:
                 e_ins = {((a, b) if 0 <= a < b else edge_key(a, b)): w for a, b, w in e_ins}
             for k, w in e_ins.items():
                 a, b = k
-                if not 0 <= a < b:
+                if type(a) is not int or type(b) is not int or not 0 <= a < b:
                     k = edge_key(a, b)
                 if type(w) is not int or w < 1:
                     bad_weight = True
                 emap[k] = w
         self.e_ins: dict[EdgeKey, int] = emap
-        self.e_del: frozenset[EdgeKey] = (
-            frozenset((a, b) if 0 <= a < b else edge_key(a, b) for a, b in e_del)
-            if e_del else _EMPTY
-        )
+        self.e_del: frozenset[EdgeKey] = _EMPTY
+        if e_del:
+            keys = []
+            for k in e_del:
+                a, b = k
+                if (type(k) is not tuple or type(a) is not int or type(b) is not int
+                        or not 0 <= a < b):
+                    k = edge_key(a, b)
+                keys.append(k)
+            self.e_del = frozenset(keys)
         if self.v_ins & self.v_del:
             raise InvalidUpdate("a node cannot be inserted and deleted in the same step")
         if self.v_ins:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,8 +140,13 @@ class ReleaseRecord:
     bound: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ReleaseReport:
+    """A release held as columns: ``exact`` and ``est`` have one row per
+    step, ``(T,)`` for a scalar statistic and ``(T, D + 1)`` for a
+    histogram, and ``abs_error`` is each step's largest error.
+    ``records`` builds one ``ReleaseRecord`` per step on first read."""
+
     function: str
     epsilon: float
     delta: float
@@ -148,15 +154,24 @@ class ReleaseReport:
     adjacency: str
     seed: int
     noise_off: bool
-    records: list[ReleaseRecord] = field(default_factory=list)
+    bound: float
+    exact: np.ndarray = field(repr=False)
+    est: np.ndarray = field(repr=False)
+    abs_error: np.ndarray = field(repr=False)
 
     @property
     def max_abs_error(self) -> float:
-        return max((r.abs_error for r in self.records), default=0.0)
+        return float(self.abs_error.max())
 
-    @property
-    def bound(self) -> float:
-        return self.records[0].bound if self.records else 0.0
+    @cached_property
+    def records(self) -> list[ReleaseRecord]:
+        histogram = self.exact.ndim == 2
+        exact = (self.exact.astype(int) if histogram else self.exact).tolist()
+        rows = zip(exact, self.est.tolist(), self.abs_error.tolist())
+        if histogram:
+            rows = ((tuple(v), tuple(e), err) for v, e, err in rows)
+        return [ReleaseRecord(t, v, e, err, self.bound)
+                for t, (v, e, err) in enumerate(rows, start=1)]
 
 
 def exact_values(seq: GraphSequence, f: GraphFunction) -> list:
@@ -215,17 +230,6 @@ def release(
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
     mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0],
                            item_width=gamma, noise_off=noise_off)
-    bound = theoretical_release_error(gamma, epsilon, delta, T)
-
-    report = ReleaseReport(
-        function=f.label(),
-        epsilon=epsilon,
-        delta=delta,
-        gamma=gamma,
-        adjacency=adjacency,
-        seed=rng.seed,
-        noise_off=noise_off,
-    )
     values = exact_values(seq, f)
     if histogram:
         exact = np.zeros((T, coords))
@@ -234,16 +238,20 @@ def release(
     else:
         exact = np.array(values, float)
     est = mech.feed(np.diff(exact, axis=0, prepend=0.0))[1]
-    if histogram:
-        errors = np.max(np.abs(est - exact), axis=1).tolist()
-        rows = zip(exact.astype(int).tolist(), est.tolist(), errors)
-        report.records = [ReleaseRecord(t, tuple(value), tuple(e), err, bound)
-                          for t, (value, e, err) in enumerate(rows, start=1)]
-    else:
-        rows = zip(exact.tolist(), est.tolist())
-        report.records = [ReleaseRecord(t, v, e, abs(e - v), bound)
-                          for t, (v, e) in enumerate(rows, start=1)]
-    return report
+    abs_error = np.abs(est - exact)
+    return ReleaseReport(
+        function=f.label(),
+        epsilon=epsilon,
+        delta=delta,
+        gamma=gamma,
+        adjacency=adjacency,
+        seed=rng.seed,
+        noise_off=noise_off,
+        bound=theoretical_release_error(gamma, epsilon, delta, T),
+        exact=exact,
+        est=est,
+        abs_error=abs_error.max(axis=1) if histogram else abs_error,
+    )
 
 
 __all__ = [

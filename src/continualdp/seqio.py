@@ -9,9 +9,9 @@ with tag ``+v``, ``-v``, ``+e`` or ``-e`` (any order, repeats allowed)
 and comma-separated items ``<int>``, ``<int>-<int>:<int>`` or
 ``<int>-<int>``, where ``<int>`` is what Python's ``int`` accepts.  Edge
 endpoints may come in either order; the parser puts each key in order.
-``Update`` and ``Graph`` refuse a node id that is not a non-negative
-``int`` and a weight that is not a positive ``int``, which this format
-could not read back.
+``Update`` and ``Graph`` refuse a node id or an edge endpoint that is not
+a non-negative ``int`` and a weight that is not a positive ``int``, which
+this format could not read back.
 Empty fields are omitted on output.  The initial graph is serialized as
 a ``t=0`` line carrying only insertions; a ``t=0`` line is emitted even
 when the initial graph is empty so the horizon is unambiguous.  Lines
@@ -70,7 +70,35 @@ def _reject_item(tag: str, item: str) -> None:
         _parse_int(tok, what)
 
 
-def _parse_update(line: str) -> tuple[int, Update]:
+# Parsing a log interns its node ids and edge keys: ``ids`` maps each
+# id token, and each id value, to one ``int``, and ``keys`` maps each
+# ordered pair to one tuple, so every line that names an id or an edge
+# shares that object, and so does the graph state a replay builds.
+
+
+def _node_id(ids: dict, tok: str) -> int:
+    """The one ``int`` of this log for the node-id token ``tok``."""
+    v = ids.get(tok)
+    if v is None:
+        v = int(tok)
+        v = ids[tok] = ids.setdefault(v, v)
+    return v
+
+
+def _edge(ids: dict, keys: dict, uv: str) -> tuple[int, int]:
+    """The one ordered key tuple of this log for the endpoint token ``uv``."""
+    a, b = uv.split("-")
+    a, b = _node_id(ids, a), _node_id(ids, b)
+    k = (a, b) if a < b else (b, a)
+    return keys.setdefault(k, k)
+
+
+def _parse_update(line: str, ids: dict | None = None,
+                  keys: dict | None = None) -> tuple[int, Update]:
+    """Parse one line.  ``ids`` and ``keys`` are the intern tables of the
+    log the line belongs to; a call without them gets fresh ones."""
+    ids = {} if ids is None else ids
+    keys = {} if keys is None else keys
     fields = line.split()
     if not fields or not fields[0].startswith("t="):
         raise FormatError(f"line must start with t=<int>: {line!r}")
@@ -88,24 +116,20 @@ def _parse_update(line: str) -> tuple[int, Update]:
             nodes = v_ins if tag == "+v" else v_del
             for item in items:
                 try:
-                    nodes.append(int(item))
+                    nodes.append(_node_id(ids, item))
                 except ValueError:
                     _reject_item(tag, item)
         elif tag == "+e":
             for item in items:
                 try:
                     uv, w = item.split(":")
-                    a, b = uv.split("-")
-                    a, b = int(a), int(b)
-                    e_ins[(a, b) if a < b else (b, a)] = int(w)
+                    e_ins[_edge(ids, keys, uv)] = int(w)
                 except ValueError:
                     _reject_item(tag, item)
         elif tag == "-e":
             for item in items:
                 try:
-                    a, b = item.split("-")
-                    a, b = int(a), int(b)
-                    e_del.append((a, b) if a < b else (b, a))
+                    e_del.append(_edge(ids, keys, item))
                 except ValueError:
                     _reject_item(tag, item)
         else:
@@ -113,18 +137,27 @@ def _parse_update(line: str) -> tuple[int, Update]:
     return t, Update(v_ins=v_ins, v_del=v_del, e_ins=e_ins, e_del=e_del)
 
 
-def parse_sequence(text: str) -> GraphSequence:
+def _read_updates(text: str) -> dict[int, Update]:
+    """The update of every line by its time index.  The intern tables live
+    for this one call, so they are gone before the log is replayed."""
     updates: dict[int, Update] = {}
+    ids: dict = {}
+    keys: dict = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        t, u = _parse_update(line)
+        t, u = _parse_update(line, ids, keys)
         if t < 0:
             raise FormatError(f"negative time index {t}")
         if t in updates:
             raise FormatError(f"duplicate line for t={t}")
         updates[t] = u
+    return updates
+
+
+def parse_sequence(text: str) -> GraphSequence:
+    updates = _read_updates(text)
     if 0 not in updates:
         raise FormatError("missing t=0 initial-graph line")
     init = updates.pop(0)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -369,3 +370,50 @@ def test_release_rejects_bad_logs(runner, tmp_path, text, message):
     assert result.exit_code == 2
     assert message in result.output
     assert not out.exists()
+
+
+_ROW_COMMANDS = {
+    "release-scalar": ["release", "--function", "edge_count"],
+    "release-histogram": ["release", "--function", "degree_histogram", "-D", "12"],
+    "experiment": ["experiment", "--function", "degree_histogram", "-D", "12", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ROW_COMMANDS))
+def test_cli_builds_no_release_record(runner, tmp_path, monkeypatch, command):
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the CLI built a ReleaseRecord")
+
+    # the package attribute continualdp.release is the function, not the module
+    monkeypatch.setattr(importlib.import_module("continualdp.release"), "ReleaseRecord", Refused)
+    log = _generate(runner, tmp_path)
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [*_ROW_COMMANDS[command], "--epsilon", "1", "--delta", "0.05",
+                                  "--input", str(log), "--seed", "5", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_text().count("\n") > 4
+
+
+@pytest.mark.parametrize(
+    "args, trailer",
+    [
+        (["release", "--function", "edge_count", "--epsilon", "1", "--delta", "0.05"], 1),
+        (["release", "--function", "degree_histogram", "-D", "12", "--epsilon", "1",
+          "--delta", "0.05"], 1),
+        (["release", "--mechanism", "monotone", "--function", "max_cardinality_matching",
+          "--range-r", "9", "--epsilon", "1", "--delta", "0.05"], 1),
+        (["eval", "--function", "degree_histogram"], 0),
+        (["eval", "--function", "triangle_count"], 0),
+    ],
+)
+def test_stdout_rows_match_the_out_file(runner, tmp_path, args, trailer):
+    log = _generate(runner, tmp_path)
+    seed = ["--seed", "8"] if args[0] == "release" else []
+    out = tmp_path / "rows.csv"
+    to_file = runner.invoke(main, [*args, *seed, "--input", str(log), "--out", str(out)])
+    to_stdout = runner.invoke(main, [*args, *seed, "--input", str(log)])
+    assert to_file.exit_code == to_stdout.exit_code == 0, to_stdout.output
+    lines = to_stdout.output.splitlines(keepends=True)
+    assert "".join(lines[:len(lines) - trailer]) == out.read_text()
+    assert to_file.output == "".join(lines[len(lines) - trailer:])

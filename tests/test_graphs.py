@@ -328,3 +328,48 @@ def test_edge_user_rejects_two_keys():
 def test_random_sequences_round_trip_through_reversal(seed):
     seq = random_sequence(RandomSource(seed), n_max=5, T_max=6, kind="fully-dynamic")
     assert reversed_sequence(reversed_sequence(seq)).materialize() == seq.materialize()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Graph({1, 2}, {(True, 2): 1}),
+        lambda: Graph({1, 2}, {(1, 2.0): 1}),
+        lambda: Update(e_ins={(1.0, 2): 1}),
+        lambda: Update(e_ins={(True, 2): 1}),
+        lambda: Update(e_ins=[(1, 2.0, 1)]),
+        lambda: Update(e_del=[(True, 2)]),
+        lambda: Update(e_del=[(2, 1.5)]),
+        lambda: edge_key("1", 2),
+    ],
+    ids=["graph-bool", "graph-float", "ins-float", "ins-bool", "ins-triple-float",
+         "del-bool", "del-float", "edge-key-str"],
+)
+def test_non_int_endpoints_are_refused(make):
+    with pytest.raises(InvalidUpdate, match="is not an int"):
+        make()
+
+
+@pytest.mark.parametrize("x", [True, 1.0, 1])
+def test_an_accepted_endpoint_survives_a_round_trip(x):
+    # before the endpoint check, True and 1.0 were accepted and serialized
+    # as "True-2" and "1.0-2", which the parser refuses
+    from continualdp import parse_sequence, serialize_sequence
+
+    try:
+        seq = GraphSequence(Graph({1, 2}, {(x, 2): 1}),
+                            [Update(e_del=[(x, 2)]), Update(e_ins={(x, 2): 3})])
+    except InvalidUpdate:
+        assert type(x) is not int
+        return
+    assert parse_sequence(serialize_sequence(seq)) == seq
+
+
+def test_update_keeps_canonical_keys_as_given():
+    k, j = (4, 9), (1, 7)
+    u = Update(e_ins={k: 1}, e_del=[j, (8, 3)])
+    assert next(iter(u.e_ins)) is k
+    assert next(x for x in u.e_del if x == j) is j
+    assert (3, 8) in u.e_del
+    # a key that is not a tuple is rebuilt as one
+    assert Update(e_del=[[2, 5]]).e_del == {(2, 5)}

@@ -1,7 +1,10 @@
 import importlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continualdp import (
     UNBOUNDED,
@@ -28,6 +31,7 @@ from continualdp.errors import (
     UnknownCombination,
     WeightViolation,
 )
+from continualdp.release import ReleaseRecord, exact_values
 
 from conftest import random_sequence
 
@@ -267,3 +271,51 @@ def test_theoretical_release_error_grows_with_horizon():
     assert b[0] < b[1] < b[2]
     # polylog shape: quadrupling log T should not square the bound
     assert b[2] / b[0] < (math.log2(4096) / math.log2(8)) ** 2
+
+
+def _eager_records(seq, f, est, bound, D):
+    """The records as release built them before it kept columns: from the
+    exact values, the released values and the bound, step by step."""
+    values = exact_values(seq, f)
+    if f.name == "degree_histogram":
+        exact = np.zeros((seq.T, D + 1))
+        for row, value in zip(exact, values):
+            row[:len(value)] = value
+        errors = np.max(np.abs(est - exact), axis=1).tolist()
+        rows = zip(exact.astype(int).tolist(), est.tolist(), errors)
+        return [ReleaseRecord(t, tuple(value), tuple(e), err, bound)
+                for t, (value, e, err) in enumerate(rows, start=1)]
+    rows = zip(np.array(values, float).tolist(), est.tolist())
+    return [ReleaseRecord(t, v, e, abs(e - v), bound) for t, (v, e) in enumerate(rows, start=1)]
+
+
+_RECORD_FUNCTIONS = [
+    GraphFunction("edge_count"),
+    GraphFunction("high_degree", tau=2),
+    GraphFunction("triangle_count"),
+    GraphFunction("kstar_count", k=2),
+    GraphFunction("mst_weight"),
+    GraphFunction("degree_histogram"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(("incremental", "decremental", "fully-dynamic")),
+    st.sampled_from(_RECORD_FUNCTIONS),
+    st.sampled_from(("edge", "node")),
+)
+def test_records_from_columns_match_the_eager_records(seed, kind, f, adjacency):
+    seq = random_sequence(RandomSource(seed), n_max=7, T_max=14, kind=kind)
+    if kind == "fully-dynamic":  # the one finite fully dynamic cell
+        f, adjacency = GraphFunction("edge_count"), "edge"
+    D = max(seq.max_degree(), 2)  # D = 1 gives some cells Gamma = 0
+    report = release(seq, f, 0.7, 0.05, RandomSource(seed).child("noise"),
+                     adjacency=adjacency, D=D, W=seq.max_weight())
+    want = _eager_records(seq, f, report.est, report.bound, D)
+    # repr tells 1 from 1.0 and -0.0 from 0.0, so this pins value and type
+    assert list(map(repr, report.records)) == list(map(repr, want))
+    assert report.records is report.records
+    assert report.max_abs_error == max(rec.abs_error for rec in want)
+    assert len(report.records) == seq.T and report.records[-1].t == seq.T

@@ -141,3 +141,32 @@ def test_fast_parser_matches_reference(body):
         assert got == want
         if isinstance(want, tuple) and isinstance(want[1], Update):
             assert hash(got[1]) == hash(want[1])
+
+
+def test_a_parsed_log_shares_node_ids_and_edge_keys():
+    text = (
+        "t=0 +v:1000,1001,1002 +e:1001-1000:1\n"
+        "t=1 +e:1002-1001:2\n"
+        "t=2 -e:1000-1001\n"
+        "t=3 +e:01000-1001:1 -e:1001-1002\n"
+        "t=4 -v:01002\n"
+    )
+    seq = parse_sequence(text)
+    (key,) = seq.initial.edges
+    (later,) = seq.updates[0].e_ins
+    assert next(iter(seq.updates[1].e_del)) is key
+    assert next(iter(seq.updates[2].e_ins)) is key
+    assert next(iter(seq.updates[2].e_del)) is later
+    ids = {v: v for v in seq.initial.nodes}
+    assert key[0] is ids[1000] and key[1] is ids[1001]
+    assert later[0] is ids[1001] and later[1] is ids[1002]
+    assert next(iter(seq.updates[3].v_del)) is ids[1002]
+    # the replayed state keys its edges and adjacency on the same objects
+    state = next(seq.iter_graphs())
+    assert next(k for k in state.edges if k == key) is key
+    assert next(v for v in state.adj[ids[1000]]) is ids[1001]
+    # a second parse shares nothing with the first
+    again = parse_sequence(text)
+    (key2,) = again.initial.edges
+    assert key2 == key and key2 is not key
+    assert key2[0] is not key[0] and key2[1] is not key[1]
