@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import ContinualDPError, UnboundedSensitivity, UnknownCombination
@@ -430,6 +429,26 @@ def verify_cmd(suite) -> None:
         sys.exit(1)
 
 
+def _quantiles(values: list[float], qs: Iterable[float]) -> list[float]:
+    """``np.quantile(values, qs)`` with numpy's default ``linear`` rule,
+    bit for bit.  ``np.quantile`` imports ``numpy.ma`` (through
+    ``np.unique``) on its first call, which an experiment otherwise never
+    loads."""
+    v = sorted(values)
+    last = len(v) - 1
+    out = []
+    for q in qs:
+        h = last * q
+        if h >= last:
+            out.append(v[-1])
+            continue
+        i = int(h)
+        a, b, g = v[i], v[i + 1], h - i
+        # numpy's _lerp: interpolate from the nearer end
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return out
+
+
 @main.command("experiment")
 @_add_options(_function_options)
 @click.option("--epsilon", type=float, required=True)
@@ -478,7 +497,7 @@ def experiment_cmd(
             f"{int(report.max_abs_error <= bound)}\n"
         )
     within = sum(e <= bound for e in errors)
-    lo, median, p90, hi = np.quantile(errors, [0.0, 0.5, 0.9, 1.0])
+    lo, median, p90, hi = _quantiles(errors, (0.0, 0.5, 0.9, 1.0))
     summary = {
         "trials": trials,
         "bound": round(bound, 6),

@@ -214,7 +214,7 @@ def _stoer_wagner(weights: np.ndarray) -> tuple[float, list[int]]:
         last_pos = 0
         cut_of_phase = 0.0
         for _ in range(m - 1):
-            pos = int(np.argmax(conn))
+            pos = int(conn.argmax())
             cut_of_phase = conn[pos]
             prev_pos, last_pos = last_pos, pos
             conn += sub[pos]

@@ -15,7 +15,12 @@ a node requires all of its incident edges to be listed in ``e_del``.
 already an ordered pair of ``int`` is kept as given, in ``e_ins`` and
 ``e_del`` alike, so the parser's one tuple per edge serves the whole
 log.  An empty ``Update`` field may be one shared, immutable empty
-``frozenset``.
+``frozenset``.  ``Update(...)`` is the one definition of a valid update;
+two builders whose fields are valid by construction fill the slots
+through ``Update._canonical`` without checking them again: the log
+parser, for a line with no node field whose keys and weights are already
+canonical, and ``reversed_sequence``, whose fields come from updates it
+has just replayed.
 ``Graph``, ``Update`` and ``GraphSequence`` are immutable by convention;
 operations return new objects and are safe to share read-only across
 threads.  ``DynamicGraph`` is the one mutable state: a pass over a
@@ -165,7 +170,7 @@ class Update:
         emap: dict[EdgeKey, int] = {}
         bad_weight = False
         if e_ins:
-            if not isinstance(e_ins, abc.Mapping):
+            if type(e_ins) is not dict and not isinstance(e_ins, abc.Mapping):
                 e_ins = {((a, b) if 0 <= a < b else edge_key(a, b)): w for a, b, w in e_ins}
             for k, w in e_ins.items():
                 a, b = k
@@ -195,6 +200,30 @@ class Update:
             for k, w in emap.items():
                 if type(w) is not int or w < 1:
                     raise InvalidUpdate(f"insert of edge {k} with non-positive weight {w!r}")
+
+    @classmethod
+    def _canonical(
+        cls,
+        e_ins: dict[EdgeKey, int],
+        e_del: Iterable[EdgeKey],
+        v_ins: frozenset[int] = _EMPTY,
+        v_del: frozenset[int] = _EMPTY,
+    ) -> "Update":
+        """The update ``Update(v_ins, v_del, e_ins, e_del)`` would build,
+        with no copy and no check.
+
+        Precondition: every key of ``e_ins`` and ``e_del`` is an ordered
+        pair ``(a, b)`` of ``int`` with ``0 <= a < b``; every weight is an
+        ``int`` of at least 1; ``e_ins`` is a dict no one else holds,
+        which the update keeps; ``v_ins`` and ``v_del`` are disjoint
+        frozensets of non-negative ``int``, each ``_EMPTY`` when empty.
+        """
+        u = object.__new__(cls)
+        u.v_ins = v_ins
+        u.v_del = v_del
+        u.e_ins = e_ins
+        u.e_del = frozenset(e_del) if e_del else _EMPTY
+        return u
 
     @property
     def has_deletions(self) -> bool:
@@ -284,7 +313,7 @@ class DynamicGraph(Graph):
                 raise InvalidUpdate(f"node {v} deleted while edge {k} survives")
             for v in u.v_del:
                 self._node(v, -1)
-        if u.v_ins & nodes:
+        if not u.v_ins.isdisjoint(nodes):
             raise InvalidUpdate(f"inserting already-present nodes {sorted(u.v_ins & nodes)}")
         for v in u.v_ins:
             self._node(v, 1)
@@ -404,12 +433,11 @@ def reversed_sequence(seq: GraphSequence) -> GraphSequence:
     last = seq.initial
     rev: list[Update] = []
     for u, last in zip(seq.updates, seq.iter_graphs()):
+        # u was valid and has just been applied, so its fields swapped
+        # meet the precondition of Update._canonical
         rev.append(
-            Update(
-                v_ins=u.v_del,
-                v_del=u.v_ins,
-                e_ins={k: weight[k] for k in u.e_del},
-                e_del=set(u.e_ins),
+            Update._canonical(
+                {k: weight[k] for k in u.e_del}, u.e_ins.keys(), v_ins=u.v_del, v_del=u.v_ins
             )
         )
         weight.update(u.e_ins)

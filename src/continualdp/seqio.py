@@ -85,18 +85,16 @@ def _node_id(ids: dict, tok: str) -> int:
     return v
 
 
-def _edge(ids: dict, keys: dict, uv: str) -> tuple[int, int]:
-    """The one ordered key tuple of this log for the endpoint token ``uv``."""
-    a, b = uv.split("-")
-    a, b = _node_id(ids, a), _node_id(ids, b)
-    k = (a, b) if a < b else (b, a)
-    return keys.setdefault(k, k)
-
-
 def _parse_update(line: str, ids: dict | None = None,
                   keys: dict | None = None) -> tuple[int, Update]:
     """Parse one line.  ``ids`` and ``keys`` are the intern tables of the
-    log the line belongs to; a call without them gets fresh ones."""
+    log the line belongs to; a call without them gets fresh ones.
+
+    A line with no node field, no self-loop and no weight below 1 is
+    canonical: its ordered keys and its weights are what ``Update`` would
+    accept as they stand, so it is built by ``Update._canonical``.  Any
+    other line goes through ``Update(...)``, which checks it.
+    """
     ids = {} if ids is None else ids
     keys = {} if keys is None else keys
     fields = line.split()
@@ -107,33 +105,50 @@ def _parse_update(line: str, ids: dict | None = None,
     v_del: list[int] = []
     e_ins: dict[tuple[int, int], int] = {}
     e_del: list[tuple[int, int]] = []
+    canonical = True
     for field in fields[1:]:
-        if ":" not in field:
+        tag, sep, body = field.partition(":")
+        if not sep:
             raise FormatError(f"malformed field {field!r}")
-        tag, body = field.split(":", 1)
-        items = body.split(",") if body else []
-        if tag in ("+v", "-v"):
+        items = body.split(",") if body else ()
+        if tag == "+e" or tag == "-e":
+            for item in items:
+                try:
+                    if tag == "+e":
+                        uv, w = item.split(":")
+                        w = int(w)
+                    else:
+                        uv, w = item, 1
+                    a, b = uv.split("-")
+                    x = ids.get(a)
+                    if x is None:
+                        x = _node_id(ids, a)
+                    y = ids.get(b)
+                    if y is None:
+                        y = _node_id(ids, b)
+                except ValueError:
+                    _reject_item(tag, item)
+                k = (x, y) if x < y else (y, x)
+                k = keys.setdefault(k, k)
+                # an endpoint token holds no "-", so it is never negative
+                if w < 1 or x == y:
+                    canonical = False
+                if tag == "+e":
+                    e_ins[k] = w
+                else:
+                    e_del.append(k)
+        elif tag == "+v" or tag == "-v":
+            canonical = False
             nodes = v_ins if tag == "+v" else v_del
             for item in items:
                 try:
                     nodes.append(_node_id(ids, item))
                 except ValueError:
                     _reject_item(tag, item)
-        elif tag == "+e":
-            for item in items:
-                try:
-                    uv, w = item.split(":")
-                    e_ins[_edge(ids, keys, uv)] = int(w)
-                except ValueError:
-                    _reject_item(tag, item)
-        elif tag == "-e":
-            for item in items:
-                try:
-                    e_del.append(_edge(ids, keys, item))
-                except ValueError:
-                    _reject_item(tag, item)
         else:
             raise FormatError(f"unknown field tag {tag!r}")
+    if canonical:
+        return t, Update._canonical(e_ins, e_del)
     return t, Update(v_ins=v_ins, v_del=v_del, e_ins=e_ins, e_del=e_del)
 
 

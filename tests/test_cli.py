@@ -2,11 +2,14 @@ import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from continualdp import __version__, parse_sequence
-from continualdp.cli import main
+from continualdp.cli import _quantiles, main
 
 
 @pytest.fixture
@@ -246,6 +249,18 @@ def test_experiment_writes_csv_and_plot(runner, tmp_path):
     assert summary["min"] == min(errors)
     assert summary["max"] == max(errors)
     assert summary["min"] <= summary["median"] <= summary["p90"] <= summary["max"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=25),
+    st.lists(st.floats(0, 1), max_size=6),
+)
+@example([3.0, 1.0, 2.0, 10.0], [0.0, 0.5, 0.9, 1.0])
+@example([0.1, 0.2, 0.7], [0.25, 0.75, 0.9])  # both sides of the lerp switch
+def test_summary_quantiles_are_numpys_bit_for_bit(values, qs):
+    want = np.quantile(values, qs).tolist() if qs else []
+    assert [x.hex() for x in _quantiles(values, qs)] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

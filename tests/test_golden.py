@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the CLI release output.
+"""Byte-for-byte pins of the CLI release and experiment output.
 
 Each log is built here from a fixed seed, so the test covers the whole
 path: serializing, parsing, replaying, releasing and writing the CSV.
@@ -30,14 +30,14 @@ CASES = {
 }
 
 
-def _release(tmp_path: Path, kind: str, args: list[str]) -> bytes:
+def _run(tmp_path: Path, command: str, kind: str, args: list[str]) -> bytes:
     seq = random_sequence(RandomSource(808), n_max=8, T_max=40, kind=kind)
     log = tmp_path / "seq.log"
     log.write_text(serialize_sequence(seq))
-    out = tmp_path / "release.csv"
+    out = tmp_path / "out.csv"
     result = CliRunner().invoke(
         main,
-        ["release", *args, "--epsilon", "1", "--delta", "0.05",
+        [command, *args, "--epsilon", "1", "--delta", "0.05",
          "--input", str(log), "--seed", "17", "--out", str(out)],
     )
     assert result.exit_code == 0, result.output
@@ -47,4 +47,11 @@ def _release(tmp_path: Path, kind: str, args: list[str]) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_release_output_is_pinned(tmp_path, name):
     kind, args = CASES[name]
-    assert _release(tmp_path, kind, args) == (GOLDEN / f"{name}.csv").read_bytes()
+    assert _run(tmp_path, "release", kind, args) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_experiment_output_is_pinned(tmp_path):
+    # the # summary: line pins the quantiles of the per-trial max error
+    args = ["--function", "degree_histogram", "-D", "12", "--trials", "3"]
+    got = _run(tmp_path, "experiment", "incremental", args)
+    assert got == (GOLDEN / "experiment_degree_histogram.csv").read_bytes()

@@ -213,6 +213,11 @@ def test_reversed_sequence_involution():
         seq = random_sequence(rng.child(i), kind="fully-dynamic")
         rev = reversed_sequence(seq)
         assert rev.initial == seq.materialize()[-1]
+        for r in rev.updates:
+            # built without Update's check, each field is what Update(...) makes
+            want = Update(r.v_ins, r.v_del, r.e_ins, r.e_del)
+            assert r == want
+            assert all(type(getattr(r, f)) is type(getattr(want, f)) for f in Update.__slots__)
         back = reversed_sequence(rev)
         assert back.initial == seq.initial
         assert back.materialize() == seq.materialize()

@@ -37,12 +37,24 @@ def test_import_loads_no_lazy_module(code):
     ids=["release", "experiment", "monotone"],
 )
 def test_cli_runs_load_only_what_they_use(tmp_path, args, loaded):
+    assert _cli_loaded(tmp_path, args, *LAZY) == loaded
+
+
+def test_experiment_leaves_numpy_ma_unloaded(tmp_path):
+    # np.quantile would import it, through np.unique, for the summary line
+    args = ["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "3"]
+    assert _cli_loaded(tmp_path, args, "numpy", "numpy.ma") == ["numpy"]
+
+
+def _cli_loaded(tmp_path, args, *modules):
+    """Which of ``modules`` a CLI run on a small log leaves loaded."""
     log, out = tmp_path / "seq.txt", tmp_path / "out.csv"
     log.write_text("t=0 +v:0,1,2,3\nt=1 +e:0-1:1,1-2:1\nt=2 +e:2-3:1\nt=3 +e:0-3:1\n")
     args = [*args, "--epsilon", "1", "--delta", "0.05", "--input", str(log),
             "--out", str(out), "--seed", "1"]
-    assert loaded_modules(_CLI.format(args=args), *LAZY) == loaded
+    loaded = loaded_modules(_CLI.format(args=args), *modules)
     assert out.read_text().count("\n") > 3
+    return loaded
 
 
 def test_every_public_name_resolves():

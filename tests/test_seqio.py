@@ -11,6 +11,7 @@ from continualdp import (
     serialize_sequence,
 )
 from continualdp.errors import FormatError, InvalidUpdate
+from continualdp.graphs import _EMPTY
 from continualdp.seqio import _parse_update
 
 from conftest import random_sequence
@@ -134,6 +135,13 @@ _TOKENS += list("0123456789")
 @example("t=1 +e:0-1:0,2-2:1")  # a self-loop is reported before a bad weight
 @example("t=1 +e:1-0:5,0-1:6,1-0:7 -e:3-2,2-3")
 @example("t=1 +v:1 -v:1 +e:0-0:1")
+# each kind of line that Update(...) must check, next to canonical edges
+@example("t=1 +e:0-1:1 -v:2")  # a node field
+@example("t=1 +v:3 -e:0-1")
+@example("t=1 +e:0-1:1 -e:4-4")  # a self-loop
+@example("t=1 +v:-1 +e:0-1:1")  # a negative id
+@example("t=1 -e:0-1 +e:2-1:0")  # a zero weight
+@example("t=1 +e:2-1:0,1-2:3 -e:0-1")  # a repeated key whose bad weight is replaced
 def test_fast_parser_matches_reference(body):
     for line in (body, "t=3 " + body):
         want = _outcome(parse_update, line)
@@ -141,6 +149,52 @@ def test_fast_parser_matches_reference(body):
         assert got == want
         if isinstance(want, tuple) and isinstance(want[1], Update):
             assert hash(got[1]) == hash(want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(("incremental", "decremental", "fully-dynamic")),
+)
+def test_parsed_lines_build_the_update_that_update_builds(seed, kind):
+    seq = random_sequence(RandomSource(seed), n_max=8, T_max=20, kind=kind)
+    g0 = seq.initial
+    ids: dict = {}
+    keys: dict = {}
+    lines = serialize_sequence(seq).splitlines()
+    for line, u in zip(lines, [Update(v_ins=g0.nodes, e_ins=g0.edges), *seq.updates]):
+        _, got = _parse_update(line, ids, keys)
+        want = Update(v_ins=u.v_ins, v_del=u.v_del, e_ins=dict(u.e_ins), e_del=u.e_del)
+        assert got == want and hash(got) == hash(want)
+        for field in Update.__slots__:
+            value = getattr(got, field)
+            assert type(value) is type(getattr(want, field))
+            if not value and field != "e_ins":
+                assert value is _EMPTY
+        for k in [*got.e_ins, *got.e_del]:
+            assert keys[k] is k
+            assert k[0] is ids[k[0]] and k[1] is ids[k[1]]
+
+
+def test_canonical_edge_lines_skip_the_update_check(monkeypatch):
+    calls = []
+    init = Update.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Update, "__init__", counted)
+    text = (
+        "t=0 +v:0,1,2,3 +e:0-1:1\n"
+        "t=1 +e:2-1:2,0-3:1\n"
+        "t=2 -e:0-1 +e:1-0:3\n"
+        "t=3\n"
+        "t=4 -e:1-2,3-0\n"
+    )
+    seq = parse_sequence(text)
+    assert len(calls) == 1 and calls[0]["v_ins"] == [0, 1, 2, 3]
+    assert seq.updates[1] == Update(e_del={(0, 1)}, e_ins={(0, 1): 3})
 
 
 def test_a_parsed_log_shares_node_ids_and_edge_keys():
