@@ -2,9 +2,14 @@
 experiment.
 
 All randomness flows from one --seed flag (env fallback
-CONTINUAL_DP_SEED); when unset the seed comes from OS entropy and is
-printed.  Every output file starts with comment lines embedding the
-seed, the configuration, and the artifact version.
+CONTINUAL_DP_SEED); when unset the seed comes from OS entropy.  The seed
+is secret: with it the noise of a release can be subtracted.  A release
+file holds only what is private, the artifact version, the configuration
+and the noisy values (``t,released``, or ``t,output`` for the monotone
+mechanism), and ``release`` prints only public numbers.  True values
+come from ``eval`` and errors from ``experiment``; ``sensitivity`` and
+``experiment`` are diagnostics, so they print a drawn seed, and
+``experiment`` records it in its file.
 
 Exit codes: 0 ok, 1 internal error, 2 usage or config error,
 3 unsupported combination (no finite sensitivity bound).
@@ -15,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -55,10 +60,9 @@ def _resolve_seed(seed: int | None) -> RandomSource:
     return rng
 
 
-def _metadata_lines(seed: int, config: dict) -> list[str]:
+def _metadata_lines(config: dict) -> list[str]:
     return [
         f"# artifact-version: {__version__}\n",
-        f"# seed: {seed}\n",
         "# config: " + json.dumps(config, sort_keys=True) + "\n",
     ]
 
@@ -76,18 +80,12 @@ def _write(path: str | None, *parts: Iterable[str]) -> None:
 
 
 def _release_rows(report: ReleaseReport) -> Iterator[str]:
-    """The CSV rows of a difference release, formatted from its columns."""
-    steps = range(1, len(report.exact) + 1)
-    if report.exact.ndim == 1:  # %-formatting writes the same text as an f-string, faster
-        cols = (report.exact.tolist(), report.est.tolist(), report.abs_error.tolist())
-        return map("%d,%r,%.6f,%.6f,%.6f\n".__mod__,
-                   zip(steps, *cols, repeat(report.bound)))
-    bound = f"{report.bound:.6f}"
-    return (
-        f"{t},{';'.join(map(str, true))},{';'.join(f'{v:.6f}' for v in est)},{err:.6f},{bound}\n"
-        for t, true, est, err in zip(steps, report.exact.astype(int).tolist(),
-                                     report.est.tolist(), report.abs_error.tolist())
-    )
+    """The ``t,released`` rows of a difference release, from its ``est`` column."""
+    steps = range(1, len(report.est) + 1)
+    if report.est.ndim == 1:  # %-formatting writes the same text as an f-string, faster
+        return map("%d,%.6f\n".__mod__, zip(steps, report.est.tolist()))
+    return (f"{t},{';'.join(f'{v:.6f}' for v in est)}\n"
+            for t, est in zip(steps, report.est.tolist()))
 
 
 def _load_sequence(path: str) -> GraphSequence:
@@ -210,19 +208,22 @@ def eval_cmd(function, tau, k, s, t_, input_, out) -> None:
 @click.option("--weight-bound", "-W", type=int, default=None)
 @click.option("--input", "input_", required=True, type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None, envvar=SEED_ENV)
-@click.option("--noise-off", is_flag=True, help="test hook: zero noise, flagged in output")
+@click.option("--seed", type=int, default=None, envvar=SEED_ENV,
+              help="secret: it determines the noise")
 @_wrap_errors
 def release_cmd(
     mechanism, function, tau, k, s, t_, epsilon, delta, beta, range_r,
-    adjacency, degree_bound, weight_bound, input_, out, seed, noise_off,
+    adjacency, degree_bound, weight_bound, input_, out, seed,
 ) -> None:
-    """Private per-step release of a statistic along an update log."""
+    """Private per-step release of a statistic along an update log.
+
+    The output holds the config and the noisy values only; the seed is
+    never written or printed."""
     if mechanism == "monotone" and range_r is None:
         raise click.UsageError("--mechanism monotone requires a declared --range-r")
     f = _build_function(function, tau, k, s, t_)
     seq = _load_sequence(input_)
-    rng = _resolve_seed(seed)
+    rng = RandomSource(seed)
     config = {
         "mechanism": mechanism,
         "function": f.label(),
@@ -231,36 +232,23 @@ def release_cmd(
         "adjacency": adjacency,
         "D": degree_bound,
         "W": weight_bound,
-        "noise_off": noise_off,
     }
     if mechanism == "diff":
         report = diff_release(
-            seq, f, epsilon, delta, rng,
-            adjacency=adjacency, D=degree_bound, W=weight_bound, noise_off=noise_off,
+            seq, f, epsilon, delta, rng, adjacency=adjacency, D=degree_bound, W=weight_bound,
         )
-        _write(out, _metadata_lines(rng.seed, config),
-               ["t,true,released,abs_error,bound\n"], _release_rows(report))
-        click.echo(
-            f"max |error| {report.max_abs_error:.4f}, bound {report.bound:.4f}, "
-            f"seed {rng.seed}"
-        )
+        _write(out, _metadata_lines(config), ["t,released\n"], _release_rows(report))
+        click.echo(f"bound {report.bound:.4f}")
     else:
         from .monotone import monotone_release
 
         config["beta"] = beta
         report = monotone_release(
-            seq, f, epsilon, beta, delta, rng,
-            r=range_r, W=weight_bound, adjacency=adjacency, noise_off=noise_off,
+            seq, f, epsilon, beta, delta, rng, r=range_r, W=weight_bound, adjacency=adjacency,
         )
-        rows = (f"{rec.t},{rec.true},{rec.output:.6f},"
-                f"{int(rec.lower_ok)},{int(rec.upper_ok)},{rec.alpha:.6f}\n"
-                for rec in report.records)
-        _write(out, _metadata_lines(rng.seed, config),
-               ["t,true,output,lower_ok,upper_ok,alpha\n"], rows)
-        click.echo(
-            f"alpha {report.alpha:.4f}, top answers {report.top_count}/{report.c}, "
-            f"seed {rng.seed}"
-        )
+        rows = (f"{rec.t},{rec.output:.6f}\n" for rec in report.records)
+        _write(out, _metadata_lines(config), ["t,output\n"], rows)
+        click.echo(f"alpha {report.alpha:.4f}, top answers {report.top_count}/{report.c}")
 
 
 @main.command("sensitivity")
@@ -385,6 +373,7 @@ def _verify_generators() -> list[tuple[str, bool]]:
 
 
 def _verify_bounds() -> list[tuple[str, bool]]:
+    from .counting import BinaryMechanism, prefix_intervals
     from .generators import gen_event_level
 
     rng = RandomSource(11)
@@ -398,12 +387,16 @@ def _verify_bounds() -> list[tuple[str, bool]]:
     ok = exceed / trials <= 0.05 + 0.02
     results = [(f"concentration bound exceeded {exceed}/{trials}", ok)]
 
+    # the clean p-sums over each prefix's dyadic intervals give the exact count
     seq = gen_event_level("edge_count", "edge", [1, 0, 1, 1, 1, 0, 1, 1])
-    report = diff_release(
-        seq, GraphFunction("edge_count"), 1.0, 0.05, RandomSource(3), noise_off=True
-    )
-    ok = report.max_abs_error == 0
-    results.append(("zero-noise reconstruction", ok))
+    counts = exact_values(seq, GraphFunction("edge_count"))
+    mech = BinaryMechanism(seq.T, 1.0, RandomSource(3))
+    for prev, count in zip([0, *counts], counts):
+        mech.feed(count - prev)
+    clean = {(rec.level, rec.start): rec.clean for rec in mech.trace()}
+    ok = all(sum(clean[i, start] for i, start, _end in prefix_intervals(t)) == count
+             for t, count in enumerate(counts, start=1))
+    results.append(("p-sum reconstruction of the exact count", ok))
     bound64 = theoretical_release_error(1.0, 1.0, 0.05, 64)
     bound4096 = theoretical_release_error(1.0, 1.0, 0.05, 4096)
     results.append(("error bound monotone in T", bound4096 > bound64))
@@ -509,7 +502,9 @@ def experiment_cmd(
         "max": round(float(hi), 6),
     }
     summary_line = "# summary: " + json.dumps(summary, sort_keys=True) + "\n"
-    _write(out, _metadata_lines(rng.seed, config), [summary_line], rows)
+    # a diagnostic run: its file records the seed, after the version
+    version, config_line = _metadata_lines(config)
+    _write(out, [version, f"# seed: {rng.seed}\n", config_line], [summary_line], rows)
     click.echo(f"{within}/{trials} trials within bound {bound:.4f}, seed {rng.seed}")
 
 

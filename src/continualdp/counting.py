@@ -26,6 +26,9 @@ streams (exact in float64) every p-sum is the exact interval sum.  The
 released p-sums are kept in one store, one clean and one noisy array per
 level, row ``(e >> i) - 1``; ``estimate`` and ``trace`` read it, and a
 block's p-sums are a view of it whose records are built only when read.
+Only the noisy p-sums and the estimates summed from them are private; the
+clean arrays are the exact interval sums of the data, kept for audits
+(``verify bounds`` rebuilds every count from them).
 """
 
 from __future__ import annotations
@@ -116,8 +119,7 @@ class BinaryMechanism:
     plain counting, or the difference-sequence sensitivity Gamma).  The
     total budget ``epsilon`` is split as epsilon/x per p-sum, so each
     p-sum's noise scale is ``per_psum_scale = item_width * x / epsilon``.
-    ``noise_off`` is a test hook that substitutes 0 for every Laplace
-    draw and is flagged in the trace metadata.
+    Every released p-sum carries its Laplace draw.
 
     ``rng`` is one source, or a list of k sources for a stream of length-k
     arrays, whose p-sums and estimates are then arrays too.
@@ -131,7 +133,6 @@ class BinaryMechanism:
         *,
         item_width: float = 1.0,
         bounds: StreamBounds | None = None,
-        noise_off: bool = False,
     ) -> None:
         self.T = T
         self.x = num_levels(T)
@@ -144,7 +145,6 @@ class BinaryMechanism:
         self.item_width = item_width
         self.per_psum_scale = item_width * self.x / epsilon
         self.bounds = bounds
-        self.noise_off = noise_off
         self._scalar = isinstance(rng, RandomSource)
         self._rngs = [rng] if self._scalar else list(rng)
         k = len(self._rngs)
@@ -204,7 +204,7 @@ class BinaryMechanism:
         closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
         clean = self._total - self._last[:closing]
         self._last[:closing] = self._total
-        noisy = clean + (0.0 if self.noise_off else self._draw(closing))
+        noisy = clean + self._draw(closing)
         for i in range(closing):
             self._clean[i][(t >> i) - 1] = clean[i]
             self._noisy[i][(t >> i) - 1] = noisy[i]
@@ -227,7 +227,7 @@ class BinaryMechanism:
         closing = np.frexp(ts & -ts)[1]
         # step t's p-sums are draws offset[t - t0 - 1] + level
         offset = np.cumsum(closing) - closing
-        noise = None if self.noise_off else self._draw(int(closing.sum()))
+        noise = self._draw(int(closing.sum()))
         for i in range(self.x):
             first = ((t0 >> i) + 1) << i  # level i closes at first, first + 2^i, ...
             if first > t0 + n:
@@ -236,7 +236,7 @@ class BinaryMechanism:
             at = S[1:][steps]
             c = np.diff(at, axis=0, prepend=self._last[i:i + 1])
             self._last[i] = at[-1]
-            nz = c + (0.0 if noise is None else noise[offset[steps] + i])
+            nz = c + noise[offset[steps] + i]
             row = (first >> i) - 1
             self._clean[i][row:row + len(c)], self._noisy[i][row:row + len(c)] = c, nz
         self._total = S[-1]

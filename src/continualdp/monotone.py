@@ -55,8 +55,6 @@ class SparseVector:
         rho: float,
         c: int,
         rng: RandomSource,
-        *,
-        noise_off: bool = False,
     ) -> None:
         if not 0 < epsilon < math.inf:
             raise OutOfRange(f"epsilon must be positive and finite, got {epsilon}")
@@ -69,10 +67,9 @@ class SparseVector:
         self.c = c
         self.epsilon1 = epsilon / 2.0
         self.epsilon2 = epsilon - self.epsilon1
-        self.noise_off = noise_off
         self._rng = rng
         # zeta is drawn once at initialization and never resampled
-        self.zeta = 0.0 if noise_off else sample_laplace(rng, rho / self.epsilon1)
+        self.zeta = sample_laplace(rng, rho / self.epsilon1)
         self.count = 0
 
     @property
@@ -82,7 +79,7 @@ class SparseVector:
     def query(self, value: float, threshold: float) -> SvtAnswer:
         if self.count >= self.c:
             return SvtAnswer.ABORT
-        nu = 0.0 if self.noise_off else sample_laplace(self._rng, self.nu_scale)
+        nu = sample_laplace(self._rng, self.nu_scale)
         if value + nu >= threshold + self.zeta:
             self.count += 1
             return SvtAnswer.TOP
@@ -101,6 +98,9 @@ class MonotoneRecord:
 
 @dataclass
 class MonotoneReport:
+    """Only each record's ``output`` is private; ``true``, ``lower_ok`` and
+    ``upper_ok`` are diagnostics."""
+
     function: str
     epsilon: float
     beta: float
@@ -110,7 +110,6 @@ class MonotoneReport:
     c: int
     alpha: float
     seed: int
-    noise_off: bool
     budget_exhausted: bool = False
     top_count: int = 0
     records: list[MonotoneRecord] = field(default_factory=list)
@@ -124,8 +123,8 @@ def threshold_budget(beta: float, r: float) -> int:
     """c = ceil(log_{1+beta}(r)); the ladder reaches the range top r."""
     if not 0 < beta <= 1:
         raise OutOfRange(f"beta must be in (0, 1], got {beta}")
-    if r < 1:
-        raise OutOfRange(f"range r must be >= 1, got {r}")
+    if not 1 <= r < math.inf:
+        raise OutOfRange(f"range r must be in [1, inf), got {r}")
     val = math.log(r) / math.log(1.0 + beta)
     return max(1, math.ceil(val - 1e-9))
 
@@ -150,13 +149,11 @@ class MonotoneMechanism:
         r: float,
         rho: float,
         rng: RandomSource,
-        *,
-        noise_off: bool = False,
     ) -> None:
         self.beta = beta
         self.r = r
         self.c = threshold_budget(beta, r)
-        self.svt = SparseVector(epsilon, rho, self.c, rng, noise_off=noise_off)
+        self.svt = SparseVector(epsilon, rho, self.c, rng)
         self.k = 0
         self.budget_exhausted = False
 
@@ -182,7 +179,6 @@ def monotone_run(
     rng: RandomSource,
     *,
     function: str = "custom",
-    noise_off: bool = False,
 ) -> MonotoneReport:
     """Run the monotone mechanism over an explicit non-decreasing list."""
     values = [float(v) for v in values]
@@ -190,7 +186,7 @@ def monotone_run(
         if b < a:
             raise NonMonotoneInput(f"values decrease: {a} -> {b}")
     # the mechanism checks epsilon before alpha divides by it
-    mech = MonotoneMechanism(epsilon, beta, r, rho, rng, noise_off=noise_off)
+    mech = MonotoneMechanism(epsilon, beta, r, rho, rng)
     alpha = additive_error(epsilon, beta, delta, r, rho, max(len(values), 1))
     report = MonotoneReport(
         function=function,
@@ -202,7 +198,6 @@ def monotone_run(
         c=mech.c,
         alpha=alpha,
         seed=rng.seed,
-        noise_off=noise_off,
     )
     for t, v in enumerate(values, start=1):
         out = mech.process(v)
@@ -229,7 +224,6 @@ def monotone_release(
     r: float,
     W: int | None = None,
     adjacency: str = EDGE,
-    noise_off: bool = False,
     true_values=None,
 ) -> MonotoneReport:
     """Release a monotone statistic along a partially dynamic sequence.
@@ -273,17 +267,7 @@ def monotone_release(
 
     reverse = kind is SequenceKind.DECREMENTAL
     feed = list(reversed(true_values)) if reverse else true_values
-    report = monotone_run(
-        feed,
-        epsilon,
-        beta,
-        delta,
-        r,
-        rho,
-        rng,
-        function=f.label(),
-        noise_off=noise_off,
-    )
+    report = monotone_run(feed, epsilon, beta, delta, r, rho, rng, function=f.label())
     if reverse:
         recs = report.records
         report.records = [

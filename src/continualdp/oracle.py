@@ -401,9 +401,12 @@ def _draw_pair(scope: OracleScope, rng: RandomSource) -> Pair | None:
 
 
 def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
-    """Deterministic hard pairs relevant to the queried cell."""
+    """Deterministic hard pairs relevant to the queried cell.
+
+    The fixtures are incremental pairs, so only an incremental or the
+    default partially-dynamic scope embeds them."""
     out: list[Pair] = []
-    if scope.regime == "fully-dynamic":
+    if scope.regime not in ("incremental", "partially-dynamic"):
         return out
     if f.name == "mst_weight" and scope.adjacency == "edge":
         for W in range(1, scope.W_max + 1):

@@ -144,8 +144,10 @@ class ReleaseRecord:
 class ReleaseReport:
     """A release held as columns: ``exact`` and ``est`` have one row per
     step, ``(T,)`` for a scalar statistic and ``(T, D + 1)`` for a
-    histogram, and ``abs_error`` is each step's largest error.
-    ``records`` builds one ``ReleaseRecord`` per step on first read."""
+    histogram.  Only ``est`` is private output; ``exact``, the errors and
+    ``records`` are diagnostics.  ``abs_error`` (each step's largest
+    error) and ``records`` (one ``ReleaseRecord`` per step) are built on
+    first read."""
 
     function: str
     epsilon: float
@@ -153,11 +155,14 @@ class ReleaseReport:
     gamma: float
     adjacency: str
     seed: int
-    noise_off: bool
     bound: float
     exact: np.ndarray = field(repr=False)
     est: np.ndarray = field(repr=False)
-    abs_error: np.ndarray = field(repr=False)
+
+    @cached_property
+    def abs_error(self) -> np.ndarray:
+        err = np.abs(self.est - self.exact)
+        return err.max(axis=1) if err.ndim == 2 else err
 
     @property
     def max_abs_error(self) -> float:
@@ -199,7 +204,6 @@ def release(
     adjacency: str = EDGE,
     D: int | None = None,
     W: int | None = None,
-    noise_off: bool = False,
 ) -> ReleaseReport:
     """Release f(t) privately at every step of an update sequence.
 
@@ -228,8 +232,7 @@ def release(
     histogram = f.name == "degree_histogram"
     coords = D + 1 if histogram else 1  # the histogram's table cell requires D
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
-    mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0],
-                           item_width=gamma, noise_off=noise_off)
+    mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0], item_width=gamma)
     values = exact_values(seq, f)
     if histogram:
         exact = np.zeros((T, coords))
@@ -238,7 +241,6 @@ def release(
     else:
         exact = np.array(values, float)
     est = mech.feed(np.diff(exact, axis=0, prepend=0.0))[1]
-    abs_error = np.abs(est - exact)
     return ReleaseReport(
         function=f.label(),
         epsilon=epsilon,
@@ -246,11 +248,9 @@ def release(
         gamma=gamma,
         adjacency=adjacency,
         seed=rng.seed,
-        noise_off=noise_off,
         bound=theoretical_release_error(gamma, epsilon, delta, T),
         exact=exact,
         est=est,
-        abs_error=abs_error.max(axis=1) if histogram else abs_error,
     )
 
 

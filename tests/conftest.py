@@ -6,9 +6,30 @@ import ast
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from continualdp import Graph, GraphSequence, RandomSource, Update, edge_key
+
+
+@contextmanager
+def zero_noise_draws():
+    """Within the block every Laplace draw of the binary mechanism and of
+    the sparse vector reads 0 and consumes no randomness."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("continualdp.counting.laplace_block", lambda rng, b, n: np.zeros(n))
+        mp.setattr("continualdp.monotone.sample_laplace", lambda rng, b: 0.0)
+        yield
+
+
+@pytest.fixture
+def zero_noise():
+    """Releases in the test draw zero noise (see ``zero_noise_draws``)."""
+    with zero_noise_draws():
+        yield
 
 
 def loaded_modules(code: str, *modules: str) -> list[str]:

@@ -154,7 +154,7 @@ def test_criterion_3_generator_identities():
 # 4 ---------------------------------------------------------------------
 
 
-def test_criterion_4_zero_noise_reconstruction():
+def test_criterion_4_zero_noise_reconstruction(zero_noise):
     functions = [
         GraphFunction("edge_count"),
         GraphFunction("high_degree", tau=2),
@@ -170,7 +170,7 @@ def test_criterion_4_zero_noise_reconstruction():
         # +2 and +1 keep Gamma positive: k-stars with D < k and MST with W = 1 give 0
         report = release(
             seq, f, 1.0, 0.05, rng.child(f"rel{i}"),
-            D=seq.max_degree() + 2, W=seq.max_weight() + 1, noise_off=True,
+            D=seq.max_degree() + 2, W=seq.max_weight() + 1,
         )
         assert all(rec.abs_error == 0 for rec in report.records), (i, f.label())
     _ok("criterion 4: 500 random incremental sequences reconstructed exactly")
@@ -245,7 +245,7 @@ def test_criterion_7_monotone_mechanism():
 # 8 ---------------------------------------------------------------------
 
 
-def test_criterion_8_svt_structure():
+def test_criterion_8_svt_structure(zero_noise):
     values = [0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 5.0, 7.0, 9.0, 12.0]
     thresholds = [0.0, 0.5, 1.0, 2.5, 3.0, 4.5, 5.0, 6.0, 8.0, 12.0]
     budgets = range(1, 11)
@@ -253,7 +253,7 @@ def test_criterion_8_svt_structure():
     for v in values:
         for thr in thresholds:
             for c in budgets:
-                svt = SparseVector(1.0, 1.0, c, RandomSource(0), noise_off=True)
+                svt = SparseVector(1.0, 1.0, c, RandomSource(0))
                 if v >= thr:
                     # boundary inclusive; abort once the budget is spent
                     for _ in range(c):

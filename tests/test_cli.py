@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from continualdp import __version__, parse_sequence
+from continualdp import RandomSource, __version__, parse_sequence
+from continualdp import cli
 from continualdp.cli import _quantiles, main
 
 
@@ -69,23 +70,24 @@ def test_eval_emits_csv(runner, tmp_path):
     assert [line.split(",")[1] for line in lines[1:]] == ["8", "8", "13"]
 
 
-def test_release_diff_noise_off_has_zero_error(runner, tmp_path):
+def test_release_file_holds_only_the_released_values(runner, tmp_path, zero_noise):
     out = _generate(runner, tmp_path)
     csv = tmp_path / "rel.csv"
     result = runner.invoke(
         main,
         ["release", "--function", "mst_weight", "--epsilon", "1", "--delta",
-         "0.05", "-W", "5", "--input", str(out), "--out", str(csv),
-         "--seed", "3", "--noise-off"],
+         "0.05", "-W", "5", "--input", str(out), "--out", str(csv), "--seed", "3"],
     )
     assert result.exit_code == 0, result.output
+    assert result.output.startswith("bound ")
     lines = csv.read_text().splitlines()
     assert lines[0] == f"# artifact-version: {__version__}"
-    assert lines[1] == "# seed: 3"
-    assert lines[2].startswith("# config: ")
-    assert lines[3] == "t,true,released,abs_error,bound"
-    for row in lines[4:]:
-        assert row.split(",")[3] == "0.000000"
+    assert json.loads(lines[1][len("# config: "):]) == {
+        "mechanism": "diff", "function": "mst_weight", "epsilon": 1.0, "delta": 0.05,
+        "adjacency": "edge", "D": None, "W": 5,
+    }
+    # with zero noise the released values are the exact ones, 8, 8, 13
+    assert lines[2:] == ["t,released", "1,8.000000", "2,8.000000", "3,13.000000"]
 
 
 def test_release_monotone_outputs_powers_of_two(runner, tmp_path):
@@ -100,13 +102,14 @@ def test_release_monotone_outputs_powers_of_two(runner, tmp_path):
         main,
         ["release", "--mechanism", "monotone", "--function", "min_cut",
          "--epsilon", "1", "--delta", "0.1", "--beta", "1", "-W", "2", "--range-r", "10",
-         "--input", str(out), "--out", str(csv), "--seed", "1", "--noise-off"],
+         "--input", str(out), "--out", str(csv), "--seed", "1"],
     )
     assert result.exit_code == 0, result.output
+    assert result.output.startswith("alpha ")
     rows = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
-    assert rows[0] == "t,true,output,lower_ok,upper_ok,alpha"
+    assert rows[0] == "t,output"
     for row in rows[1:]:
-        out_val = float(row.split(",")[2])
+        out_val = float(row.split(",")[1])
         assert out_val == 2 ** round(math.log2(out_val))
 
 
@@ -293,30 +296,59 @@ def test_release_refuses_a_log_without_steps(runner, tmp_path, command):
     assert not csv.exists()
 
 
-def test_seed_is_printed_when_unset(runner, tmp_path, monkeypatch):
+def test_release_never_publishes_a_drawn_seed(runner, tmp_path, monkeypatch):
+    # with the seed, anyone could subtract the noise: the counts 1, 2, 3, 2
+    # of this fully dynamic log would be published exactly
     monkeypatch.delenv("CONTINUAL_DP_SEED", raising=False)
-    out = _generate(runner, tmp_path)
-    result = runner.invoke(
-        main,
-        ["release", "--function", "mst_weight", "--epsilon", "1",
-         "--delta", "0.05", "-W", "5", "--input", str(out), "--noise-off"],
-    )
+    drawn = []
+
+    def spy(seed=None):
+        rng = RandomSource(seed)
+        drawn.append(rng.seed)
+        return rng
+
+    monkeypatch.setattr(cli, "RandomSource", spy)
+    log = tmp_path / "dyn.log"
+    log.write_text("t=0 +v:0,1,2,3\nt=1 +e:0-1:1\nt=2 +e:1-2:1\nt=3 +e:2-3:1\nt=4 -e:0-1\n")
+    csv = tmp_path / "rel.csv"
+    result = runner.invoke(main, ["release", "--function", "edge_count", "--epsilon", "1",
+                                  "--delta", "0.05", "--input", str(log), "--out", str(csv)])
     assert result.exit_code == 0, result.output
-    assert result.output.startswith("seed: ")
+    [seed] = drawn
+    text = csv.read_text()
+    assert str(seed) not in result.output and "seed" not in result.output
+    assert str(seed) not in text and "seed" not in text
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows[0] == "t,released"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2", "3", "4"]
+    assert all(len(row.split(",")) == 2 for row in rows)
 
 
-def test_seed_env_fallback(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("CONTINUAL_DP_SEED", "42")
+def test_seed_env_fallback_releases_what_the_seed_flag_does(runner, tmp_path, monkeypatch):
     out = _generate(runner, tmp_path)
+    args = ["release", "--function", "mst_weight", "--epsilon", "1",
+            "--delta", "0.05", "-W", "5", "--input", str(out)]
+    by_flag, by_env = tmp_path / "flag.csv", tmp_path / "env.csv"
+    monkeypatch.delenv("CONTINUAL_DP_SEED", raising=False)
+    assert runner.invoke(main, [*args, "--seed", "42", "--out", str(by_flag)]).exit_code == 0
+    monkeypatch.setenv("CONTINUAL_DP_SEED", "42")
+    assert runner.invoke(main, [*args, "--out", str(by_env)]).exit_code == 0
+    assert by_env.read_bytes() == by_flag.read_bytes()
+
+
+@pytest.mark.parametrize("range_r", ["nan", "inf"])
+def test_release_monotone_rejects_non_finite_range(runner, tmp_path, range_r):
+    seq = _generate(runner, tmp_path)
     csv = tmp_path / "rel.csv"
     result = runner.invoke(
         main,
-        ["release", "--function", "mst_weight", "--epsilon", "1",
-         "--delta", "0.05", "-W", "5", "--input", str(out),
-         "--out", str(csv), "--noise-off"],
+        ["release", "--mechanism", "monotone", "--function", "max_weight_matching",
+         "--epsilon", "1", "--delta", "0.05", "-W", "5", "--range-r", range_r,
+         "--input", str(seq), "--out", str(csv), "--seed", "1"],
     )
-    assert result.exit_code == 0, result.output
-    assert "# seed: 42" in csv.read_text()
+    assert result.exit_code == 2, result.output
+    assert "range r must be in [1, inf)" in result.output
+    assert not csv.exists()
 
 
 def test_release_monotone_refuses_node_adjacency(runner, tmp_path):
@@ -346,7 +378,7 @@ def test_release_mst_with_unit_weights(runner, tmp_path):
          "--delta", "0.05", "--input", str(log), "--out", str(out), "--seed", "1"],
     )
     assert result.exit_code == 0, result.output
-    config = json.loads(out.read_text().splitlines()[2][len("# config: "):])
+    config = json.loads(out.read_text().splitlines()[1][len("# config: "):])
     assert config["W"] == 1
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,8 @@ from continualdp.errors import (
     OutOfRange,
 )
 from continualdp.noise import concentration_bound, sample_laplace
+
+from conftest import zero_noise_draws
 
 
 def test_stream_bounds():
@@ -55,12 +58,10 @@ def test_prefix_intervals_cover_exactly():
         assert len(ivs) == t.bit_count()
 
 
-def test_zero_noise_counts_exhaustive_binary_streams():
+def test_zero_noise_counts_exhaustive_binary_streams(zero_noise):
     for T in range(1, 9):
         for bits in itertools.product((0, 1), repeat=T):
-            mech = BinaryMechanism(
-                T, 1.0, RandomSource(0), bounds=StreamBounds(0, 1), noise_off=True
-            )
+            mech = BinaryMechanism(T, 1.0, RandomSource(0), bounds=StreamBounds(0, 1))
             total = 0
             for b in bits:
                 total += b
@@ -70,7 +71,7 @@ def test_zero_noise_counts_exhaustive_binary_streams():
 
 def test_psum_closing_schedule():
     T = 8
-    mech = BinaryMechanism(T, 1.0, RandomSource(0), noise_off=True)
+    mech = BinaryMechanism(T, 1.0, RandomSource(0))
     for t in range(1, T + 1):
         recs, _est = mech.feed(1)
         # a level-i p-sum closes exactly when 2^i divides t
@@ -81,9 +82,9 @@ def test_psum_closing_schedule():
             assert r.clean == (1 << r.level)
 
 
-def test_virtual_padding_for_non_power_of_two():
+def test_virtual_padding_for_non_power_of_two(zero_noise):
     # T=5: the level-2 p-sum [5..8] and level-1 [5..6] never close
-    mech = BinaryMechanism(5, 1.0, RandomSource(0), noise_off=True)
+    mech = BinaryMechanism(5, 1.0, RandomSource(0))
     released = []
     for _ in range(5):
         recs, _ = mech.feed(1)
@@ -104,7 +105,7 @@ def test_estimate_uses_dyadic_decomposition():
 
 
 def test_horizon_and_bounds_enforced():
-    mech = BinaryMechanism(2, 1.0, RandomSource(0), bounds=StreamBounds(0, 1), noise_off=True)
+    mech = BinaryMechanism(2, 1.0, RandomSource(0), bounds=StreamBounds(0, 1))
     with pytest.raises(ItemOutOfBounds):
         mech.feed(2)
     mech.feed(1)
@@ -152,12 +153,13 @@ def test_theoretical_count_error_composition():
 )
 def test_zero_noise_counts_arbitrary_integer_streams(items):
     T = len(items)
-    mech = BinaryMechanism(T, 1.0, RandomSource(0), noise_off=True)
-    total = 0
-    for item in items:
-        total += item
-        _recs, est = mech.feed(item)
-        assert est == total
+    with zero_noise_draws():
+        mech = BinaryMechanism(T, 1.0, RandomSource(0))
+        total = 0
+        for item in items:
+            total += item
+            _recs, est = mech.feed(item)
+            assert est == total
 
 
 @settings(max_examples=80, deadline=None)
@@ -165,11 +167,11 @@ def test_zero_noise_counts_arbitrary_integer_streams(items):
     T=st.integers(min_value=1, max_value=70),
     k=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=2**32),
-    noise_off=st.booleans(),
+    zero=st.booleans(),
     block=st.sampled_from([8, counting._BLOCK]),  # 8 refills often; x <= 7 here
     data=st.data(),
 )
-def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, noise_off, block, data):
+def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, zero, block, data):
     items = data.draw(st.lists(
         st.lists(st.integers(min_value=-5, max_value=5), min_size=k, max_size=k),
         min_size=T, max_size=T,
@@ -177,12 +179,10 @@ def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, noise_off, block
     root = RandomSource(seed)
     vec_rngs = [root.child(i) for i in range(k)]
     scalar_rngs = [root.child(i) for i in range(k)]
-    with mock.patch.object(counting, "_BLOCK", block):
-        vec = BinaryMechanism(T, 0.7, vec_rngs, item_width=2.0, noise_off=noise_off)
-        scalars = [
-            BinaryMechanism(T, 0.7, r, item_width=2.0, noise_off=noise_off)
-            for r in scalar_rngs
-        ]
+    with mock.patch.object(counting, "_BLOCK", block), \
+            zero_noise_draws() if zero else nullcontext():
+        vec = BinaryMechanism(T, 0.7, vec_rngs, item_width=2.0)
+        scalars = [BinaryMechanism(T, 0.7, r, item_width=2.0) for r in scalar_rngs]
         estimates = []
         for row in items:
             _recs, est = vec.feed(np.array(row, float))
@@ -202,7 +202,7 @@ def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, noise_off, block
         for v, r in zip(vec_trace, trace):
             assert (v.level, v.start, v.end, v.scale) == (r.level, r.start, r.end, r.scale)
             assert v.clean[i] == r.clean == sum(row[i] for row in items[r.start - 1:r.end])
-            noise = 0.0 if noise_off else sample_laplace(ref, r.scale)
+            noise = 0.0 if zero else sample_laplace(ref, r.scale)
             assert v.noisy[i] == r.noisy == r.clean + noise
         # every source has consumed exactly the scalar path's draws
         assert vec_rngs[i].uniform() == scalar_rngs[i].uniform() == ref.uniform()
@@ -223,10 +223,10 @@ def _records_bits(records):
     T=st.integers(min_value=1, max_value=70),
     k=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=2**32),
-    noise_off=st.booleans(),
+    zero=st.booleans(),
     data=st.data(),
 )
-def test_blocks_match_single_items(T, k, seed, noise_off, data):
+def test_blocks_match_single_items(T, k, seed, zero, data):
     scalar = k == 1 and data.draw(st.booleans(), label="scalar")
     items = np.array(data.draw(st.lists(
         st.lists(st.integers(min_value=-5, max_value=5), min_size=k, max_size=k),
@@ -247,10 +247,11 @@ def test_blocks_match_single_items(T, k, seed, noise_off, data):
     def build():
         root = RandomSource(seed)
         rngs = root.child(0) if scalar else [root.child(i) for i in range(k)]
-        mech = BinaryMechanism(T, 0.7, rngs, item_width=2.0, noise_off=noise_off)
+        mech = BinaryMechanism(T, 0.7, rngs, item_width=2.0)
         return mech, [rngs] if scalar else rngs
 
-    with mock.patch.object(counting, "_BLOCK", 8):  # refills often; x <= 7 here
+    # _BLOCK = 8 refills often; x <= 7 here
+    with mock.patch.object(counting, "_BLOCK", 8), zero_noise_draws() if zero else nullcontext():
         ref, ref_rngs = build()
         ref_est = [_bits(ref.feed(item)[1]) for item in items]
         ref_past = [_bits(ref.estimate(t)) for t in range(1, T + 1)]

@@ -34,8 +34,9 @@ def test_threshold_budget_values():
     assert threshold_budget(0.5, 1.5**5) == 5
     with pytest.raises(OutOfRange):
         threshold_budget(0.0, 4.0)
-    with pytest.raises(OutOfRange):
-        threshold_budget(0.5, 0.5)
+    for r in (0.5, math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            threshold_budget(0.5, r)
 
 
 def test_additive_error_formula():
@@ -53,8 +54,8 @@ def test_svt_threshold_noise_drawn_once():
     assert svt.zeta == zeta
 
 
-def test_svt_zero_noise_boundary_is_top():
-    svt = SparseVector(1.0, 1.0, 2, RandomSource(0), noise_off=True)
+def test_svt_zero_noise_boundary_is_top(zero_noise):
+    svt = SparseVector(1.0, 1.0, 2, RandomSource(0))
     assert svt.query(5.0, 5.0) is SvtAnswer.TOP  # inclusive comparison
     assert svt.query(4.9, 5.0) is SvtAnswer.BOTTOM
     assert svt.query(6.0, 5.0) is SvtAnswer.TOP
@@ -74,26 +75,20 @@ def test_svt_validation():
         SparseVector(1.0, 1.0, 0, RandomSource(0))
 
 
-def test_zero_noise_ladder_trace():
-    report = monotone_run(
-        [1, 2, 3, 5], 1.0, 1.0, 0.1, 16.0, 1.0, RandomSource(0), noise_off=True
-    )
+def test_zero_noise_ladder_trace(zero_noise):
+    report = monotone_run([1, 2, 3, 5], 1.0, 1.0, 0.1, 16.0, 1.0, RandomSource(0))
     assert [rec.output for rec in report.records] == [2.0, 4.0, 4.0, 8.0]
     assert report.all_bounds_hold
 
 
-def test_zero_noise_constant_stream():
-    report = monotone_run(
-        [1, 1, 1], 1.0, 1.0, 0.1, 8.0, 1.0, RandomSource(0), noise_off=True
-    )
+def test_zero_noise_constant_stream(zero_noise):
+    report = monotone_run([1, 1, 1], 1.0, 1.0, 0.1, 8.0, 1.0, RandomSource(0))
     assert [rec.output for rec in report.records] == [2.0, 2.0, 2.0]
     assert report.top_count == 1
 
 
-def test_values_below_one_stay_at_ladder_base():
-    report = monotone_run(
-        [0, 0.5], 1.0, 1.0, 0.1, 8.0, 1.0, RandomSource(0), noise_off=True
-    )
+def test_values_below_one_stay_at_ladder_base(zero_noise):
+    report = monotone_run([0, 0.5], 1.0, 1.0, 0.1, 8.0, 1.0, RandomSource(0))
     assert [rec.output for rec in report.records] == [1.0, 1.0]
     # no sandwich guarantee below the base, flagged as ok
     assert report.all_bounds_hold
@@ -104,11 +99,9 @@ def test_non_monotone_input_rejected():
         monotone_run([1, 3, 2], 1.0, 0.5, 0.1, 8.0, 1.0, RandomSource(0))
 
 
-def test_budget_exhaustion_is_reported():
+def test_budget_exhaustion_is_reported(zero_noise):
     # r declared far below the actual values: the ladder runs out
-    report = monotone_run(
-        [1, 100], 1.0, 1.0, 0.1, 4.0, 1.0, RandomSource(0), noise_off=True
-    )
+    report = monotone_run([1, 100], 1.0, 1.0, 0.1, 4.0, 1.0, RandomSource(0))
     assert report.budget_exhausted
     assert report.top_count == report.c
 
@@ -121,11 +114,10 @@ def test_mechanism_never_answers_more_than_c_tops():
         assert mech.svt.count <= mech.c
 
 
-def test_monotone_release_incremental_zero_noise():
+def test_monotone_release_incremental_zero_noise(zero_noise):
     seq = gen_event_level("min_cut", "edge", [1, 1, 0, 1], W=2)
     report = monotone_release(
-        seq, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0),
-        r=16.0, W=2, noise_off=True,
+        seq, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), r=16.0, W=2,
     )
     assert [rec.true for rec in report.records] == [2.0, 4.0, 4.0, 6.0]
     for rec in report.records:
@@ -133,12 +125,11 @@ def test_monotone_release_incremental_zero_noise():
     assert report.rho == 2  # static sensitivity W
 
 
-def test_monotone_release_decremental_reverses():
+def test_monotone_release_decremental_reverses(zero_noise):
     fwd = gen_event_level("min_cut", "edge", [1, 1, 1], W=2)
     dec = reversed_sequence(fwd)
     report = monotone_release(
-        dec, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0),
-        r=16.0, W=2, noise_off=True,
+        dec, GraphFunction("min_cut"), 1.0, 1.0, 0.1, RandomSource(0), r=16.0, W=2,
     )
     assert [rec.t for rec in report.records] == [1, 2, 3]
     trues = [rec.true for rec in report.records]
@@ -211,7 +202,7 @@ def test_monotone_release_without_weight_when_calibration_ignores_it():
     seq = gen_event_level("min_cut", "node", [1, 1], W=2)
     report = monotone_release(
         seq, GraphFunction("max_cardinality_matching"), 1.0, 0.5, 0.1, RandomSource(0),
-        r=8.0, noise_off=True,
+        r=8.0,
     )
     assert (report.rho, report.r) == (1, 8.0)
 
@@ -233,8 +224,7 @@ def test_monotone_release_refuses_node_adjacency(name):
 def test_monotone_release_default_adjacency_is_edge():
     seq = _k5_then_node_9()
     f = GraphFunction("max_cardinality_matching")
-    rep = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), r=8.0, W=1,
-                           noise_off=True)
+    rep = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), r=8.0, W=1)
     same = monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(1), r=8.0, W=1,
-                            noise_off=True, adjacency="edge")
+                            adjacency="edge")
     assert [r.true for r in rep.records] == [r.true for r in same.records] == [2.0, 3.0]

@@ -131,13 +131,19 @@ def test_forest_pairs_count_in_the_mst_domain():
 
 @pytest.mark.parametrize("regime", ["incremental", "decremental"])
 def test_mst_edge_cells_are_tight_at_2w(regime):
-    # the embedded fixtures are incremental pairs in either regime
+    # the embedded fixtures are incremental pairs and attain 2W; a decremental
+    # pair moves the difference sequence by at most 2W - 1, so that cell is Sound
     verdict = compare_with_table(
         GraphFunction("mst_weight"),
         OracleScope(n_max=4, T_max=4, W_max=3, regime=regime, max_pairs=200, seed=7),
     )
-    assert verdict.status == "Tight"
-    assert verdict.oracle_value == verdict.formula_at_max == 6.0
+    assert verdict.formula_at_max == 6.0
+    if regime == "incremental":
+        assert verdict.status == "Tight"
+        assert verdict.oracle_value == 6.0
+    else:
+        assert verdict.status == "Sound"
+        assert verdict.oracle_value <= 5.0
 
 
 @pytest.mark.parametrize("regime", ["incremental", "decremental"])

@@ -104,7 +104,7 @@ def _functions():
     ]
 
 
-def test_zero_noise_release_reconstructs_exactly():
+def test_zero_noise_release_reconstructs_exactly(zero_noise):
     rng = RandomSource(31)
     for i in range(40):
         seq = random_sequence(rng.child(i), kind="incremental")
@@ -113,7 +113,7 @@ def test_zero_noise_release_reconstructs_exactly():
             D = seq.max_degree() + 2
             report = release(
                 seq, f, 1.0, 0.05, rng.child(f"{i}:{f.name}"),
-                D=D, W=seq.max_weight(), noise_off=True,
+                D=D, W=seq.max_weight(),
             )
             for rec, g in zip(report.records, seq.iter_graphs()):
                 assert rec.abs_error == 0
@@ -165,11 +165,11 @@ def test_declared_contract_bounds_are_validated():
         release(seq_w, GraphFunction("mst_weight"), 1.0, 0.05, RandomSource(1), W=2)
 
 
-def test_histogram_release_runs_one_mechanism_per_bin():
+def test_histogram_release_runs_one_mechanism_per_bin(zero_noise):
     seq = gen_event_level("degree_histogram", "edge", [1, 0, 1])
     f = GraphFunction("degree_histogram")
     D = seq.max_degree() + 3
-    report = release(seq, f, 1.0, 0.05, RandomSource(2), D=D, noise_off=True)
+    report = release(seq, f, 1.0, 0.05, RandomSource(2), D=D)
     for rec in report.records:
         assert len(rec.released) == len(rec.true) == D + 1
         assert rec.abs_error == 0
@@ -224,11 +224,10 @@ def test_histogram_release_equals_per_bin_mechanisms(monkeypatch, adjacency):
             assert rec.abs_error == max(abs(e - v) for e, v in zip(est, vec))
 
 
-def test_histogram_release_without_nodes_is_empty():
+def test_histogram_release_without_nodes_is_empty(zero_noise):
     # an empty histogram still has the D + 1 bins 0..D, all zero
     seq = GraphSequence(Graph.from_edges([]), [Update(), Update()])
-    report = release(seq, GraphFunction("degree_histogram"), 1.0, 0.05, RandomSource(1),
-                     D=1, noise_off=True)
+    report = release(seq, GraphFunction("degree_histogram"), 1.0, 0.05, RandomSource(1), D=1)
     records = [(rec.true, rec.released, rec.abs_error) for rec in report.records]
     assert records == [((0, 0), (0.0, 0.0), 0.0)] * 2
 
