@@ -14,21 +14,22 @@ the dyadic tree is padded virtually; p-sums that would extend past T
 never close.
 
 A vector stream takes one source per coordinate, and coordinate i releases
-exactly what a scalar mechanism on source i would.  Noise is drawn in blocks
-of at most ``_BLOCK`` per source, never past the draws owed before T.
+exactly what a scalar mechanism on source i would.  All noise is drawn when
+the mechanism is built: one block of ``sum(T >> i)`` Laplace draws per
+source, in release order, one per p-sum the horizon can close.
 
 ``feed`` takes one item or a block of consecutive items along a leading
 time axis, and the two can be mixed.  Both compute the p-sum of level i
-ending at e as ``S_e - S_(e - 2^i)`` from the running prefix total S, and
-both draw the same noise in the same order, so any split of a stream into
-blocks releases bit for bit what feeding it item by item does.  On integer
-streams (exact in float64) every p-sum is the exact interval sum.  The
-released p-sums are kept in one store, one clean and one noisy array per
-level, row ``(e >> i) - 1``; ``estimate`` and ``trace`` read it, and a
-block's p-sums are a view of it whose records are built only when read.
-Only the noisy p-sums and the estimates summed from them are private; the
-clean arrays are the exact interval sums of the data, kept for audits
-(``verify bounds`` rebuilds every count from them).
+ending at e as ``S_e - S_(e - 2^i)`` from the running prefix total S and
+add its own stored draw, so any split of a stream into blocks releases bit
+for bit what feeding it item by item does.  On integer streams (exact in
+float64) every p-sum is the exact interval sum.  The p-sums are kept in one
+store, one clean and one noisy array per level, row ``(e >> i) - 1`` (a
+noisy row holds its draw until the p-sum closes); ``estimate`` and
+``trace`` read it, and a block's p-sums are a view of it whose records are
+built only when read.  Only the noisy p-sums and the estimates summed from
+them are private; the clean arrays are the exact interval sums of the data,
+kept for audits (``verify bounds`` rebuilds every count from them).
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ from .errors import (
     OutOfRange,
 )
 from .noise import RandomSource, concentration_bound, laplace_block
-
-# noise draws per coordinate per refill; above any level count x
-_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -152,29 +150,17 @@ class BinaryMechanism:
         # running prefix total S_t, and S at each level's last close
         self._total = np.zeros(k)
         self._last = np.zeros((self.x, k))
-        # the released p-sums: level i's ending at e is row (e >> i) - 1
+        # the p-sums: level i's ending at e is row (e >> i) - 1, a draw until it closes
+        draws = np.transpose([laplace_block(r, self.per_psum_scale, _count(0, T))
+                              for r in self._rngs])
+        self._noisy = [draws[pos] for _ends, pos in _schedule(0, T)]
         self._clean = [np.zeros((T >> i, k)) for i in range(self.x)]
-        self._noisy = [np.zeros((T >> i, k)) for i in range(self.x)]
         # row i: the estimate at the last multiple of 2^i so far (0 at t=0)
         self._head = np.zeros((self.x + 1, k))
-        # unused noise, one row per coordinate; draws each row owes up to T
-        self._noise = np.zeros((k, 0))
-        self._owed = sum(T >> i for i in range(self.x))
 
     @property
     def t(self) -> int:
         return self._t
-
-    def _draw(self, n: int) -> np.ndarray:
-        """The next n Laplace draws of every coordinate, shape (n, k)."""
-        have = self._noise.shape[1]
-        if have < n:
-            m = min(self._owed, max(n - have, _BLOCK))
-            fresh = [laplace_block(r, self.per_psum_scale, m) for r in self._rngs]
-            self._noise = np.hstack([self._noise, np.reshape(fresh, (len(fresh), m))])
-            self._owed -= m
-        out, self._noise = self._noise[:, :n], self._noise[:, n:]
-        return out.T
 
     def _check(self, items, n: int) -> None:
         """Refuse n more items past T, or an item outside ``bounds``."""
@@ -204,7 +190,7 @@ class BinaryMechanism:
         closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
         clean = self._total - self._last[:closing]
         self._last[:closing] = self._total
-        noisy = clean + self._draw(closing)
+        noisy = clean + [self._noisy[i][(t >> i) - 1] for i in range(closing)]
         for i in range(closing):
             self._clean[i][(t >> i) - 1] = clean[i]
             self._noisy[i][(t >> i) - 1] = noisy[i]
@@ -223,11 +209,6 @@ class BinaryMechanism:
         t0 = self._t
         # prefix totals S_{t0}, ..., S_{t0+n}, summed in stream order
         S = np.cumsum(np.vstack([self._total, items.reshape(n, k)]), axis=0)
-        ts = np.arange(t0 + 1, t0 + n + 1)
-        closing = np.frexp(ts & -ts)[1]
-        # step t's p-sums are draws offset[t - t0 - 1] + level
-        offset = np.cumsum(closing) - closing
-        noise = self._draw(int(closing.sum()))
         for i in range(self.x):
             first = ((t0 >> i) + 1) << i  # level i closes at first, first + 2^i, ...
             if first > t0 + n:
@@ -236,11 +217,12 @@ class BinaryMechanism:
             at = S[1:][steps]
             c = np.diff(at, axis=0, prepend=self._last[i:i + 1])
             self._last[i] = at[-1]
-            nz = c + noise[offset[steps] + i]
-            row = (first >> i) - 1
-            self._clean[i][row:row + len(c)], self._noisy[i][row:row + len(c)] = c, nz
+            rows = slice(t0 >> i, (t0 + n) >> i)
+            self._clean[i][rows] = c
+            self._noisy[i][rows] += c
         self._total = S[-1]
         self._t = t0 + n
+        ts = np.arange(t0 + 1, t0 + n + 1)
         # highest level first, as estimate(t) sums
         est = np.zeros((n, k))
         for i in reversed(range(self.x)):
@@ -267,24 +249,32 @@ class BinaryMechanism:
         return _psum_records(self, 0, self._t)
 
 
-def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
-    """Records of the p-sums released at steps t0+1..t1, in release order.
-
-    Level i closed at every 2^i-th step from the first multiple of 2^i after
-    t0, rows ``t0 >> i`` up to ``t1 >> i`` of its store.  Vector rows are
-    copied out, so no record aliases the store.
-    """
+def _schedule(t0: int, t1: int):
+    """Per level i = 0, 1, ...: the ends and release-order positions of its
+    p-sums that close at steps t0+1..t1 (store rows ``t0 >> i`` to
+    ``t1 >> i``).  Step t closes levels 0..ctz(t), lowest first."""
     ts = np.arange(t0 + 1, t1 + 1)
     closing = np.frexp(ts & -ts)[1]
-    # step t's records start at offset[t - t0 - 1], one per level
-    offset = np.cumsum(closing) - closing
-    total, k = int(closing.sum()), len(mech._rngs)
-    levels, ends = np.empty(total, int), np.empty(total, int)
-    clean, noisy = np.empty((total, k)), np.empty((total, k))
+    offset = np.cumsum(closing) - closing  # step t's first position is offset[t - t0 - 1]
     for i in range(t1.bit_length()):
         steps = slice((((t0 >> i) + 1) << i) - t0 - 1, t1 - t0, 1 << i)
-        pos, rows = offset[steps] + i, slice(t0 >> i, t1 >> i)
-        levels[pos], ends[pos] = i, ts[steps]
+        yield ts[steps], offset[steps] + i
+
+
+def _count(t0: int, t1: int) -> int:
+    """How many p-sums close at steps t0+1..t1: level i's at the multiples of 2^i."""
+    return sum((t1 >> i) - (t0 >> i) for i in range(t1.bit_length()))
+
+
+def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
+    """Records of the p-sums released at steps t0+1..t1, in release order.
+    Vector rows are copied out, so no record aliases the store."""
+    total, k = _count(t0, t1), len(mech._rngs)
+    levels, ends = np.empty(total, int), np.empty(total, int)
+    clean, noisy = np.empty((total, k)), np.empty((total, k))
+    for i, (e, pos) in enumerate(_schedule(t0, t1)):
+        rows = slice(t0 >> i, t1 >> i)
+        levels[pos], ends[pos] = i, e
         clean[pos], noisy[pos] = mech._clean[i][rows], mech._noisy[i][rows]
     if mech._scalar:
         clean, noisy = clean[:, 0].tolist(), noisy[:, 0].tolist()
@@ -303,8 +293,7 @@ class PSumView(Sequence):
         self._mech, self._t0, self._t1 = mech, t0, t1
 
     def __len__(self) -> int:
-        # level i closes at the multiples of 2^i in (t0, t1]
-        return sum((self._t1 >> i) - (self._t0 >> i) for i in range(self._t1.bit_length()))
+        return _count(self._t0, self._t1)
 
     def __getitem__(self, index):
         return _psum_records(self._mech, self._t0, self._t1)[index]

@@ -129,12 +129,20 @@ def threshold_budget(beta: float, r: float) -> int:
     return max(1, math.ceil(val - 1e-9))
 
 
+def _check_parameters(epsilon: float, beta: float, delta: float, r: float) -> None:
+    """Refuse a bad beta, r, epsilon or delta, in that order."""
+    threshold_budget(beta, r)
+    if not 0 < epsilon < math.inf:
+        raise OutOfRange(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0 < delta < 1:
+        raise BadDelta(f"delta must be in (0, 1), got {delta}")
+
+
 def additive_error(epsilon: float, beta: float, delta: float, r: float, rho: float, T: int) -> float:
     """alpha = 16 log_{1+beta}(r) rho ln(2T/delta) / epsilon."""
     if T < 1:
         raise OutOfRange(f"T must be >= 1, got {T}")
-    if not 0 < delta < 1:
-        raise BadDelta(f"delta must be in (0, 1), got {delta}")
+    _check_parameters(epsilon, beta, delta, r)
     log_r = math.log(r) / math.log(1.0 + beta)
     return 16.0 * log_r * rho * math.log(2.0 * T / delta) / epsilon
 
@@ -185,9 +193,9 @@ def monotone_run(
     for a, b in zip(values, values[1:]):
         if b < a:
             raise NonMonotoneInput(f"values decrease: {a} -> {b}")
-    # the mechanism checks epsilon before alpha divides by it
-    mech = MonotoneMechanism(epsilon, beta, r, rho, rng)
+    # alpha checks every parameter before the mechanism draws noise
     alpha = additive_error(epsilon, beta, delta, r, rho, max(len(values), 1))
+    mech = MonotoneMechanism(epsilon, beta, r, rho, rng)
     report = MonotoneReport(
         function=function,
         epsilon=epsilon,
@@ -258,6 +266,7 @@ def monotone_release(
         # a new node can lower a cut: its domain is edge-only logs
         raise NonMonotoneInput(f"{f.label()} release requires a log without node updates")
     rho = static_sensitivity(f, 1 if W is None else W)
+    _check_parameters(epsilon, beta, delta, r)
 
     if true_values is None:
         true_values = exact_values(seq, f)

@@ -225,8 +225,8 @@ def release(
         )
     if D is not None and (max_degree := seq.max_degree()) > D:
         raise DegreeViolation(f"sequence max degree {max_degree} exceeds declared D={D}")
-    if W is not None and seq.max_weight() > W:
-        raise WeightViolation(f"sequence max weight {seq.max_weight()} exceeds declared W={W}")
+    if W is not None and (max_weight := seq.max_weight()) > W:
+        raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
 
     T = seq.T
     histogram = f.name == "degree_histogram"

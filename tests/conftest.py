@@ -18,7 +18,9 @@ from continualdp import Graph, GraphSequence, RandomSource, Update, edge_key
 @contextmanager
 def zero_noise_draws():
     """Within the block every Laplace draw of the binary mechanism and of
-    the sparse vector reads 0 and consumes no randomness."""
+    the sparse vector reads 0 and consumes no randomness.  A binary
+    mechanism draws all its noise when it is built, so it must be built
+    inside the block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("continualdp.counting.laplace_block", lambda rng, b, n: np.zeros(n))
         mp.setattr("continualdp.monotone.sample_laplace", lambda rng, b: 0.0)

@@ -168,10 +168,9 @@ def test_zero_noise_counts_arbitrary_integer_streams(items):
     k=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=2**32),
     zero=st.booleans(),
-    block=st.sampled_from([8, counting._BLOCK]),  # 8 refills often; x <= 7 here
     data=st.data(),
 )
-def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, zero, block, data):
+def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, zero, data):
     items = data.draw(st.lists(
         st.lists(st.integers(min_value=-5, max_value=5), min_size=k, max_size=k),
         min_size=T, max_size=T,
@@ -179,8 +178,7 @@ def test_vector_mechanism_matches_scalar_mechanisms(T, k, seed, zero, block, dat
     root = RandomSource(seed)
     vec_rngs = [root.child(i) for i in range(k)]
     scalar_rngs = [root.child(i) for i in range(k)]
-    with mock.patch.object(counting, "_BLOCK", block), \
-            zero_noise_draws() if zero else nullcontext():
+    with zero_noise_draws() if zero else nullcontext():
         vec = BinaryMechanism(T, 0.7, vec_rngs, item_width=2.0)
         scalars = [BinaryMechanism(T, 0.7, r, item_width=2.0) for r in scalar_rngs]
         estimates = []
@@ -250,8 +248,7 @@ def test_blocks_match_single_items(T, k, seed, zero, data):
         mech = BinaryMechanism(T, 0.7, rngs, item_width=2.0)
         return mech, [rngs] if scalar else rngs
 
-    # _BLOCK = 8 refills often; x <= 7 here
-    with mock.patch.object(counting, "_BLOCK", 8), zero_noise_draws() if zero else nullcontext():
+    with zero_noise_draws() if zero else nullcontext():
         ref, ref_rngs = build()
         ref_est = [_bits(ref.feed(item)[1]) for item in items]
         ref_past = [_bits(ref.estimate(t)) for t in range(1, T + 1)]
@@ -310,6 +307,30 @@ def test_bad_block_leaves_state_unchanged(k):
 def test_item_width_must_be_positive_and_finite(value):
     with pytest.raises(NonPositiveScale, match="item width"):
         BinaryMechanism(4, 1.0, RandomSource(1), item_width=value)
+
+
+@pytest.mark.parametrize("how", ["block", "single"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("T", [1, 7, 64, 1000])
+def test_noise_is_drawn_at_construction(T, k, how):
+    # a copy of each source after one sample_laplace per p-sum the horizon closes
+    copies = [RandomSource(8).child(i) for i in range(k)]
+    for copy in copies:
+        for _ in range(sum(T >> i for i in range(num_levels(T)))):
+            sample_laplace(copy, 1.0)
+    rngs = [RandomSource(8).child(i) for i in range(k)]
+    mech = BinaryMechanism(T, 0.5, rngs[0] if k == 1 else rngs)
+    assert [r.uniform() for r in rngs] == [c.uniform() for c in copies]
+    items = np.arange(T * k, dtype=float).reshape(T, k) % 5 - 2
+    if k == 1:
+        items = items[:, 0]
+    if how == "block":
+        mech.feed(items)
+    else:
+        for item in items:
+            mech.feed(item)
+    assert mech.t == T
+    assert [r.uniform() for r in rngs] == [c.uniform() for c in copies]
 
 
 def _closed_in(t0: int, t1: int) -> int:

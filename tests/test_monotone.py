@@ -17,7 +17,9 @@ from continualdp import (
     threshold_budget,
     Update,
 )
+from continualdp import monotone
 from continualdp.errors import (
+    BadDelta,
     NonMonotoneInput,
     OutOfRange,
     UnboundedSensitivity,
@@ -175,6 +177,28 @@ def test_monotone_release_requires_a_declared_range():
     seq = gen_event_level("min_cut", "edge", [1, 1], W=2)
     with pytest.raises(TypeError, match="'r'"):
         monotone_release(seq, GraphFunction("min_cut"), 1.0, 0.5, 0.1, RandomSource(0), W=2)
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (dict(r=math.nan), OutOfRange, "range r must be in"),
+    (dict(epsilon=math.nan), OutOfRange, "epsilon must be positive and finite"),
+    (dict(delta=2.0), BadDelta, "delta must be in"),
+    (dict(beta=0.0), OutOfRange, "beta must be in"),
+], ids=["r=nan", "epsilon=nan", "delta=2", "beta=0"])
+def test_monotone_release_checks_parameters_before_evaluating(monkeypatch, bad, error, match):
+    calls, evaluate = [], monotone.exact_values
+    monkeypatch.setattr(monotone, "exact_values", lambda *a: calls.append(a) or evaluate(*a))
+    seq = gen_event_level("min_cut", "edge", [1, 1], W=2)
+
+    def run(epsilon=1.0, beta=0.5, delta=0.1, r=8.0):
+        return monotone_release(seq, GraphFunction("min_cut"), epsilon, beta, delta,
+                                RandomSource(0), r=r, W=2)
+
+    with pytest.raises(error, match=match):
+        run(**bad)
+    assert calls == []
+    run()  # the spy sees the one evaluation of a valid release
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["min_cut", "st_min_cut"])
