@@ -400,15 +400,6 @@ class GraphSequence:
         for _ in self.iter_graphs():
             pass
 
-    def max_degree(self) -> int:
-        """Largest degree in G_0..G_T; a degree only grows on an edge insert."""
-        best = max(self.initial.degrees().values(), default=0)
-        # zip applies (and so validates) each step before the body reads it
-        for u, g in zip(self.updates, self.iter_graphs()):
-            for a, b in u.e_ins:
-                best = max(best, len(g.adj[a]), len(g.adj[b]))
-        return best
-
     def max_weight(self) -> int:
         inserted = [max(u.e_ins.values()) for u in self.updates if u.e_ins]
         return max([self.initial.max_weight(), *inserted])

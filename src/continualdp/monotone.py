@@ -246,8 +246,9 @@ def monotone_release(
     sequence; it is required for the weighted statistics (the cuts and
     weighted matching), whose rho is W.  rho always comes from
     ``static_sensitivity``.
-    ``true_values`` may carry precomputed exact values (one per step)
-    to avoid re-evaluating expensive statistics across repeated trials.
+    ``true_values`` may carry ``exact_values(seq, f)`` of this same
+    sequence, to avoid re-evaluating it across repeated trials; they skip
+    the replay, which is what validates the log.
     Decremental sequences are processed in reverse and the outputs are
     timestamped back.
     """

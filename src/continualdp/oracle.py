@@ -496,7 +496,8 @@ def compare_with_table(f: GraphFunction, scope: OracleScope) -> TableVerdict:
     for pair in _pairs(f, scope):
         tested += 1
         val = diff_sensitivity(f, pair[0], pair[1])
-        D = max(pair[0].max_degree(), pair[1].max_degree(), 1)
+        graphs = [g for seq in pair for g in (seq.initial, *seq.materialize())]
+        D = max([1, *(d for g in graphs for d in g.degrees().values())])
         W = max(pair[0].max_weight(), pair[1].max_weight())
         bound = sensitivity_bound(f, scope.adjacency, scope.regime, D=D, W=W)
         if val > bound + 1e-9:

@@ -179,19 +179,30 @@ class ReleaseReport:
                 for t, (v, e, err) in enumerate(rows, start=1)]
 
 
-def exact_values(seq: GraphSequence, f: GraphFunction) -> list:
-    """Exact f(G_1), ..., f(G_T) in one pass over the sequence.
+def exact_values(seq: GraphSequence, f: GraphFunction, D: int | None = None) -> list:
+    """Exact f(G_1), ..., f(G_T) in one pass, which validates the sequence.
 
-    A histogram has the counts per degree 0..max degree of its step.  A
-    decremental sequence is evaluated backward, as the incremental
-    G_T, ..., G_1, so that the running values on the graph state only
-    ever see insertions.
+    With D declared, a degree of G_0..G_T above D raises DegreeViolation
+    after the pass, so an invalid update comes first.  A histogram has the
+    counts per degree 0..max degree of its step.  A decremental sequence is
+    validated by ``reversed_sequence`` and evaluated backward, as the
+    incremental G_T, ..., G_1, so running values only see insertions.
     """
-    if seq.kind is SequenceKind.DECREMENTAL:
+    top = max(seq.initial.degrees().values(), default=0)
+    backward = seq.kind is SequenceKind.DECREMENTAL
+    if backward:
         rev = reversed_sequence(seq)
-        back = GraphSequence(rev.initial, (Update(),) + rev.updates[:-1])
-        return [evaluate(f, g) for g in back.iter_graphs()][::-1]
-    return [evaluate(f, g) for g in seq.iter_graphs()]
+        seq = GraphSequence(rev.initial, (Update(),) + rev.updates[:-1])
+    values = []
+    # zip applies each step before the body reads it; a degree only grows
+    # on an edge insert, and never past G_0's in a decremental sequence
+    for u, g in zip(seq.updates, seq.iter_graphs()):
+        if D is not None:
+            top = max([top, *(len(g.adj[v]) for k in u.e_ins for v in k)])
+        values.append(evaluate(f, g))
+    if D is not None and top > D:
+        raise DegreeViolation(f"sequence max degree {top} exceeds declared D={D}")
+    return values[::-1] if backward else values
 
 
 def release(
@@ -223,8 +234,6 @@ def release(
         raise UnboundedSensitivity(
             f"{f.label()} has no finite sensitivity for {adjacency}/{regime} release"
         )
-    if D is not None and (max_degree := seq.max_degree()) > D:
-        raise DegreeViolation(f"sequence max degree {max_degree} exceeds declared D={D}")
     if W is not None and (max_weight := seq.max_weight()) > W:
         raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
 
@@ -233,7 +242,9 @@ def release(
     coords = D + 1 if histogram else 1  # the histogram's table cell requires D
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
     mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0], item_width=gamma)
-    values = exact_values(seq, f)
+    bound = theoretical_release_error(gamma, epsilon, delta, T)
+    # every check that needs no replay is above; the one replay comes last
+    values = exact_values(seq, f, D)
     if histogram:
         exact = np.zeros((T, coords))
         for row, value in zip(exact, values):
@@ -248,7 +259,7 @@ def release(
         gamma=gamma,
         adjacency=adjacency,
         seed=rng.seed,
-        bound=theoretical_release_error(gamma, epsilon, delta, T),
+        bound=bound,
         exact=exact,
         est=est,
     )

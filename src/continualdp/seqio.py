@@ -16,8 +16,8 @@ Empty fields are omitted on output.  The initial graph is serialized as
 a ``t=0`` line carrying only insertions; a ``t=0`` line is emitted even
 when the initial graph is empty so the horizon is unambiguous.  Lines
 starting with ``#`` are comments and ignored on parse.  ``parse_sequence``
-needs each of the lines ``t=0..T`` once, and validates the whole
-sequence by one replay (``GraphSequence.validate``).
+needs each of the lines ``t=0..T`` once.  It does not replay the log:
+the first replay of whatever reads it refuses an invalid update.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ def _parse_update(line: str, ids: dict | None = None,
 
 
 def _read_updates(text: str) -> dict[int, Update]:
-    """The update of every line by its time index.  The intern tables live
-    for this one call, so they are gone before the log is replayed."""
+    """The update of every line by its time index."""
     updates: dict[int, Update] = {}
     ids: dict = {}
     keys: dict = {}
@@ -183,8 +182,5 @@ def parse_sequence(text: str) -> GraphSequence:
         T = max(updates)
         if sorted(updates) != list(range(1, T + 1)):
             raise FormatError("time indices must be contiguous 1..T")
-        seq = GraphSequence(initial, [updates[t] for t in range(1, T + 1)])
-    else:
-        seq = GraphSequence(initial, [])
-    seq.validate()
-    return seq
+        return GraphSequence(initial, [updates[t] for t in range(1, T + 1)])
+    return GraphSequence(initial, [])

@@ -111,3 +111,9 @@ def random_sequence(
     seq = GraphSequence(initial, updates)
     seq.validate()
     return seq
+
+
+def max_degree(seq: GraphSequence) -> int:
+    """Largest degree in G_0..G_T, read from snapshots of every step."""
+    graphs = (seq.initial, *seq.materialize())
+    return max((d for g in graphs for d in g.degrees().values()), default=0)

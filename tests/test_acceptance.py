@@ -36,7 +36,7 @@ from continualdp import (
 )
 from continualdp.counting import prefix_intervals
 
-from conftest import random_sequence
+from conftest import max_degree, random_sequence
 
 SEED = 20260824
 
@@ -170,7 +170,7 @@ def test_criterion_4_zero_noise_reconstruction(zero_noise):
         # +2 and +1 keep Gamma positive: k-stars with D < k and MST with W = 1 give 0
         report = release(
             seq, f, 1.0, 0.05, rng.child(f"rel{i}"),
-            D=seq.max_degree() + 2, W=seq.max_weight() + 1,
+            D=max_degree(seq) + 2, W=seq.max_weight() + 1,
         )
         assert all(rec.abs_error == 0 for rec in report.records), (i, f.label())
     _ok("criterion 4: 500 random incremental sequences reconstructed exactly")

@@ -419,6 +419,24 @@ def test_release_rejects_bad_logs(runner, tmp_path, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--function", "edge_count"],
+    ["experiment", "--function", "edge_count", "--epsilon", "1", "--delta", "0.05",
+     "--trials", "2", "--seed", "1"],
+    ["release", "--mechanism", "monotone", "--function", "max_cardinality_matching",
+     "--range-r", "10", "--epsilon", "1", "--delta", "0.05", "--seed", "1"],
+], ids=["eval", "experiment", "monotone"])
+def test_every_command_rejects_an_invalid_update(runner, tmp_path, command):
+    # the log parses; the command's one replay refuses it
+    log = tmp_path / "bad.txt"
+    log.write_text("t=0 +v:0,1\nt=1 -e:0-1\n")
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [*command, "--input", str(log), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "error: at t=1: deleting absent edge (0, 1)" in result.output
+    assert not out.exists()
+
+
 _ROW_COMMANDS = {
     "release-scalar": ["release", "--function", "edge_count"],
     "release-histogram": ["release", "--function", "degree_histogram", "-D", "12"],

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from continualdp import (
     AdjacencyKind,
     Graph,
+    GraphFunction,
     GraphSequence,
     RandomSource,
     SequenceKind,
@@ -14,9 +15,12 @@ from continualdp import (
     edge_key,
     reversed_sequence,
 )
-from continualdp.errors import InvalidUpdate, LengthMismatch
+from continualdp.errors import DegreeViolation, InvalidUpdate, LengthMismatch
+from continualdp.release import exact_values
 
-from conftest import random_sequence
+from conftest import max_degree, random_sequence
+
+EDGES = GraphFunction("edge_count")
 
 
 def test_edge_key_canonical():
@@ -76,8 +80,9 @@ def test_apply_update_rejections(update, message):
     assert str(exc.value) == message
     # every pass over a sequence applies the same rule and names the step
     seq = GraphSequence(g, [update])
-    passes = [lambda: list(seq.iter_graphs()), seq.materialize, seq.max_degree,
-              lambda: reversed_sequence(seq)]
+    # D=0 is exceeded at G_0: the invalid update still wins
+    passes = [lambda: list(seq.iter_graphs()), seq.materialize,
+              lambda: exact_values(seq, EDGES, D=0), lambda: reversed_sequence(seq)]
     for run in passes:
         with pytest.raises(InvalidUpdate) as exc:
             run()
@@ -188,14 +193,19 @@ def test_degree_and_weight_bounds():
     seq = GraphSequence(
         g, [Update(v_ins={5}, e_ins={(0, 5): 2}), Update(e_del={(0, 5)}, v_del={5})]
     )
-    assert seq.max_degree() == 2
+    assert exact_values(seq, EDGES, D=2) == [2, 1]
+    with pytest.raises(DegreeViolation, match="max degree 2 exceeds declared D=1"):
+        exact_values(seq, EDGES, D=1)
     assert seq.max_weight() == 4
 
 
 def test_max_degree_covers_initial_graph():
+    # a decremental log is evaluated backward, which never visits G_0
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
     seq = GraphSequence(g, [Update(e_del={(0, 3)})])
-    assert seq.max_degree() == 3
+    assert exact_values(seq, EDGES, D=3) == [2]
+    with pytest.raises(DegreeViolation, match="max degree 3 exceeds declared D=2"):
+        exact_values(seq, EDGES, D=2)
 
 
 @pytest.mark.parametrize("kind", ["incremental", "decremental", "fully-dynamic"])
@@ -203,8 +213,10 @@ def test_max_degree_matches_snapshots(kind):
     rng = RandomSource(31)
     for i in range(50):
         seq = random_sequence(rng.child(i), kind=kind)
-        graphs = [seq.initial] + seq.materialize()
-        assert seq.max_degree() == max(d for g in graphs for d in g.degrees().values())
+        top = max_degree(seq)
+        assert exact_values(seq, EDGES, D=top) == exact_values(seq, EDGES)
+        with pytest.raises(DegreeViolation, match=f"max degree {top} exceeds declared D={top - 1}$"):
+            exact_values(seq, EDGES, D=top - 1)
 
 
 def test_reversed_sequence_involution():

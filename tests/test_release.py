@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from continualdp import (
@@ -14,6 +14,7 @@ from continualdp import (
     GraphFunction,
     GraphSequence,
     RandomSource,
+    SequenceKind,
     Update,
     check_adjacency,
     diff_sensitivity,
@@ -25,15 +26,19 @@ from continualdp import (
     theoretical_release_error,
 )
 from continualdp.errors import (
+    BadDelta,
+    ContinualDPError,
     DegreeViolation,
+    NonPositiveScale,
     OutOfRange,
     UnboundedSensitivity,
     UnknownCombination,
     WeightViolation,
 )
+from continualdp.graphs import DynamicGraph
 from continualdp.release import ReleaseRecord, exact_values
 
-from conftest import random_sequence
+from conftest import max_degree, random_sequence
 
 PD = "partially-dynamic"
 FD = "fully-dynamic"
@@ -110,7 +115,7 @@ def test_zero_noise_release_reconstructs_exactly(zero_noise):
         seq = random_sequence(rng.child(i), kind="incremental")
         for f, _kw in _functions():
             # +2 keeps Gamma positive: k-stars with D < k give 0
-            D = seq.max_degree() + 2
+            D = max_degree(seq) + 2
             report = release(
                 seq, f, 1.0, 0.05, rng.child(f"{i}:{f.name}"),
                 D=D, W=seq.max_weight(),
@@ -168,23 +173,111 @@ def test_declared_contract_bounds_are_validated():
 def test_histogram_release_runs_one_mechanism_per_bin(zero_noise):
     seq = gen_event_level("degree_histogram", "edge", [1, 0, 1])
     f = GraphFunction("degree_histogram")
-    D = seq.max_degree() + 3
+    D = max_degree(seq) + 3
     report = release(seq, f, 1.0, 0.05, RandomSource(2), D=D)
     for rec in report.records:
         assert len(rec.released) == len(rec.true) == D + 1
         assert rec.abs_error == 0
 
 
-def test_degree_violation_makes_one_max_degree_pass(monkeypatch):
-    calls = []
-    max_degree = GraphSequence.max_degree
-    monkeypatch.setattr(
-        GraphSequence, "max_degree", lambda self: calls.append(1) or max_degree(self)
-    )
+def test_degree_checked_release_makes_one_pass(monkeypatch):
     seq = gen_event_level("triangle", "edge", [1, 1, 1])
+    f = GraphFunction("triangle_count")
+    calls, apply = [], DynamicGraph.apply
+    monkeypatch.setattr(DynamicGraph, "apply", lambda g, u: calls.append(1) or apply(g, u))
     with pytest.raises(DegreeViolation, match="max degree 2 exceeds declared D=1"):
-        release(seq, GraphFunction("triangle_count"), 1.0, 0.05, RandomSource(1), D=1)
+        release(seq, f, 1.0, 0.05, RandomSource(1), D=1)
+    assert len(calls) == seq.T
+    calls.clear()
+    release(seq, f, 1.0, 0.05, RandomSource(1), D=2)
+    assert len(calls) == seq.T
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (dict(delta=math.nan), BadDelta, "delta must be in"),
+    (dict(delta=2.0), BadDelta, "delta must be in"),
+    (dict(delta=0.0), BadDelta, "delta must be in"),
+    (dict(epsilon=math.nan), NonPositiveScale, "epsilon must be positive and finite"),
+], ids=["delta=nan", "delta=2", "delta=0", "epsilon=nan"])
+def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, match):
+    module = importlib.import_module("continualdp.release")
+    calls, evaluate = [], module.exact_values
+    monkeypatch.setattr(module, "exact_values", lambda *a: calls.append(a) or evaluate(*a))
+    seq = gen_event_level("triangle", "edge", [1, 1, 1])
+
+    def run(epsilon=1.0, delta=0.05):
+        return release(seq, GraphFunction("triangle_count"), epsilon, delta,
+                       RandomSource(0), D=2)
+
+    with pytest.raises(error, match=match):
+        run(**bad)
+    assert calls == []
+    run()  # the spy sees the one evaluation of a valid release
     assert len(calls) == 1
+
+
+def _invalidated(seq: GraphSequence, rng: RandomSource, mode: str) -> GraphSequence:
+    """``seq`` with one update made invalid: it deletes an edge no graph
+    has, or inserts again an edge that the graph before it has and that
+    it does not delete."""
+    updates = list(seq.updates)
+    graphs = [seq.initial, *seq.materialize()]
+    if mode == "absent":
+        cands = [(t, (100, 101)) for t in range(seq.T)]
+    else:
+        cands = [(t, k) for t, u in enumerate(updates) for k in graphs[t].edges
+                 if k not in u.e_del]
+    if not cands:
+        return seq
+    t, k = cands[rng.integers(0, len(cands))]
+    u = updates[t]
+    e_ins, e_del = dict(u.e_ins), set(u.e_del)
+    if mode == "absent":
+        e_del.add(k)
+    else:
+        e_ins[k] = 1
+    updates[t] = Update(v_ins=u.v_ins, v_del=u.v_del, e_ins=e_ins, e_del=e_del)
+    return GraphSequence(seq.initial, updates)
+
+
+def _outcome(run):
+    try:
+        return run().est.tolist()
+    except ContinualDPError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(("incremental", "decremental", "fully-dynamic")),
+    st.sampled_from(("valid", "absent", "duplicate")),
+    st.sampled_from([GraphFunction("edge_count"), GraphFunction("triangle_count"),
+                     GraphFunction("kstar_count", k=2), GraphFunction("degree_histogram")]),
+    st.sampled_from(("edge", "node")),
+    st.data(),
+)
+def test_one_pass_release_matches_the_eager_checks(seed, kind, mode, f, adjacency, data):
+    valid = random_sequence(RandomSource(seed), n_max=7, T_max=12, kind=kind)
+    D = data.draw(st.integers(1, max_degree(valid) + 1), label="D")
+    seq = valid if mode == "valid" else _invalidated(valid, RandomSource(seed).child(mode), mode)
+    fully_dynamic = seq.kind is SequenceKind.FULLY_DYNAMIC
+    if fully_dynamic:  # the one finite fully dynamic cell
+        f, adjacency = GraphFunction("edge_count"), "edge"
+    regime = FD if fully_dynamic else PD
+    # only a configuration that every check before the replay accepts
+    assume(0 < sensitivity_bound(f, adjacency, regime, D=D) < math.inf)
+
+    def one_pass():
+        return release(seq, f, 1.0, 0.05, RandomSource(seed), adjacency=adjacency, D=D)
+
+    def eager():
+        seq.validate()
+        if (top := max_degree(seq)) > D:
+            raise DegreeViolation(f"sequence max degree {top} exceeds declared D={D}")
+        return one_pass()
+
+    assert _outcome(one_pass) == _outcome(eager)
 
 
 @pytest.mark.parametrize("adjacency", ["edge", "node"])
@@ -201,7 +294,7 @@ def test_histogram_release_equals_per_bin_mechanisms(monkeypatch, adjacency):
     f = GraphFunction("degree_histogram")
     for i in range(5):
         seq = random_sequence(RandomSource(i), kind="incremental", T_max=40)
-        D = max(seq.max_degree(), 1)
+        D = max(max_degree(seq), 1)
         report = release(seq, f, 0.8, 0.05, RandomSource(50 + i), adjacency=adjacency, D=D)
         assert len(built) == i + 1
         gamma = sensitivity_bound(f, adjacency, PD, D=D)
@@ -259,7 +352,7 @@ def test_mst_gamma_covers_a_forest_pair():
 def test_histogram_error_is_max_over_bins():
     seq = gen_event_level("degree_histogram", "edge", [1, 1])
     f = GraphFunction("degree_histogram")
-    report = release(seq, f, 1.0, 0.05, RandomSource(9), D=seq.max_degree())
+    report = release(seq, f, 1.0, 0.05, RandomSource(9), D=max_degree(seq))
     for rec in report.records:
         diffs = [abs(r - float(t)) for r, t in zip(rec.released, rec.true)]
         assert rec.abs_error == pytest.approx(max(diffs))
@@ -309,7 +402,7 @@ def test_records_from_columns_match_the_eager_records(seed, kind, f, adjacency):
     seq = random_sequence(RandomSource(seed), n_max=7, T_max=14, kind=kind)
     if kind == "fully-dynamic":  # the one finite fully dynamic cell
         f, adjacency = GraphFunction("edge_count"), "edge"
-    D = max(seq.max_degree(), 2)  # D = 1 gives some cells Gamma = 0
+    D = max(max_degree(seq), 2)  # D = 1 gives some cells Gamma = 0
     report = release(seq, f, 0.7, 0.05, RandomSource(seed).child("noise"),
                      adjacency=adjacency, D=D, W=seq.max_weight())
     want = _eager_records(seq, f, report.est, report.bound, D)

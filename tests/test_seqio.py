@@ -11,7 +11,7 @@ from continualdp import (
     serialize_sequence,
 )
 from continualdp.errors import FormatError, InvalidUpdate
-from continualdp.graphs import _EMPTY
+from continualdp.graphs import _EMPTY, DynamicGraph
 from continualdp.seqio import _parse_update
 
 from conftest import random_sequence
@@ -113,9 +113,14 @@ def test_parse_rejects_malformed_input(text):
         parse_sequence(text)
 
 
-def test_parse_validates_the_sequence():
-    with pytest.raises(InvalidUpdate):
-        parse_sequence("t=0 +v:0,1\nt=1 -e:0-1\n")
+def test_parse_does_not_replay(monkeypatch):
+    calls, apply = [], DynamicGraph.apply
+    monkeypatch.setattr(DynamicGraph, "apply", lambda g, u: calls.append(1) or apply(g, u))
+    seq = parse_sequence("t=0 +v:0,1\nt=1 -e:0-1\n")
+    assert calls == []
+    # the first replay of the parsed log refuses the update
+    with pytest.raises(InvalidUpdate, match=r"at t=1: deleting absent edge \(0, 1\)"):
+        seq.materialize()
 
 
 def _outcome(parse, line):
