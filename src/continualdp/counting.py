@@ -110,6 +110,14 @@ def prefix_intervals(t: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _check_scale(epsilon: float, item_width: float) -> None:
+    """Refuse an epsilon or item width outside (0, inf), in that order."""
+    if not 0 < epsilon < math.inf:
+        raise NonPositiveScale(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0 < item_width < math.inf:
+        raise NonPositiveScale(f"item width must be positive and finite, got {item_width}")
+
+
 class BinaryMechanism:
     """Continual counting over a declared horizon T.
 
@@ -135,10 +143,7 @@ class BinaryMechanism:
         self.T = T
         self.x = num_levels(T)
         self.y = max_summands(T)
-        if not 0 < epsilon < math.inf:
-            raise NonPositiveScale(f"epsilon must be positive and finite, got {epsilon}")
-        if not 0 < item_width < math.inf:
-            raise NonPositiveScale(f"item width must be positive and finite, got {item_width}")
+        _check_scale(epsilon, item_width)
         self.epsilon = epsilon
         self.item_width = item_width
         self.per_psum_scale = item_width * self.x / epsilon
@@ -305,12 +310,12 @@ class PSumView(Sequence):
 def theoretical_count_error(width: float, epsilon: float, delta: float, T: int) -> float:
     """Explicit high-probability error bound for the binary mechanism.
 
-    concentration_bound over y scales of width*x/epsilon each.
+    concentration_bound over y scales of width*x/epsilon each.  T, epsilon
+    and the width are refused as ``BinaryMechanism`` refuses them, in the
+    same order, and then delta.
     """
-    if width <= 0 or epsilon <= 0:
-        raise NonPositiveScale("width and epsilon must be positive")
+    x = num_levels(T)
+    _check_scale(epsilon, width)
     if not 0 < delta < 1:
         raise BadDelta(f"delta must be in (0, 1), got {delta}")
-    x = num_levels(T)
-    y = max_summands(T)
-    return concentration_bound([width * x / epsilon] * y, delta)
+    return concentration_bound([width * x / epsilon] * max_summands(T), delta)

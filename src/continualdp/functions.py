@@ -1,8 +1,11 @@
 """Exact evaluators for every released graph statistic.
 
 These are the ground truth against which noisy releases are judged.
-Each statistic has one route here; the non-trivial ones are checked
-against independent oracles in ``tests/oracles.py``:
+One table, ``STATISTICS``, declares each statistic once: its from-scratch
+evaluator, its running value and, for a monotone statistic, its static
+sensitivity rho.  ``evaluate``, the release mechanisms, the oracle and the
+generators all read it.  The non-trivial evaluators are checked against
+independent oracles in ``tests/oracles.py``:
 
 * minimum cut: hand-rolled Stoer-Wagner (vectorized), against networkx
 * max weight matching: blossom (networkx), against a bitmask subset DP
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,44 +48,18 @@ from .graphs import DynamicGraph, Graph
 
 DENSEST_EXHAUSTIVE_LIMIT = 20
 
-SCALAR_FUNCTIONS = frozenset(
-    {
-        "edge_count",
-        "high_degree",
-        "triangle_count",
-        "kstar_count",
-        "mst_weight",
-        "min_cut",
-        "st_min_cut",
-        "max_weight_matching",
-        "max_cardinality_matching",
-        "densest_subgraph",
-    }
-)
-FUNCTION_NAMES = SCALAR_FUNCTIONS | {"degree_histogram"}
-
-# functions released through the monotone SVT mechanism
-MONOTONE_FUNCTIONS = frozenset(
-    {
-        "min_cut",
-        "st_min_cut",
-        "max_weight_matching",
-        "max_cardinality_matching",
-        "densest_subgraph",
-    }
-)
-
-# generator targets; defined here so the CLI can list them without loading generators
-EVENT_TARGETS = (
-    "mst",
-    "min_cut",
-    "matching",
-    "edge_count",
-    "high_degree",
-    "degree_histogram",
-    "triangle",
-    "kstar",
-)
+# generator target -> the statistic it drives; the CLI lists the targets
+# without loading generators
+EVENT_TARGETS = {
+    "mst": "mst_weight",
+    "min_cut": "min_cut",
+    "matching": "max_weight_matching",
+    "edge_count": "edge_count",
+    "high_degree": "high_degree",
+    "degree_histogram": "degree_histogram",
+    "triangle": "triangle_count",
+    "kstar": "kstar_count",
+}
 
 
 @dataclass(frozen=True)
@@ -96,7 +73,7 @@ class GraphFunction:
     t: int | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in FUNCTION_NAMES:
+        if self.name not in STATISTICS:
             raise UnknownFunction(f"unknown graph function {self.name!r}")
         if self.name == "high_degree" and (self.tau is None or self.tau < 1):
             raise OutOfRange("high_degree requires tau >= 1")
@@ -622,67 +599,81 @@ class _SubsetEdges(_Insertions):
         self.total = max(self.total, float((self.count[idx] / self.size[idx]).max()))
 
 
-_RUNNING = {
-    "high_degree": lambda g, f: _DegreeSum(g, lambda d: int(d >= f.tau)),
-    "kstar_count": lambda g, f: _DegreeSum(g, lambda d: math.comb(d, f.k)),
-    "degree_histogram": lambda g, f: _Histogram(g),
-    "triangle_count": lambda g, f: _Triangles(g),
-    "mst_weight": lambda g, f: _SpanningForest(g),
-    "min_cut": lambda g, f: _Cut(g),
-    "st_min_cut": lambda g, f: _Cut(g, f.s, f.t),
-    "max_cardinality_matching": lambda g, f: _Matching(g),
-    "densest_subgraph": lambda g, f: _SubsetEdges(g),
+class Statistic(NamedTuple):
+    """What the library declares about one statistic.
+
+    ``exact(g, f)`` evaluates it from scratch.  ``running(g, f)`` builds
+    its running value on a DynamicGraph, or is None where every step
+    evaluates from scratch.  ``rho`` is the static edge-level sensitivity
+    of a monotone statistic, ``"W"`` (the declared weight bound) or 1, and
+    None for one released through difference sequences.  A monotone
+    statistic that a node update can lower has ``edge_logs_only``.
+    """
+
+    exact: Callable
+    running: Callable | None = None
+    rho: int | str | None = None
+    edge_logs_only: bool = False
+
+
+STATISTICS = {
+    "edge_count": Statistic(lambda g, f: edge_count(g)),
+    "high_degree": Statistic(
+        lambda g, f: high_degree(g, f.tau),
+        lambda g, f: _DegreeSum(g, lambda d: int(d >= f.tau)),
+    ),
+    "degree_histogram": Statistic(lambda g, f: degree_histogram(g), lambda g, f: _Histogram(g)),
+    "triangle_count": Statistic(lambda g, f: triangle_count(g), lambda g, f: _Triangles(g)),
+    "kstar_count": Statistic(
+        lambda g, f: kstar_count(g, f.k),
+        lambda g, f: _DegreeSum(g, lambda d: math.comb(d, f.k)),
+    ),
+    "mst_weight": Statistic(lambda g, f: mst_weight(g), lambda g, f: _SpanningForest(g)),
+    "min_cut": Statistic(lambda g, f: min_cut(g), lambda g, f: _Cut(g), "W", True),
+    "st_min_cut": Statistic(
+        lambda g, f: st_min_cut(g, f.s, f.t), lambda g, f: _Cut(g, f.s, f.t), "W", True,
+    ),
+    "max_weight_matching": Statistic(lambda g, f: max_weight_matching(g), None, "W"),
+    "max_cardinality_matching": Statistic(
+        lambda g, f: max_cardinality_matching(g), lambda g, f: _Matching(g), 1,
+    ),
+    "densest_subgraph": Statistic(
+        lambda g, f: densest_subgraph(g), lambda g, f: _SubsetEdges(g), 1,
+    ),
 }
+FUNCTION_NAMES = frozenset(STATISTICS)
+# the statistics released through the monotone SVT mechanism
+MONOTONE_FUNCTIONS = frozenset(name for name, s in STATISTICS.items() if s.rho is not None)
 
 
 def evaluate(f: GraphFunction, g: Graph):
-    """Dispatch to the exact evaluator for ``f``.
+    """The exact value of ``f`` on ``g``.
 
     Returns a scalar, or for degree_histogram the tuple of counts per
-    degree 0..max degree.  On a DynamicGraph every statistic but
-    edge_count (``len(g.edges)`` either way) and weighted matching is
-    memoised per ``f`` and kept up to date by the state's operations.
+    degree 0..max degree.  On a DynamicGraph every statistic with a
+    running value is memoised per ``f`` and kept up to date by the
+    state's operations.
     """
-    name = f.name
-    if name in _RUNNING and isinstance(g, DynamicGraph):
+    stat = STATISTICS[f.name]
+    if stat.running is not None and isinstance(g, DynamicGraph):
         run = g.running.get(f)
         if run is None or run.stale:
-            run = g.running[f] = _RUNNING[name](g, f)
+            run = g.running[f] = stat.running(g, f)
         return run.value(g)
-    if name == "edge_count":
-        return edge_count(g)
-    if name == "high_degree":
-        return high_degree(g, f.tau)
-    if name == "degree_histogram":
-        return degree_histogram(g)
-    if name == "triangle_count":
-        return triangle_count(g)
-    if name == "kstar_count":
-        return kstar_count(g, f.k)
-    if name == "mst_weight":
-        return mst_weight(g)
-    if name == "min_cut":
-        return min_cut(g)
-    if name == "st_min_cut":
-        return st_min_cut(g, f.s, f.t)
-    if name == "max_weight_matching":
-        return max_weight_matching(g)
-    if name == "max_cardinality_matching":
-        return max_cardinality_matching(g)
-    if name == "densest_subgraph":
-        return densest_subgraph(g)
-    raise UnknownFunction(name)
+    return stat.exact(g, f)
 
 
-def static_sensitivity(f: GraphFunction, W: int = 1) -> int:
-    """Static global sensitivity rho over edge-adjacent graphs.
-
-    Defined for the monotone-track functions only.
-    """
-    if W < 1:
+def static_sensitivity(f: GraphFunction, W: int | None = None) -> int:
+    """Static global sensitivity rho of a monotone statistic over
+    edge-adjacent graphs: the declared weight bound W, required, for the
+    cuts and weighted matching, and 1 for the others."""
+    if W is not None and W < 1:
         raise OutOfRange(f"W must be >= 1, got {W}")
-    if f.name in {"min_cut", "st_min_cut", "max_weight_matching"}:
-        return W
-    if f.name in {"max_cardinality_matching", "densest_subgraph"}:
-        return 1
-    raise UnknownFunction(f"no static sensitivity for {f.name}")
+    rho = STATISTICS[f.name].rho
+    if rho is None:
+        raise UnknownFunction(f"no static sensitivity for {f.name}")
+    if rho != "W":
+        return rho
+    if W is None:
+        raise OutOfRange(f"{f.label()} release requires a declared weight bound W")
+    return W

@@ -63,24 +63,14 @@ def _check_sigma(sigma: Sequence[int]) -> list[int]:
 def target_function(
     target: str, *, tau: int | None = None, k: int | None = None
 ) -> GraphFunction:
-    """The evaluator matching a generator target."""
-    if target == "mst":
-        return GraphFunction("mst_weight")
-    if target == "min_cut":
-        return GraphFunction("min_cut")
-    if target == "matching":
-        return GraphFunction("max_weight_matching")
-    if target == "edge_count":
-        return GraphFunction("edge_count")
-    if target == "high_degree":
-        return GraphFunction("high_degree", tau=tau)
-    if target == "degree_histogram":
-        return GraphFunction("degree_histogram")
-    if target == "triangle":
-        return GraphFunction("triangle_count")
-    if target == "kstar":
-        return GraphFunction("kstar_count", k=k)
-    raise ParameterOutOfRange(f"unknown target {target!r}")
+    """The evaluator matching a generator target; only high_degree takes
+    ``tau`` and only kstar_count ``k``."""
+    try:
+        name = EVENT_TARGETS[target]
+    except KeyError:
+        raise ParameterOutOfRange(f"unknown target {target!r}") from None
+    return GraphFunction(name, tau=tau if name == "high_degree" else None,
+                         k=k if name == "kstar_count" else None)
 
 
 # ---- MST constructions ----

@@ -34,7 +34,7 @@ from .errors import (
     UnknownRange,
     WeightViolation,
 )
-from .functions import MONOTONE_FUNCTIONS, GraphFunction, static_sensitivity
+from .functions import MONOTONE_FUNCTIONS, STATISTICS, GraphFunction, static_sensitivity
 from .graphs import GraphSequence, SequenceKind
 from .noise import RandomSource, sample_laplace
 from .release import EDGE, exact_values
@@ -109,7 +109,6 @@ class MonotoneReport:
     rho: float
     c: int
     alpha: float
-    seed: int
     budget_exhausted: bool = False
     top_count: int = 0
     records: list[MonotoneRecord] = field(default_factory=list)
@@ -205,7 +204,6 @@ def monotone_run(
         rho=rho,
         c=mech.c,
         alpha=alpha,
-        seed=rng.seed,
     )
     for t, v in enumerate(values, start=1):
         out = mech.process(v)
@@ -259,14 +257,12 @@ def monotone_release(
     kind = seq.kind
     if kind is SequenceKind.FULLY_DYNAMIC:
         raise NonMonotoneInput("monotone release requires a partially dynamic sequence")
-    if W is None and f.name in {"min_cut", "st_min_cut", "max_weight_matching"}:
-        raise OutOfRange(f"{f.label()} release requires a declared weight bound W")
     if W is not None and (max_weight := seq.max_weight()) > W:
         raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
-    if f.name in {"min_cut", "st_min_cut"} and any(u.v_ins or u.v_del for u in seq.updates):
+    rho = static_sensitivity(f, W)
+    if STATISTICS[f.name].edge_logs_only and any(u.v_ins or u.v_del for u in seq.updates):
         # a new node can lower a cut: its domain is edge-only logs
         raise NonMonotoneInput(f"{f.label()} release requires a log without node updates")
-    rho = static_sensitivity(f, 1 if W is None else W)
     _check_parameters(epsilon, beta, delta, r)
 
     if true_values is None:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import BudgetExceeded, OutOfRange
-from .functions import GraphFunction
+from .errors import BudgetExceeded, InvalidUpdate, OutOfRange, ParameterOutOfRange
+from .functions import EVENT_TARGETS, MONOTONE_FUNCTIONS, GraphFunction
 from .generators import adjacent_pair, mst_tightness_pair
 from .graphs import (
     AdjacencyKind,
@@ -290,7 +290,7 @@ def _sample_edge_fully_dynamic(scope: OracleScope, rng: RandomSource) -> Pair | 
     b = GraphSequence(initial, b_updates)
     try:
         b.validate()
-    except Exception:
+    except InvalidUpdate:
         return None
     return a, b
 
@@ -411,14 +411,8 @@ def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
     if f.name == "mst_weight" and scope.adjacency == "edge":
         for W in range(1, scope.W_max + 1):
             out.append(mst_tightness_pair(W))
-    target = {
-        "edge_count": "edge_count",
-        "high_degree": "high_degree",
-        "degree_histogram": "degree_histogram",
-        "triangle_count": "triangle",
-        "kstar_count": "kstar",
-        "mst_weight": "mst",
-    }.get(f.name)
+    target = {name: t for t, name in EVENT_TARGETS.items()
+              if name not in MONOTONE_FUNCTIONS}.get(f.name)
     if target is None:
         return out
     sigma = [1] * min(scope.T_max, 3)
@@ -438,9 +432,9 @@ def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
         kwargs = dict(W=min(scope.W_max, 3))
     try:
         pair = adjacent_pair(target, scope.adjacency, sigma, 1, **kwargs)
-        out.append((pair.a, pair.b))
-    except Exception:
-        pass
+    except ParameterOutOfRange:  # e.g. no high-degree gadget for tau = 1
+        return out
+    out.append((pair.a, pair.b))
     return out
 
 

@@ -32,7 +32,7 @@ from .errors import (
     UnknownCombination,
     WeightViolation,
 )
-from .functions import GraphFunction, evaluate
+from .functions import MONOTONE_FUNCTIONS, GraphFunction, evaluate
 from .graphs import GraphSequence, SequenceKind, Update, reversed_sequence
 from .noise import RandomSource
 
@@ -72,17 +72,10 @@ def sensitivity_bound(
         raise UnknownCombination(f"unknown regime {regime!r}") from None
 
     name = f.name
-    if name in {"min_cut", "st_min_cut", "max_weight_matching",
-                "max_cardinality_matching", "densest_subgraph"}:
+    if name in MONOTONE_FUNCTIONS:
         return UNBOUNDED
-
     if regime == FULLY_DYNAMIC:
-        if name == "edge_count" and adjacency == EDGE:
-            return 2.0
-        if name in {"edge_count", "high_degree", "degree_histogram",
-                    "triangle_count", "kstar_count", "mst_weight"}:
-            return UNBOUNDED
-        raise UnknownCombination(f"no table entry for {name}")
+        return 2.0 if name == "edge_count" and adjacency == EDGE else UNBOUNDED
 
     def need_D() -> int:
         if D is None or D < 1:
@@ -154,7 +147,6 @@ class ReleaseReport:
     delta: float
     gamma: float
     adjacency: str
-    seed: int
     bound: float
     exact: np.ndarray = field(repr=False)
     est: np.ndarray = field(repr=False)
@@ -241,8 +233,9 @@ def release(
     histogram = f.name == "degree_histogram"
     coords = D + 1 if histogram else 1  # the histogram's table cell requires D
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
-    mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0], item_width=gamma)
+    # the bound refuses a bad T, epsilon or delta before the mechanism draws noise
     bound = theoretical_release_error(gamma, epsilon, delta, T)
+    mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0], item_width=gamma)
     # every check that needs no replay is above; the one replay comes last
     values = exact_values(seq, f, D)
     if histogram:
@@ -258,7 +251,6 @@ def release(
         delta=delta,
         gamma=gamma,
         adjacency=adjacency,
-        seed=rng.seed,
         bound=bound,
         exact=exact,
         est=est,

@@ -129,6 +129,13 @@ def test_noise_scale_calibration():
 def test_raw_scale_mode_and_validation():
     with pytest.raises(NonPositiveScale):
         BinaryMechanism(4, 0.0, RandomSource(1))
+    # the bound refuses epsilon as the mechanism does, ahead of a bad delta
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveScale, match="epsilon must be positive and finite"):
+            BinaryMechanism(4, epsilon, RandomSource(1))
+        for delta in (0.05, 2.0):
+            with pytest.raises(NonPositiveScale, match="epsilon must be positive and finite"):
+                theoretical_count_error(1.0, epsilon, delta, 4)
 
 
 def test_same_seed_same_release():
@@ -305,8 +312,10 @@ def test_bad_block_leaves_state_unchanged(k):
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_item_width_must_be_positive_and_finite(value):
-    with pytest.raises(NonPositiveScale, match="item width"):
+    with pytest.raises(NonPositiveScale, match="item width must be positive and finite"):
         BinaryMechanism(4, 1.0, RandomSource(1), item_width=value)
+    with pytest.raises(NonPositiveScale, match="item width must be positive and finite"):
+        theoretical_count_error(value, 1.0, 0.05, 4)
 
 
 @pytest.mark.parametrize("how", ["block", "single"])

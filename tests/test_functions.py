@@ -12,6 +12,8 @@ from continualdp.errors import (
 )
 from continualdp.graphs import DynamicGraph
 from continualdp.functions import (
+    FUNCTION_NAMES,
+    MONOTONE_FUNCTIONS,
     degree_histogram,
     densest_subgraph,
     edge_count,
@@ -193,11 +195,29 @@ def test_evaluate_dispatch_matches_direct_calls():
 
 def test_static_sensitivity_values():
     assert static_sensitivity(GraphFunction("min_cut"), W=5) == 5
+    assert static_sensitivity(GraphFunction("st_min_cut", s=0, t=1), W=5) == 5
     assert static_sensitivity(GraphFunction("max_weight_matching"), W=5) == 5
     assert static_sensitivity(GraphFunction("max_cardinality_matching"), W=5) == 1
     assert static_sensitivity(GraphFunction("densest_subgraph")) == 1
     with pytest.raises(UnknownFunction):
         static_sensitivity(GraphFunction("edge_count"))
+    # rho = W is never calibrated from an undeclared W
+    for f in (GraphFunction("min_cut"), GraphFunction("st_min_cut", s=0, t=1),
+              GraphFunction("max_weight_matching")):
+        with pytest.raises(OutOfRange, match="weight bound W"):
+            static_sensitivity(f)
+
+
+def test_the_table_declares_every_statistic_once():
+    assert FUNCTION_NAMES == {
+        "edge_count", "high_degree", "degree_histogram", "triangle_count", "kstar_count",
+        "mst_weight", "min_cut", "st_min_cut", "max_weight_matching",
+        "max_cardinality_matching", "densest_subgraph",
+    }
+    assert MONOTONE_FUNCTIONS == {
+        "min_cut", "st_min_cut", "max_weight_matching", "max_cardinality_matching",
+        "densest_subgraph",
+    }
 
 
 def test_static_sensitivity_brute_force():

@@ -86,6 +86,24 @@ def test_flipped_bit_yields_adjacent_pair(target, adjacency, kwargs):
     assert check_adjacency(pair.a, pair.b, kind) is not None
 
 
+def test_target_function_per_target():
+    want = {
+        "mst": GraphFunction("mst_weight"),
+        "min_cut": GraphFunction("min_cut"),
+        "matching": GraphFunction("max_weight_matching"),
+        "edge_count": GraphFunction("edge_count"),
+        "high_degree": GraphFunction("high_degree", tau=2),
+        "degree_histogram": GraphFunction("degree_histogram"),
+        "triangle": GraphFunction("triangle_count"),
+        "kstar": GraphFunction("kstar_count", k=3),
+    }
+    assert list(EVENT_TARGETS) == list(want)
+    # tau reaches only high_degree and k only kstar_count
+    assert {t: target_function(t, tau=2, k=3) for t in want} == want
+    with pytest.raises(ParameterOutOfRange, match="unknown target"):
+        target_function("densest")
+
+
 def test_generators_are_incremental():
     for target, adjacency, kwargs in CASES:
         seq = gen_event_level(target, adjacency, [1, 0, 1], **kwargs)

@@ -163,14 +163,14 @@ def test_true_values_override_must_match_length():
         )
 
 
-@pytest.mark.parametrize("name", ["min_cut", "max_weight_matching"])
+@pytest.mark.parametrize("name", ["min_cut", "max_weight_matching", "st_min_cut"])
 def test_monotone_release_requires_declared_weight_bound(name):
     seq = gen_event_level("min_cut", "node", [1, 1], W=2)
+    f = GraphFunction(name, s=0, t=1)
     with pytest.raises(OutOfRange, match="weight bound W"):
-        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0), r=8.0)
+        monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(0), r=8.0)
     with pytest.raises(WeightViolation, match="max weight 2 exceeds declared W=1"):
-        monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0),
-                         r=8.0, W=1)
+        monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(0), r=8.0, W=1)
 
 
 def test_monotone_release_requires_a_declared_range():
@@ -224,11 +224,10 @@ def test_cut_release_refuses_node_deletions():
 
 def test_monotone_release_without_weight_when_calibration_ignores_it():
     seq = gen_event_level("min_cut", "node", [1, 1], W=2)
-    report = monotone_release(
-        seq, GraphFunction("max_cardinality_matching"), 1.0, 0.5, 0.1, RandomSource(0),
-        r=8.0,
-    )
-    assert (report.rho, report.r) == (1, 8.0)
+    for name in ("max_cardinality_matching", "densest_subgraph"):
+        report = monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(0),
+                                  r=8.0)
+        assert (report.rho, report.r) == (1, 8.0)
 
 
 def _k5_then_node_9():

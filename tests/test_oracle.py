@@ -183,3 +183,15 @@ def test_generator_pairs_respect_the_table():
     )
     assert verdict.status != "Violation"
     assert seq.T == 3
+
+
+def test_a_broken_fixture_generator_is_not_swallowed(monkeypatch):
+    # only a parameter the gadget cannot take leaves a cell without its fixture
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken generator")
+
+    monkeypatch.setattr(oracle_mod, "adjacent_pair", broken)
+    with pytest.raises(RuntimeError, match="broken generator"):
+        compare_with_table(
+            GraphFunction("edge_count"), OracleScope(n_max=4, T_max=3, max_pairs=10, seed=3),
+        )

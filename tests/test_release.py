@@ -76,11 +76,11 @@ def test_fully_dynamic_table():
 
 
 def test_monotone_functions_have_no_difference_bound():
-    for name in ("min_cut", "max_weight_matching", "max_cardinality_matching",
+    for name in ("min_cut", "st_min_cut", "max_weight_matching", "max_cardinality_matching",
                  "densest_subgraph"):
-        f = GraphFunction(name)
+        f = GraphFunction(name, s=0, t=1)
         for adjacency in ("edge", "node"):
-            for regime in (PD, FD):
+            for regime in ("incremental", "decremental", FD):
                 assert sensitivity_bound(f, adjacency, regime) == UNBOUNDED
 
 
@@ -198,11 +198,19 @@ def test_degree_checked_release_makes_one_pass(monkeypatch):
     (dict(delta=2.0), BadDelta, "delta must be in"),
     (dict(delta=0.0), BadDelta, "delta must be in"),
     (dict(epsilon=math.nan), NonPositiveScale, "epsilon must be positive and finite"),
-], ids=["delta=nan", "delta=2", "delta=0", "epsilon=nan"])
+    (dict(epsilon=math.inf), NonPositiveScale, "epsilon must be positive and finite"),
+    (dict(epsilon=0.0), NonPositiveScale, "epsilon must be positive and finite"),
+    (dict(epsilon=math.inf, delta=2.0), NonPositiveScale, "epsilon must be positive and finite"),
+], ids=["delta=nan", "delta=2", "delta=0", "epsilon=nan", "epsilon=inf", "epsilon=0",
+        "epsilon=inf,delta=2"])
 def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, match):
+    # a bad epsilon or delta is refused before any noise is drawn or the log replayed
     module = importlib.import_module("continualdp.release")
-    calls, evaluate = [], module.exact_values
+    counting = importlib.import_module("continualdp.counting")
+    calls, draws = [], []
+    evaluate, block = module.exact_values, counting.laplace_block
     monkeypatch.setattr(module, "exact_values", lambda *a: calls.append(a) or evaluate(*a))
+    monkeypatch.setattr(counting, "laplace_block", lambda *a: draws.append(a) or block(*a))
     seq = gen_event_level("triangle", "edge", [1, 1, 1])
 
     def run(epsilon=1.0, delta=0.05):
@@ -211,9 +219,9 @@ def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, ma
 
     with pytest.raises(error, match=match):
         run(**bad)
-    assert calls == []
-    run()  # the spy sees the one evaluation of a valid release
-    assert len(calls) == 1
+    assert calls == [] and draws == []
+    run()  # the spies see the one evaluation and one noise block of a valid release
+    assert len(calls) == len(draws) == 1
 
 
 def _invalidated(seq: GraphSequence, rng: RandomSource, mode: str) -> GraphSequence:
