@@ -11,25 +11,27 @@ Within a step, deletions apply before insertions:
 ``V_t = (V_{t-1} \\ v_del) | v_ins`` and likewise for edges.  Deleting
 a node requires all of its incident edges to be listed in ``e_del``.
 
-``Update`` puts every edge key in order on construction; a key that is
-already an ordered pair of ``int`` is kept as given, in ``e_ins`` and
-``e_del`` alike, so the parser's one tuple per edge serves the whole
-log.  An empty ``Update`` field may be one shared, immutable empty
-``frozenset``.  ``Update(...)`` is the one definition of a valid update;
-two builders whose fields are valid by construction fill the slots
-through ``Update._canonical`` without checking them again: the log
-parser, for a line with no node field whose keys and weights are already
-canonical, and ``reversed_sequence``, whose fields come from updates it
-has just replayed.
+``Update`` puts every edge key in order on construction and is the one
+definition of a valid update; an empty ``Update`` field may be one
+shared, immutable empty ``frozenset``.  A ``GraphSequence`` holds its
+steps 1..T as flat operation columns, with no object per step: ``op``
+(one of ``EDGE_DEL``, ``NODE_DEL``, ``NODE_INS``, ``EDGE_INS``), ``x``
+(the node id or first endpoint), ``y`` (the second endpoint, 0 for a
+node), ``w`` (an inserted edge's weight, else 0), and ``starts``, where
+step t's operations are ``starts[t - 1]:starts[t]``, in apply order:
+edge deletions, node deletions, node insertions, edge insertions.
+``seq.updates`` is a view of the same steps as ``Update``s, built on
+first read and then kept.
 ``Graph``, ``Update`` and ``GraphSequence`` are immutable by convention;
 operations return new objects and are safe to share read-only across
 threads.  ``DynamicGraph`` is the one mutable state: a pass over a
-sequence applies each update to it one edge or node at a time.
+sequence applies each step to it one edge or node at a time.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -201,30 +203,6 @@ class Update:
                 if type(w) is not int or w < 1:
                     raise InvalidUpdate(f"insert of edge {k} with non-positive weight {w!r}")
 
-    @classmethod
-    def _canonical(
-        cls,
-        e_ins: dict[EdgeKey, int],
-        e_del: Iterable[EdgeKey],
-        v_ins: frozenset[int] = _EMPTY,
-        v_del: frozenset[int] = _EMPTY,
-    ) -> "Update":
-        """The update ``Update(v_ins, v_del, e_ins, e_del)`` would build,
-        with no copy and no check.
-
-        Precondition: every key of ``e_ins`` and ``e_del`` is an ordered
-        pair ``(a, b)`` of ``int`` with ``0 <= a < b``; every weight is an
-        ``int`` of at least 1; ``e_ins`` is a dict no one else holds,
-        which the update keeps; ``v_ins`` and ``v_del`` are disjoint
-        frozensets of non-negative ``int``, each ``_EMPTY`` when empty.
-        """
-        u = object.__new__(cls)
-        u.v_ins = v_ins
-        u.v_del = v_del
-        u.e_ins = e_ins
-        u.e_del = frozenset(e_del) if e_del else _EMPTY
-        return u
-
     @property
     def has_deletions(self) -> bool:
         return bool(self.v_del or self.e_del)
@@ -259,6 +237,31 @@ class Update:
         return "Update(" + " ".join(parts) + ")"
 
 
+# operation kinds of a sequence's columns, numbered in apply order
+EDGE_DEL, NODE_DEL, NODE_INS, EDGE_INS = range(4)
+
+
+def _append_ops(op: list, x: list, y: list, w: list, e_del: Iterable[EdgeKey],
+                v_del: Iterable[int], v_ins: Iterable[int], e_ins: dict[EdgeKey, int]) -> None:
+    """Append the operations of one valid update to columns, in apply order."""
+    for a, b in e_del:
+        op.append(EDGE_DEL)
+        x.append(a)
+        y.append(b)
+        w.append(0)
+    for kind, nodes in ((NODE_DEL, v_del), (NODE_INS, v_ins)):
+        for v in nodes:
+            op.append(kind)
+            x.append(v)
+            y.append(0)
+            w.append(0)
+    for (a, b), weight in e_ins.items():
+        op.append(EDGE_INS)
+        x.append(a)
+        y.append(b)
+        w.append(weight)
+
+
 class DynamicGraph(Graph):
     """A mutable graph state with adjacency sets, changed one edge or node
     at a time.
@@ -290,43 +293,61 @@ class DynamicGraph(Graph):
 
         On an error the state may be left part-way through the step.
         """
-        nodes, edges, adj = self.nodes, self.edges, self.adj
-        running = self.running.values()
-        if not u.v_del <= nodes:
-            raise InvalidUpdate(f"deleting absent nodes {sorted(u.v_del - nodes)}")
-        for k in u.e_del:
-            if k not in edges:
-                raise InvalidUpdate(f"deleting absent edge {k}")
-            a, b = k
-            for run in running:
-                if not run.stale:
-                    run.edge(self, a, b, edges[k], -1)
-            del edges[k]
-            adj[a].remove(b)
-            adj[b].remove(a)
-        if u.v_del:
-            # a deleted node must shed every incident edge in the same step
-            kept = [edge_key(v, x) for v in u.v_del for x in adj[v]]
-            if kept:
-                k = min(kept)
-                v = k[0] if k[0] in u.v_del else k[1]
-                raise InvalidUpdate(f"node {v} deleted while edge {k} survives")
-            for v in u.v_del:
-                self._node(v, -1)
-        if not u.v_ins.isdisjoint(nodes):
-            raise InvalidUpdate(f"inserting already-present nodes {sorted(u.v_ins & nodes)}")
-        for v in u.v_ins:
-            self._node(v, 1)
-        for k, w in u.e_ins.items():
+        cols: tuple[list, list, list, list] = ([], [], [], [])
+        _append_ops(*cols, u.e_del, u.v_del, u.v_ins, u.e_ins)
+        self._step(*cols, 0, len(cols[0]))
+
+    def _step(self, op: list, x: list, y: list, w: list, lo: int, hi: int) -> None:
+        """Validate the operations ``lo:hi`` of the columns, one step in
+        apply order, and apply them in place as ``apply`` does."""
+        nodes, edges, adj, running = self.nodes, self.edges, self.adj, self.running.values()
+        # a step's kinds are sorted, so each kind's first operation is found
+        # by bisection: edge deletions lo:i, node deletions i:j, node
+        # insertions j:s, edge insertions s:hi
+        s = bisect_left(op, EDGE_INS, lo, hi)
+        if lo < s:
+            i = bisect_left(op, NODE_DEL, lo, s)
+            j = bisect_left(op, NODE_INS, i, s)
+            if i < j and not nodes.issuperset(x[i:j]):
+                raise InvalidUpdate(f"deleting absent nodes {sorted(set(x[i:j]) - nodes)}")
+            for e in range(lo, i):
+                a, b = k = (x[e], y[e])
+                if k not in edges:
+                    raise InvalidUpdate(f"deleting absent edge {k}")
+                if running:
+                    for run in running:
+                        if not run.stale:
+                            run.edge(self, a, b, edges[k], -1)
+                del edges[k]
+                adj[a].remove(b)
+                adj[b].remove(a)
+            if i < j:
+                v_del = x[i:j]
+                # a deleted node must shed every incident edge in the same step
+                kept = [edge_key(v, z) for v in v_del for z in adj[v]]
+                if kept:
+                    k = min(kept)
+                    v = k[0] if k[0] in v_del else k[1]
+                    raise InvalidUpdate(f"node {v} deleted while edge {k} survives")
+                for v in v_del:
+                    self._node(v, -1)
+            if j < s:
+                if not nodes.isdisjoint(x[j:s]):
+                    raise InvalidUpdate(
+                        f"inserting already-present nodes {sorted(nodes.intersection(x[j:s]))}")
+                for v in x[j:s]:
+                    self._node(v, 1)
+        for e in range(s, hi):
+            a, b = k = (x[e], y[e])
             if k in edges:
                 raise InvalidUpdate(f"inserting already-present edge {k}")
-            a, b = k
             if a not in nodes or b not in nodes:
                 raise InvalidUpdate(f"inserting edge {k} with an absent endpoint")
-            for run in running:
-                if not run.stale:
-                    run.edge(self, a, b, w, 1)
-            edges[k] = w
+            if running:
+                for run in running:
+                    if not run.stale:
+                        run.edge(self, a, b, w[e], 1)
+            edges[k] = w[e]
             adj[a].add(b)
             adj[b].add(a)
 
@@ -357,24 +378,58 @@ class SequenceKind(str, enum.Enum):
 
 
 class GraphSequence:
-    """An initial graph plus an ordered list of T updates."""
+    """An initial graph plus T updates, held as flat operation columns
+    (see the module docstring); ``updates`` is their ``Update`` view."""
 
-    __slots__ = ("initial", "updates", "kind")
+    __slots__ = ("initial", "op", "x", "y", "w", "starts", "kind", "_updates")
 
     def __init__(self, initial: Graph, updates: Iterable[Update]) -> None:
+        self._updates: tuple[Update, ...] | None = tuple(updates)
+        cols: tuple[list, list, list, list] = ([], [], [], [])
+        starts = [0]
+        for u in self._updates:
+            _append_ops(*cols, u.e_del, u.v_del, u.v_ins, u.e_ins)
+            starts.append(len(cols[0]))
+        self._set(initial, *cols, starts)
+
+    @classmethod
+    def _of(cls, initial: Graph, op: list, x: list, y: list, w: list,
+            starts: list) -> "GraphSequence":
+        """A sequence over columns whose every step is a valid update in
+        apply order, as ``_append_ops`` writes it; the columns are kept."""
+        seq = object.__new__(cls)
+        seq._updates = None
+        seq._set(initial, op, x, y, w, starts)
+        return seq
+
+    def _set(self, initial: Graph, op: list, x: list, y: list, w: list,
+             starts: list) -> None:
         self.initial = initial
-        self.updates: tuple[Update, ...] = tuple(updates)
-        # the updates are fixed here, so the kind is computed once
-        if not any(u.v_del or u.e_del for u in self.updates):
+        self.op, self.x, self.y, self.w, self.starts = op, x, y, w, starts
+        # the columns are fixed here, so the kind is computed once
+        if EDGE_DEL not in op and NODE_DEL not in op:
             self.kind = SequenceKind.INCREMENTAL
-        elif not any(u.v_ins or u.e_ins for u in self.updates):
+        elif EDGE_INS not in op and NODE_INS not in op:
             self.kind = SequenceKind.DECREMENTAL
         else:
             self.kind = SequenceKind.FULLY_DYNAMIC
 
     @property
     def T(self) -> int:
-        return len(self.updates)
+        return len(self.starts) - 1
+
+    @property
+    def updates(self) -> tuple[Update, ...]:
+        """The steps as ``Update``s, built from the columns on first read."""
+        if self._updates is None:
+            op, x, y, w, starts = self.op, self.x, self.y, self.w, self.starts
+            updates = []
+            for lo, hi in zip(starts, starts[1:]):
+                i, j, s = (bisect_left(op, k, lo, hi) for k in (NODE_DEL, NODE_INS, EDGE_INS))
+                e_ins = dict(zip(zip(x[s:hi], y[s:hi]), w[s:hi]))
+                updates.append(Update(x[j:s], x[i:j], e_ins, list(zip(x[lo:i], y[lo:i]))))
+            self._updates = tuple(updates)
+        return self._updates
 
     def materialize(self) -> list[Graph]:
         """Graphs G_1..G_T; raises InvalidUpdate with the offending index."""
@@ -389,9 +444,10 @@ class GraphSequence:
         running values on the state.
         """
         state = DynamicGraph(self.initial)
-        for t, u in enumerate(self.updates, start=1):
+        step, op, x, y, w, starts = state._step, self.op, self.x, self.y, self.w, self.starts
+        for t in range(1, len(starts)):
             try:
-                state.apply(u)
+                step(op, x, y, w, starts[t - 1], starts[t])
             except InvalidUpdate as exc:
                 raise InvalidUpdate(f"at t={t}: {exc}") from exc
             yield state
@@ -401,8 +457,7 @@ class GraphSequence:
             pass
 
     def max_weight(self) -> int:
-        inserted = [max(u.e_ins.values()) for u in self.updates if u.e_ins]
-        return max([self.initial.max_weight(), *inserted])
+        return max(self.initial.max_weight(), max(self.w, default=0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSequence):
@@ -418,21 +473,30 @@ def reversed_sequence(seq: GraphSequence) -> GraphSequence:
 
     The reverse of an incremental sequence is decremental and vice
     versa; weights of re-inserted edges are recovered in one forward
-    pass.
+    pass, which also validates the sequence.  A step's operations are in
+    apply order, so the reversed columns are the columns read backwards
+    with each kind swapped for its opposite.
     """
+    op, x, y, w, starts = seq.op, seq.x, seq.y, seq.w, seq.starts
     weight = dict(seq.initial.edges)  # latest inserted weight of every key
+    deleted = [0] * len(op)  # the weight each edge deletion removes
     last = seq.initial
-    rev: list[Update] = []
-    for u, last in zip(seq.updates, seq.iter_graphs()):
-        # u was valid and has just been applied, so its fields swapped
-        # meet the precondition of Update._canonical
-        rev.append(
-            Update._canonical(
-                {k: weight[k] for k in u.e_del}, u.e_ins.keys(), v_ins=u.v_del, v_del=u.v_ins
-            )
-        )
-        weight.update(u.e_ins)
-    return GraphSequence(Graph(last.nodes, last.edges, _validate=False), rev[::-1])
+    for lo, hi, last in zip(starts, starts[1:], seq.iter_graphs()):
+        # the step has just been applied, so each key it deletes has a weight
+        for i in range(lo, hi):
+            if op[i] == EDGE_DEL:
+                deleted[i] = weight[x[i], y[i]]
+            elif op[i] == EDGE_INS:
+                weight[x[i], y[i]] = w[i]
+    n = len(op)
+    return GraphSequence._of(
+        Graph(last.nodes, last.edges, _validate=False),
+        [EDGE_INS - kind for kind in reversed(op)],
+        x[::-1],
+        y[::-1],
+        deleted[::-1],
+        [n - s for s in reversed(starts)],
+    )
 
 
 class AdjacencyKind(str, enum.Enum):

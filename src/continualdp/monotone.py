@@ -35,7 +35,7 @@ from .errors import (
     WeightViolation,
 )
 from .functions import MONOTONE_FUNCTIONS, STATISTICS, GraphFunction, static_sensitivity
-from .graphs import GraphSequence, SequenceKind
+from .graphs import NODE_DEL, NODE_INS, GraphSequence, SequenceKind
 from .noise import RandomSource, sample_laplace
 from .release import EDGE, exact_values
 
@@ -260,7 +260,7 @@ def monotone_release(
     if W is not None and (max_weight := seq.max_weight()) > W:
         raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
     rho = static_sensitivity(f, W)
-    if STATISTICS[f.name].edge_logs_only and any(u.v_ins or u.v_del for u in seq.updates):
+    if STATISTICS[f.name].edge_logs_only and (NODE_INS in seq.op or NODE_DEL in seq.op):
         # a new node can lower a cut: its domain is edge-only logs
         raise NonMonotoneInput(f"{f.label()} release requires a log without node updates")
     _check_parameters(epsilon, beta, delta, r)

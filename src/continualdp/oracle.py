@@ -438,11 +438,21 @@ def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
     return out
 
 
+def _has_terminals(f: GraphFunction, pair: Pair) -> bool:
+    """Whether every graph of both sequences holds the terminals of ``f``
+    (always, for a statistic without terminals)."""
+    if f.name != "st_min_cut":
+        return True
+    return all({f.s, f.t} <= g.nodes
+               for seq in pair for g in (seq.initial, *seq.iter_graphs()))
+
+
 def _pairs(f: GraphFunction, scope: OracleScope) -> Iterator[Pair]:
     """Embedded fixtures, then seeded adjacent draws, within the budget.
 
     Draws stop once max_pairs pairs have been yielded in all or after
-    4 * max_pairs attempts.
+    4 * max_pairs attempts.  A draw whose sequences are not adjacent, or
+    where a graph of either sequence lacks a terminal of ``f``, fails.
     """
     fixtures = _embedded_fixtures(f, scope)
     yield from fixtures
@@ -453,7 +463,8 @@ def _pairs(f: GraphFunction, scope: OracleScope) -> Iterator[Pair]:
         if yielded >= scope.max_pairs:
             return
         pair = _draw_pair(scope, rng.child(attempt))
-        if pair is None or check_adjacency(pair[0], pair[1], kind) is None:
+        if (pair is None or check_adjacency(pair[0], pair[1], kind) is None
+                or not _has_terminals(f, pair)):
             continue
         yielded += 1
         yield pair

@@ -33,7 +33,7 @@ from .errors import (
     WeightViolation,
 )
 from .functions import MONOTONE_FUNCTIONS, GraphFunction, evaluate
-from .graphs import GraphSequence, SequenceKind, Update, reversed_sequence
+from .graphs import EDGE_INS, GraphSequence, SequenceKind, reversed_sequence
 from .noise import RandomSource
 
 UNBOUNDED = math.inf
@@ -184,13 +184,19 @@ def exact_values(seq: GraphSequence, f: GraphFunction, D: int | None = None) -> 
     backward = seq.kind is SequenceKind.DECREMENTAL
     if backward:
         rev = reversed_sequence(seq)
-        seq = GraphSequence(rev.initial, (Update(),) + rev.updates[:-1])
+        # G_T, ..., G_1: an empty first step, then every step of rev but its last
+        n = rev.starts[-2]
+        seq = GraphSequence._of(rev.initial, rev.op[:n], rev.x[:n], rev.y[:n], rev.w[:n],
+                                [0, *rev.starts[:-1]])
+    op, x, y, starts = seq.op, seq.x, seq.y, seq.starts
     values = []
-    # zip applies each step before the body reads it; a degree only grows
-    # on an edge insert, and never past G_0's in a decremental sequence
-    for u, g in zip(seq.updates, seq.iter_graphs()):
+    # enumerate applies each step before the body reads it; a degree only
+    # grows on an edge insert, and never past G_0's in a decremental sequence
+    for t, g in enumerate(seq.iter_graphs(), start=1):
         if D is not None:
-            top = max([top, *(len(g.adj[v]) for k in u.e_ins for v in k)])
+            for i in range(starts[t - 1], starts[t]):
+                if op[i] == EDGE_INS:
+                    top = max(top, len(g.adj[x[i]]), len(g.adj[y[i]]))
         values.append(evaluate(f, g))
     if D is not None and top > D:
         raise DegreeViolation(f"sequence max degree {top} exceeds declared D={D}")

@@ -16,14 +16,18 @@ Empty fields are omitted on output.  The initial graph is serialized as
 a ``t=0`` line carrying only insertions; a ``t=0`` line is emitted even
 when the initial graph is empty so the horizon is unambiguous.  Lines
 starting with ``#`` are comments and ignored on parse.  ``parse_sequence``
-needs each of the lines ``t=0..T`` once.  It does not replay the log:
-the first replay of whatever reads it refuses an invalid update.
+needs each of the lines ``t=0..T`` once, in any order.  It writes the
+operations of steps 1..T straight to the columns of a ``GraphSequence``
+(see ``graphs``), with one ``int`` per node id of the log, and builds no
+``Update`` for a line that ``Update`` would accept as it stands.  It
+does not replay the log: the first replay of whatever reads it refuses
+an invalid update.
 """
 
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import Graph, GraphSequence, Update
+from .graphs import EDGE_DEL, EDGE_INS, Graph, GraphSequence, Update, _append_ops
 
 
 def _fmt_update(t: int, u: Update) -> str:
@@ -70,14 +74,9 @@ def _reject_item(tag: str, item: str) -> None:
         _parse_int(tok, what)
 
 
-# Parsing a log interns its node ids and edge keys: ``ids`` maps each
-# id token, and each id value, to one ``int``, and ``keys`` maps each
-# ordered pair to one tuple, so every line that names an id or an edge
-# shares that object, and so does the graph state a replay builds.
-
-
 def _node_id(ids: dict, tok: str) -> int:
-    """The one ``int`` of this log for the node-id token ``tok``."""
+    """The one ``int`` of this log for the node-id token ``tok``: ``ids``
+    maps each id token, and each id value, to it."""
     v = ids.get(tok)
     if v is None:
         v = int(tok)
@@ -85,102 +84,124 @@ def _node_id(ids: dict, tok: str) -> int:
     return v
 
 
-def _parse_update(line: str, ids: dict | None = None,
-                  keys: dict | None = None) -> tuple[int, Update]:
-    """Parse one line.  ``ids`` and ``keys`` are the intern tables of the
-    log the line belongs to; a call without them gets fresh ones.
+def parse_sequence(text: str) -> GraphSequence:
+    """Parse a log straight into the columns of a ``GraphSequence``.
 
     A line with no node field, no self-loop and no weight below 1 is
     canonical: its ordered keys and its weights are what ``Update`` would
-    accept as they stand, so it is built by ``Update._canonical``.  Any
-    other line goes through ``Update(...)``, which checks it.
+    accept as they stand, so its operations go to the columns as read.
+    Any other line, and the ``t=0`` line, is built by ``Update(...)``,
+    which checks it.  Lines come in any order; each step's operations are
+    put in order of ``t`` at the end.
     """
-    ids = {} if ids is None else ids
-    keys = {} if keys is None else keys
-    fields = line.split()
-    if not fields or not fields[0].startswith("t="):
-        raise FormatError(f"line must start with t=<int>: {line!r}")
-    t = _parse_int(fields[0][2:], "time index")
-    v_ins: list[int] = []
-    v_del: list[int] = []
-    e_ins: dict[tuple[int, int], int] = {}
-    e_del: list[tuple[int, int]] = []
-    canonical = True
-    for field in fields[1:]:
-        tag, sep, body = field.partition(":")
-        if not sep:
-            raise FormatError(f"malformed field {field!r}")
-        items = body.split(",") if body else ()
-        if tag == "+e" or tag == "-e":
-            for item in items:
-                try:
-                    if tag == "+e":
-                        uv, w = item.split(":")
-                        w = int(w)
-                    else:
-                        uv, w = item, 1
-                    a, b = uv.split("-")
-                    x = ids.get(a)
-                    if x is None:
-                        x = _node_id(ids, a)
-                    y = ids.get(b)
-                    if y is None:
-                        y = _node_id(ids, b)
-                except ValueError:
-                    _reject_item(tag, item)
-                k = (x, y) if x < y else (y, x)
-                k = keys.setdefault(k, k)
-                # an endpoint token holds no "-", so it is never negative
-                if w < 1 or x == y:
-                    canonical = False
-                if tag == "+e":
-                    e_ins[k] = w
-                else:
-                    e_del.append(k)
-        elif tag == "+v" or tag == "-v":
-            canonical = False
-            nodes = v_ins if tag == "+v" else v_del
-            for item in items:
-                try:
-                    nodes.append(_node_id(ids, item))
-                except ValueError:
-                    _reject_item(tag, item)
-        else:
-            raise FormatError(f"unknown field tag {tag!r}")
-    if canonical:
-        return t, Update._canonical(e_ins, e_del)
-    return t, Update(v_ins=v_ins, v_del=v_del, e_ins=e_ins, e_del=e_del)
-
-
-def _read_updates(text: str) -> dict[int, Update]:
-    """The update of every line by its time index."""
-    updates: dict[int, Update] = {}
-    ids: dict = {}
-    keys: dict = {}
+    op: list[int] = []
+    x: list[int] = []
+    y: list[int] = []
+    w: list[int] = []
+    ids: dict = {}  # one int per node id of the log
+    starts = [0]  # where each step starts, while lines t = 1, 2, ... come in order
+    spans: dict[int, tuple[int, int]] | None = None  # after that, each step's lo:hi by t
+    init: Update | None = None
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        t, u = _parse_update(line, ids, keys)
+        if not fields[0].startswith("t="):
+            raise FormatError(f"line must start with t=<int>: {raw.strip()!r}")
+        t = _parse_int(fields[0][2:], "time index")
+        v_ins: list[int] = []
+        v_del: list[int] = []
+        e_ins: dict[tuple[int, int], int] = {}
+        e_del: list[tuple[int, int]] = []
+        canonical = True
+        for field in fields[1:]:
+            tag, sep, body = field.partition(":")
+            if not sep:
+                raise FormatError(f"malformed field {field!r}")
+            items = body.split(",") if body else ()
+            if tag == "+e" or tag == "-e":
+                for item in items:
+                    try:
+                        if tag == "+e":
+                            uv, wt = item.split(":")
+                            wt = int(wt)
+                        else:
+                            uv, wt = item, 1
+                        a, b = uv.split("-")
+                        try:
+                            p = ids[a]
+                        except KeyError:
+                            p = _node_id(ids, a)
+                        try:
+                            q = ids[b]
+                        except KeyError:
+                            q = _node_id(ids, b)
+                    except ValueError:
+                        _reject_item(tag, item)
+                    # an endpoint token holds no "-", so it is never negative
+                    if wt < 1 or p == q:
+                        canonical = False
+                    if tag == "+e":
+                        e_ins[(p, q) if p < q else (q, p)] = wt
+                    else:
+                        e_del.append((p, q) if p < q else (q, p))
+            elif tag == "+v" or tag == "-v":
+                canonical = False
+                nodes = v_ins if tag == "+v" else v_del
+                for item in items:
+                    try:
+                        nodes.append(_node_id(ids, item))
+                    except ValueError:
+                        _reject_item(tag, item)
+            else:
+                raise FormatError(f"unknown field tag {tag!r}")
+        lo = len(op)
+        if canonical and t != 0:
+            # the appends of _append_ops, inline on the hot path; deletions
+            # in the order of the frozenset Update would make of them
+            for a, b in (frozenset(e_del) if len(e_del) > 1 else e_del):
+                op.append(EDGE_DEL)
+                x.append(a)
+                y.append(b)
+                w.append(0)
+            for (a, b), wt in e_ins.items():
+                op.append(EDGE_INS)
+                x.append(a)
+                y.append(b)
+                w.append(wt)
+        else:
+            u = Update(v_ins=v_ins, v_del=v_del, e_ins=e_ins, e_del=e_del)
+            if t > 0:
+                _append_ops(op, x, y, w, u.e_del, u.v_del, u.v_ins, u.e_ins)
         if t < 0:
             raise FormatError(f"negative time index {t}")
-        if t in updates:
-            raise FormatError(f"duplicate line for t={t}")
-        updates[t] = u
-    return updates
-
-
-def parse_sequence(text: str) -> GraphSequence:
-    updates = _read_updates(text)
-    if 0 not in updates:
+        if t == 0:
+            if init is not None:
+                raise FormatError(f"duplicate line for t={t}")
+            init = u
+        elif spans is None and t == len(starts):
+            starts.append(len(op))
+        else:
+            if spans is None:
+                spans = dict(zip(range(1, len(starts)), zip(starts, starts[1:])))
+            if t in spans:
+                raise FormatError(f"duplicate line for t={t}")
+            spans[t] = (lo, len(op))
+    if init is None:
         raise FormatError("missing t=0 initial-graph line")
-    init = updates.pop(0)
     if init.v_del or init.e_del:
         raise FormatError("t=0 line may only contain insertions")
     initial = Graph(init.v_ins, init.e_ins)
-    if updates:
-        T = max(updates)
-        if sorted(updates) != list(range(1, T + 1)):
+    if spans is not None:
+        # distinct indices 1..T are contiguous when there are T of them
+        if max(spans) != len(spans):
             raise FormatError("time indices must be contiguous 1..T")
-        return GraphSequence(initial, [updates[t] for t in range(1, T + 1)])
-    return GraphSequence(initial, [])
+        cols = (op, x, y, w)
+        op, x, y, w = [], [], [], []
+        starts = [0]
+        for t in range(1, len(spans) + 1):
+            lo, hi = spans[t]
+            for new, col in zip((op, x, y, w), cols):
+                new += col[lo:hi]
+            starts.append(len(op))
+    return GraphSequence._of(initial, op, x, y, w, starts)

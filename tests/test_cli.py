@@ -8,9 +8,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from continualdp import RandomSource, __version__, parse_sequence
+from continualdp import GraphFunction, GraphSequence, RandomSource, __version__, parse_sequence
 from continualdp import cli
 from continualdp.cli import _quantiles, main
+from continualdp.release import release as diff_release
 
 
 @pytest.fixture
@@ -209,6 +210,45 @@ def test_sensitivity_command_reports_json(runner):
     assert payload["status"] in ("Sound", "Tight")
     assert payload["seed"] == 9
     assert payload["witness"] is None or len(payload["witness"]) == 2
+
+
+@pytest.mark.parametrize("regime", [None, "incremental", "decremental", "fully-dynamic"])
+def test_node_level_st_min_cut_sensitivity_skips_pairs_without_terminals(runner, regime):
+    # node-level draws may start without a terminal or delete one; such a
+    # pair is a failed draw, not the end of the check
+    args = ["sensitivity", "--function", "st_min_cut", "--s", "0", "--t", "1",
+            "--adjacency", "node", "--seed", "5", "--max-pairs", "25", "--n-max", "4",
+            "--t-max", "3", "--d-max", "4"]
+    result = runner.invoke(main, args + (["--regime", regime] if regime else []))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["pairs_tested"] >= 1
+
+
+def test_release_of_a_fully_dynamic_log_builds_no_update_view(runner, tmp_path, monkeypatch):
+    # steps out of order, a node deletion and a same-step weight change
+    log = tmp_path / "dyn.log"
+    log.write_text("t=2 -e:1-2 -v:2\n"
+                   "t=0 +v:0,1,2 +e:0-1:2,1-2:1\n"
+                   "t=3 +v:4 +e:1-4:1,0-4:2\n"
+                   "t=1 -e:0-1 +e:0-1:3\n")
+    seq = parse_sequence(log.read_text())
+    assert seq.kind.value == "fully-dynamic"
+    diff_release(seq, GraphFunction("edge_count"), 1.0, 0.05, RandomSource(1))
+    assert seq._updates is None
+
+    def refuse(self):
+        raise AssertionError("seq.updates was built")
+
+    monkeypatch.setattr(GraphSequence, "updates", property(refuse))
+    out = tmp_path / "r.csv"
+    result = runner.invoke(main, ["release", "--function", "edge_count", "--epsilon", "1",
+                                  "--delta", "0.05", "--input", str(log), "--seed", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[-3:]] == ["1", "2", "3"]
+    result = runner.invoke(main, ["eval", "--function", "edge_count", "--input", str(log)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "t,value\n1,2\n2,1\n3,3\n"
 
 
 def test_verify_suites_pass(runner):

@@ -183,8 +183,8 @@ def test_histogram_release_runs_one_mechanism_per_bin(zero_noise):
 def test_degree_checked_release_makes_one_pass(monkeypatch):
     seq = gen_event_level("triangle", "edge", [1, 1, 1])
     f = GraphFunction("triangle_count")
-    calls, apply = [], DynamicGraph.apply
-    monkeypatch.setattr(DynamicGraph, "apply", lambda g, u: calls.append(1) or apply(g, u))
+    calls, step = [], DynamicGraph._step
+    monkeypatch.setattr(DynamicGraph, "_step", lambda g, *a: calls.append(1) or step(g, *a))
     with pytest.raises(DegreeViolation, match="max degree 2 exceeds declared D=1"):
         release(seq, f, 1.0, 0.05, RandomSource(1), D=1)
     assert len(calls) == seq.T
