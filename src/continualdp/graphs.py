@@ -314,10 +314,9 @@ class DynamicGraph(Graph):
                 a, b = k = (x[e], y[e])
                 if k not in edges:
                     raise InvalidUpdate(f"deleting absent edge {k}")
-                if running:
-                    for run in running:
-                        if not run.stale:
-                            run.edge(self, a, b, edges[k], -1)
+                for run in running:
+                    if not run.stale:
+                        run.edge(self, a, b, edges[k], -1)
                 del edges[k]
                 adj[a].remove(b)
                 adj[b].remove(a)
@@ -343,10 +342,9 @@ class DynamicGraph(Graph):
                 raise InvalidUpdate(f"inserting already-present edge {k}")
             if a not in nodes or b not in nodes:
                 raise InvalidUpdate(f"inserting edge {k} with an absent endpoint")
-            if running:
-                for run in running:
-                    if not run.stale:
-                        run.edge(self, a, b, w[e], 1)
+            for run in running:
+                if not run.stale:
+                    run.edge(self, a, b, w[e], 1)
             edges[k] = w[e]
             adj[a].add(b)
             adj[b].add(a)

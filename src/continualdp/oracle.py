@@ -17,6 +17,7 @@ Verdicts against the closed-form sensitivity registry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from .errors import BudgetExceeded, InvalidUpdate, OutOfRange, ParameterOutOfRange
@@ -444,7 +445,7 @@ def _has_terminals(f: GraphFunction, pair: Pair) -> bool:
     if f.name != "st_min_cut":
         return True
     return all({f.s, f.t} <= g.nodes
-               for seq in pair for g in (seq.initial, *seq.iter_graphs()))
+               for seq in pair for g in chain((seq.initial,), seq.iter_graphs()))
 
 
 def _pairs(f: GraphFunction, scope: OracleScope) -> Iterator[Pair]:

@@ -27,7 +27,7 @@ an invalid update.
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import EDGE_DEL, EDGE_INS, Graph, GraphSequence, Update, _append_ops
+from .graphs import Graph, GraphSequence, Update, _append_ops
 
 
 def _fmt_update(t: int, u: Update) -> str:
@@ -157,18 +157,9 @@ def parse_sequence(text: str) -> GraphSequence:
                 raise FormatError(f"unknown field tag {tag!r}")
         lo = len(op)
         if canonical and t != 0:
-            # the appends of _append_ops, inline on the hot path; deletions
-            # in the order of the frozenset Update would make of them
-            for a, b in (frozenset(e_del) if len(e_del) > 1 else e_del):
-                op.append(EDGE_DEL)
-                x.append(a)
-                y.append(b)
-                w.append(0)
-            for (a, b), wt in e_ins.items():
-                op.append(EDGE_INS)
-                x.append(a)
-                y.append(b)
-                w.append(wt)
+            # deletions in the order of the frozenset Update would make of them
+            dels = frozenset(e_del) if len(e_del) > 1 else e_del
+            _append_ops(op, x, y, w, dels, (), (), e_ins)
         else:
             u = Update(v_ins=v_ins, v_del=v_del, e_ins=e_ins, e_del=e_del)
             if t > 0:

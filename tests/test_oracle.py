@@ -195,3 +195,15 @@ def test_a_broken_fixture_generator_is_not_swallowed(monkeypatch):
         compare_with_table(
             GraphFunction("edge_count"), OracleScope(n_max=4, T_max=3, max_pairs=10, seed=3),
         )
+
+
+def test_a_terminal_missing_only_mid_sequence_fails_the_terminal_check():
+    # node 1 is deleted at t=1 and inserted again at t=2, so only G_1
+    # lacks it; G_0 and G_T both hold it
+    init = Graph(range(3))
+    gone = GraphSequence(init, [Update(v_del={1}), Update(v_ins={1})])
+    kept = GraphSequence(init, [Update(), Update()])
+    f = GraphFunction("st_min_cut", s=0, t=1)
+    assert not oracle_mod._has_terminals(f, (kept, gone))
+    assert oracle_mod._has_terminals(f, (kept, kept))
+    assert oracle_mod._has_terminals(GraphFunction("edge_count"), (gone, gone))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -186,29 +188,52 @@ _TOKENS = ["t=", "+v:", "-v:", "+e:", "-e:", "-", ":", ",", " ", "x", "a"]
 _TOKENS += list("0123456789")
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join))
-@example("t=1 +e:1-0:0,0-1:2")  # one key listed twice, a bad weight replaced
-@example("t=1 +e:0-1:0,2-2:1")  # a self-loop is reported before a bad weight
-@example("t=1 +e:1-0:5,0-1:6,1-0:7 -e:3-2,2-3")
-@example("t=1 +v:1 -v:1 +e:0-0:1")
-# each kind of line that Update(...) must check, next to canonical edges
-@example("t=1 +e:0-1:1 -v:2")  # a node field
-@example("t=1 +v:3 -e:0-1")
-@example("t=1 +e:0-1:1 -e:4-4")  # a self-loop
-@example("t=1 +v:-1 +e:0-1:1")  # a negative id
-@example("t=1 -e:0-1 +e:2-1:0")  # a zero weight
-@example("t=1 +e:2-1:0,1-2:3 -e:0-1")  # a repeated key whose bad weight is replaced
-def test_fast_parser_matches_reference(body):
-    # the line as the whole log, as t=3 after t=0..2, and as t=3 before them
-    head = "t=0 +v:0,1,2,3\nt=1\nt=2\n"
-    for text in (body, head + "t=3 " + body, "t=3 " + body + "\n" + head):
+_STEP0 = "t=0 +v:0,1,2,3\n"
+
+
+def _match_reference(body):
+    """Parse ``body`` as step 1 after ``t=0``, as step 3 after and before
+    ``t=0..2``, and as the whole log, with both parsers; return the outcomes,
+    which must be equal."""
+    # a leading t=<n> token gives way to t=3 rather than becoming a field
+    step3 = "t=3 " + re.sub(r"^t=[0-9]+(?=\s|$)", "", body).lstrip()
+    head = _STEP0 + "t=1\nt=2\n"
+    outcomes = []
+    for text in (_STEP0 + body, head + step3, step3 + "\n" + head, body):
         want = _outcome(ref.parse_sequence, text)
         got = _outcome(_parsed, text)
         assert got == want
         if isinstance(want[1], list):
             for u, v in zip(got[1], want[1]):
                 assert hash(u) == hash(v)
+        outcomes.append(got)
+    return outcomes
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join))
+def test_fast_parser_matches_reference(body):
+    _match_reference(body)
+
+
+@pytest.mark.parametrize("body", [
+    "t=1 +e:1-0:0,0-1:2",  # one key listed twice, a bad weight replaced
+    "t=1 +e:0-1:0,2-2:1",  # a self-loop is reported before a bad weight
+    "t=1 +e:1-0:5,0-1:6,1-0:7 -e:3-2,2-3",
+    "t=1 +v:1 -v:1 +e:0-0:1",
+    # each kind of line that Update(...) must check, next to canonical edges
+    "t=1 +e:0-1:1 -v:2",  # a node field
+    "t=1 +v:3 -e:0-1",
+    "t=1 +e:0-1:1 -e:4-4",  # a self-loop
+    "t=1 +v:-1 +e:0-1:1",  # a negative id
+    "t=1 -e:0-1 +e:2-1:0",  # a zero weight
+    "t=1 +e:2-1:0,1-2:3 -e:0-1",  # a repeated key whose bad weight is replaced
+])
+def test_fixed_lines_match_the_reference(body):
+    # each line is a real step: in the three forms that hold t=0, it is
+    # parsed to Updates or refused by Update, never by the format
+    for got in _match_reference(body)[:3]:
+        assert isinstance(got[1], list) or got[0] is InvalidUpdate, got
 
 
 @settings(max_examples=100, deadline=None)
