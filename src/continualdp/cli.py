@@ -2,14 +2,15 @@
 experiment.
 
 All randomness flows from one --seed flag (env fallback
-CONTINUAL_DP_SEED); when unset the seed comes from OS entropy.  The seed
-is secret: with it the noise of a release can be subtracted.  A release
-file holds only what is private, the artifact version, the configuration
-and the noisy values (``t,released``, or ``t,output`` for the monotone
-mechanism), and ``release`` prints only public numbers.  True values
-come from ``eval`` and errors from ``experiment``; ``sensitivity`` and
-``experiment`` are diagnostics, so they print a drawn seed, and
-``experiment`` records it in its file.
+CONTINUAL_DP_SEED) into a keyed SHAKE-256 stream (``noise.RandomSource``).
+The seed is secret: with it the noise of a release can be subtracted.
+An unseeded ``release`` keys its stream with 32 bytes of OS entropy and
+has no seed at all.  A release file holds only what is private, the
+artifact version, the configuration and the noisy values (``t,released``,
+or ``t,output`` for the monotone mechanism), and ``release`` prints only
+public numbers.  True values come from ``eval`` and errors from
+``experiment``; ``sensitivity`` and ``experiment`` are diagnostics, so
+they print a drawn 64-bit seed, and ``experiment`` records it in its file.
 
 Exit codes: 0 ok, 1 internal error, 2 usage or config error,
 3 unsupported combination (no finite sensitivity bound).
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -54,10 +56,11 @@ def _wrap_errors(fn):
 
 
 def _resolve_seed(seed: int | None) -> RandomSource:
-    rng = RandomSource(seed)
+    """A seeded source; a diagnostic run without --seed draws and prints one."""
     if seed is None:
-        click.echo(f"seed: {rng.seed}")
-    return rng
+        seed = int.from_bytes(os.urandom(8), "big")
+        click.echo(f"seed: {seed}")
+    return RandomSource(seed)
 
 
 def _metadata_lines(config: dict) -> list[str]:

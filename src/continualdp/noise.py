@@ -1,9 +1,11 @@
-"""Seeded randomness, Laplace sampling, and the concentration bound.
+"""Keyed randomness, Laplace sampling, and the concentration bound.
 
-All mechanism noise flows through :class:`RandomSource` so runs are
-bitwise reproducible from a single 64-bit seed.  Child sources derived
-from (seed, label) pairs keep parallel trials independent yet
-replayable.
+All mechanism noise flows through :class:`RandomSource`, a SHAKE-256
+byte stream under a 32-byte key.  A seeded source derives its key from a
+64-bit seed, so its draws are bitwise reproducible from that seed; an
+unseeded source takes its key from OS entropy and cannot be replayed.
+Child sources derived from (seed, label) pairs keep parallel trials
+independent yet replayable.
 """
 
 from __future__ import annotations
@@ -11,35 +13,98 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct
 
 import numpy as np
 
 from .errors import BadDelta, EmptyList, NonPositiveScale
 
+_SEED_KEY_LABEL = b"continualdp.noise.RandomSource seed key v1:"
+# bytes per SHAKE-256 call; fixed, so reads of any size see the same stream
+_CHUNK = 4096
+_WORD = struct.Struct(">Q")
+_WORDS = 1 << 64
+_ULP = 2.0**-53  # a uniform is the top 53 bits of a word, times 2^-53
+_SLICE = 4096  # draws per math.log1p pass of laplace_block
+
 
 class RandomSource:
-    """A seeded uniform generator with deterministic child derivation."""
+    """A keyed stream of uniform draws with deterministic child derivation.
 
-    __slots__ = ("seed", "_gen")
+    The stream is ``shake_256(key || counter).digest(4096)`` for counter
+    0, 1, 2, ... as 8-byte big-endian words.  ``seed`` is the 64-bit seed
+    the key came from, or None when the key came from OS entropy.
+    """
+
+    __slots__ = ("seed", "_key", "_counter", "_chunk", "_pos")
 
     def __init__(self, seed: int | None = None) -> None:
         if seed is None:
-            seed = int.from_bytes(os.urandom(8), "big")
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+            self.seed = None
+            self._start(os.urandom(32))
+        else:
+            self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+            seed_bytes = self.seed.to_bytes(8, "big")
+            self._start(hashlib.shake_256(_SEED_KEY_LABEL + seed_bytes).digest(32))
+
+    def _start(self, key: bytes) -> None:
+        self._key = key
+        self._counter = 0
+        self._chunk = b""
+        self._pos = 0
 
     def child(self, label: str | int) -> "RandomSource":
         """Derive an independent source keyed by (seed, label)."""
+        if self.seed is None:  # nothing to replay: key the child by the parent's key
+            child = RandomSource.__new__(RandomSource)
+            child.seed = None
+            key = hashlib.blake2b(str(label).encode(), key=self._key, digest_size=32)
+            child._start(key.digest())
+            return child
         h = hashlib.blake2b(f"{self.seed}:{label}".encode(), digest_size=8)
         return RandomSource(int.from_bytes(h.digest(), "big"))
 
+    def _refill(self) -> None:
+        counter = self._counter.to_bytes(8, "big")
+        self._chunk = hashlib.shake_256(self._key + counter).digest(_CHUNK)
+        self._counter += 1
+        self._pos = 0
+
+    def _word(self) -> int:
+        """The next 64-bit word of the stream."""
+        if self._pos == len(self._chunk):
+            self._refill()
+        pos = self._pos
+        self._pos = pos + 8
+        return _WORD.unpack_from(self._chunk, pos)[0]
+
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next n draws of ``uniform()``, as an array."""
+        parts = []
+        size = 8 * n
+        while size:
+            if self._pos == len(self._chunk):
+                self._refill()
+            part = self._chunk[self._pos:self._pos + size]
+            self._pos += len(part)
+            size -= len(part)
+            parts.append(part)
+        return (np.frombuffer(b"".join(parts), ">u8") >> 11) * _ULP
+
     def uniform(self) -> float:
-        """One uniform draw in [0, 1)."""
-        return float(self._gen.random())
+        """One uniform draw in [0, 1), a multiple of 2^-53."""
+        return (self._word() >> 11) * _ULP
 
     def integers(self, low: int, high: int) -> int:
-        """One uniform integer in [low, high)."""
-        return int(self._gen.integers(low, high))
+        """One uniform integer in [low, high), by rejection: no modulo bias."""
+        span = high - low
+        if not 0 < span <= _WORDS:
+            raise ValueError(f"need 0 < high - low <= 2**64, got [{low}, {high})")
+        limit = _WORDS - _WORDS % span
+        word = self._word()
+        while word >= limit:
+            word = self._word()
+        return low + word % span
 
 
 def sample_laplace(rng: RandomSource, b: float) -> float:
@@ -56,13 +121,16 @@ def laplace_block(rng: RandomSource, b: float, n: int) -> np.ndarray:
     """The next n draws of ``sample_laplace(rng, b)``, bit for bit, as an array."""
     if b <= 0:
         raise NonPositiveScale(f"scale must be positive, got {b}")
-    u = np.empty(0)
-    while len(u) < n:  # skip exact zero uniforms, as the scalar loop does
-        fresh = rng._gen.random(n - len(u)) - 0.5
-        u = np.concatenate([u, fresh[fresh != -0.5]])
-    # np.log1p differs from math.log1p by an ulp on some inputs
-    logs = np.array(list(map(math.log1p, (-2.0 * np.abs(u)).tolist())))
-    return -b * np.copysign(1.0, u) * logs
+    out = np.empty(n)
+    done = 0
+    while done < n:
+        u = rng._uniforms(min(n - done, _SLICE))
+        u = u[u != 0.0] - 0.5  # skip exact zero uniforms, as the scalar loop does
+        # np.log1p differs from math.log1p by an ulp on some inputs
+        logs = np.fromiter(map(math.log1p, (-2.0 * np.abs(u)).tolist()), float, len(u))
+        out[done:done + len(u)] = -b * np.copysign(1.0, u) * logs
+        done += len(u)
+    return out
 
 
 def concentration_bound(scales, delta: float) -> float:

@@ -354,14 +354,38 @@ def test_release_never_publishes_a_drawn_seed(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["release", "--function", "edge_count", "--epsilon", "1",
                                   "--delta", "0.05", "--input", str(log), "--out", str(csv)])
     assert result.exit_code == 0, result.output
-    [seed] = drawn
+    # an unseeded release keys its stream with OS entropy: there is no seed
+    assert drawn == [None]
     text = csv.read_text()
-    assert str(seed) not in result.output and "seed" not in result.output
-    assert str(seed) not in text and "seed" not in text
+    assert "seed" not in result.output and "seed" not in text
     rows = [line for line in text.splitlines() if not line.startswith("#")]
     assert rows[0] == "t,released"
     assert [row.split(",")[0] for row in rows[1:]] == ["1", "2", "3", "4"]
     assert all(len(row.split(",")) == 2 for row in rows)
+
+
+def test_an_experiment_row_seed_replays_its_trial(runner, tmp_path, monkeypatch):
+    # without --seed, experiment draws and prints one; each row's seed, given
+    # to release --seed, releases that trial again (each bin is a child source)
+    monkeypatch.delenv("CONTINUAL_DP_SEED", raising=False)
+    log, exp, rel = tmp_path / "seq.txt", tmp_path / "exp.csv", tmp_path / "rel.csv"
+    log.write_text("t=0 +v:0,1,2,3\nt=1 +e:0-1:1,1-2:1\nt=2 +e:2-3:1\nt=3 +e:0-3:1\n")
+    exact = np.array([[1, 2, 1, 0], [0, 2, 2, 0], [0, 0, 4, 0]])  # nodes per degree 0..3
+    args = ["--function", "degree_histogram", "-D", "3", "--epsilon", "1",
+            "--delta", "0.05", "--input", str(log)]
+    result = runner.invoke(main, ["experiment", *args, "--trials", "3", "--out", str(exp)])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("seed: ")
+    lines = exp.read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert len({row[2] for row in rows}) == 3
+    for _trial, seed, max_abs_error, _bound, _within in rows:
+        result = runner.invoke(main, ["release", *args, "--seed", seed, "--out", str(rel)])
+        assert result.exit_code == 0, result.output
+        released = [line.split(",")[1].split(";")
+                    for line in rel.read_text().splitlines()[3:]]
+        error = np.abs(np.array(released, float) - exact).max()
+        assert error == pytest.approx(float(max_abs_error), abs=2e-6)
 
 
 def test_seed_env_fallback_releases_what_the_seed_flag_does(runner, tmp_path, monkeypatch):

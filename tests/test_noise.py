@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,7 +27,28 @@ def test_children_are_deterministic_and_distinct():
 
 
 def test_unset_seed_uses_entropy():
-    assert RandomSource().seed != RandomSource().seed
+    # an unseeded source has no seed: its key is 32 bytes of OS entropy
+    a, b = RandomSource(), RandomSource()
+    assert a.seed is None and b.seed is None
+    assert [a.uniform() for _ in range(4)] != [b.uniform() for _ in range(4)]
+    # its children are keyed by its key, so they are unseeded and distinct too
+    x, y, other = a.child("x"), a.child("y"), b.child("x")
+    assert x.seed is None and y.seed is None and other.seed is None
+    assert len({x.uniform(), y.uniform(), other.uniform()}) == 3
+
+
+def test_stream_known_answer():
+    # the key is derived from the seed under a fixed label; the stream is
+    # shake_256(key || counter).digest(4096) as big-endian 64-bit words
+    key = hashlib.shake_256(b"continualdp.noise.RandomSource seed key v1:"
+                            + (123).to_bytes(8, "big")).digest(32)
+    stream = b"".join(hashlib.shake_256(key + i.to_bytes(8, "big")).digest(4096)
+                      for i in range(2))
+    words = struct.unpack(">1024Q", stream)
+    rng = RandomSource(123)
+    # 600 draws cross the first chunk boundary, at word 512
+    assert [rng.uniform() for _ in range(600)] == [(w >> 11) * 2.0**-53 for w in words[:600]]
+    assert rng.integers(0, 2**64) == words[600]
 
 
 def test_laplace_scale_validation():
@@ -36,7 +59,8 @@ def test_laplace_scale_validation():
             laplace_block(RandomSource(0), b, 3)
 
 
-@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+# one chunk of the stream holds 512 words; 5000 draws span two log1p slices
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1023, 1024, 1025, 5000])
 def test_laplace_block_equals_scalar_draws(n):
     block, scalar = RandomSource(7), RandomSource(7)
     draws = laplace_block(block, 1.5, n)
@@ -46,33 +70,56 @@ def test_laplace_block_equals_scalar_draws(n):
     assert block.uniform() == scalar.uniform()
 
 
-class _StubGenerator:
-    """Yields fixed uniforms first, then a seeded stream, one at a time."""
+def test_laplace_block_continues_a_partly_read_chunk():
+    block, scalar = RandomSource(8), RandomSource(8)
+    assert [block.uniform() for _ in range(300)] == [scalar.uniform() for _ in range(300)]
+    draws = laplace_block(block, 0.5, 4500)
+    assert draws.tolist() == [sample_laplace(scalar, 0.5) for _ in range(4500)]
+    assert block.integers(0, 10**9) == scalar.integers(0, 10**9)
 
-    def __init__(self, head):
-        self.head = list(head)
-        self.tail = np.random.Generator(np.random.PCG64(3))
 
-    def random(self, size=None):
-        if size is not None:
-            return np.array([self.random() for _ in range(size)])
-        return self.head.pop(0) if self.head else float(self.tail.random())
+def _stubbed(words):
+    """A source whose stream begins with ``words``, then goes on as seed 3's."""
+    rng = RandomSource(3)
+    rng._refill()
+    head = struct.pack(f">{len(words)}Q", *words)
+    rng._chunk = head + rng._chunk[len(head):]
+    return rng
 
 
 def test_laplace_block_skips_exact_zero_uniforms():
-    head = [0.25, 0.0, 0.0, 0.75, 0.0, 0.5]
-
-    def source():
-        rng = RandomSource(0)
-        rng._gen = _StubGenerator(head)
-        return rng
-
-    block, scalar = source(), source()
+    # a uniform is the word's top 53 bits times 2^-53
+    head = [int(u * 2**53) << 11 for u in (0.25, 0.0, 0.0, 0.75, 0.0, 0.5)]
+    block, scalar = _stubbed(head), _stubbed(head)
     draws = laplace_block(block, 2.0, 6)
     assert draws.tolist() == [sample_laplace(scalar, 2.0) for _ in range(6)]
     # u = 0.25 - 0.5 and, after two skipped zeros, u = 0.75 - 0.5
     assert draws[0] == 2.0 * math.log1p(-0.5) and draws[1] == -2.0 * math.log1p(-0.5)
     assert block.uniform() == scalar.uniform()
+
+
+def test_integers_of_a_span_of_one():
+    rng = RandomSource(4)
+    assert [rng.integers(5, 6) for _ in range(10)] == [5] * 10
+    assert rng.integers(-(2**70), -(2**70) + 1) == -(2**70)
+
+
+def test_integers_reject_the_words_past_the_last_whole_span():
+    # 3 does not divide 2^64: words at or above 2^64 - 1 would favour 0
+    rng = _stubbed([2**64 - 1, 2**64 - 1, 5, 2**64 - 2])
+    assert rng.integers(10, 13) == 10 + 5 % 3
+    assert rng.integers(10, 13) == 10 + (2**64 - 2) % 3
+    rng = RandomSource(9)
+    draws = [rng.integers(-2, 5) for _ in range(7000)]
+    assert set(draws) == set(range(-2, 5))
+    assert all(900 < draws.count(v) < 1100 for v in range(-2, 5))
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (3, 2), (0, 2**64 + 1)])
+def test_integers_refuse_an_empty_or_too_wide_range(low, high):
+    # numpy's Generator.integers raises ValueError for high <= low as well
+    with pytest.raises(ValueError):
+        RandomSource(0).integers(low, high)
 
 
 def test_laplace_empirical_moments():
