@@ -54,8 +54,9 @@ class RandomSource:
         self._pos = 0
 
     def child(self, label: str | int) -> "RandomSource":
-        """Derive an independent source keyed by (seed, label)."""
-        if self.seed is None:  # nothing to replay: key the child by the parent's key
+        """Derive an independent source keyed by (seed, label), or by
+        (key, label) for an unseeded source, which has nothing to replay."""
+        if self.seed is None:
             child = RandomSource.__new__(RandomSource)
             child.seed = None
             key = hashlib.blake2b(str(label).encode(), key=self._key, digest_size=32)
