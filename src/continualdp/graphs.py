@@ -20,8 +20,10 @@ steps 1..T as flat operation columns, with no object per step: ``op``
 node), ``w`` (an inserted edge's weight, else 0), and ``starts``, where
 step t's operations are ``starts[t - 1]:starts[t]``, in apply order:
 edge deletions, node deletions, node insertions, edge insertions.
-``seq.updates`` is a view of the same steps as ``Update``s, built on
-first read and then kept.
+The order within one kind is not fixed, so two steps are equal, and two
+sequences adjacent, by their sets of operations ``(op, x, y, w)``.
+``seq.updates`` builds the same steps as ``Update``s on each read; no
+module of the library reads it.
 ``Graph``, ``Update`` and ``GraphSequence`` are immutable by convention;
 operations return new objects and are safe to share read-only across
 threads.  ``DynamicGraph`` is the one mutable state: a pass over a
@@ -241,6 +243,13 @@ class Update:
 EDGE_DEL, NODE_DEL, NODE_INS, EDGE_INS = range(4)
 
 
+def _step_bounds(op: list, lo: int, hi: int) -> tuple[int, int, int]:
+    """Where node deletions, node insertions and edge insertions start in
+    the step ``lo:hi`` of ``op``, whose kinds are sorted."""
+    i, j, s = (bisect_left(op, kind, lo, hi) for kind in (NODE_DEL, NODE_INS, EDGE_INS))
+    return i, j, s
+
+
 def _append_ops(op: list, x: list, y: list, w: list, e_del: Iterable[EdgeKey],
                 v_del: Iterable[int], v_ins: Iterable[int], e_ins: dict[EdgeKey, int]) -> None:
     """Append the operations of one valid update to columns, in apply order."""
@@ -379,13 +388,12 @@ class GraphSequence:
     """An initial graph plus T updates, held as flat operation columns
     (see the module docstring); ``updates`` is their ``Update`` view."""
 
-    __slots__ = ("initial", "op", "x", "y", "w", "starts", "kind", "_updates")
+    __slots__ = ("initial", "op", "x", "y", "w", "starts", "kind")
 
     def __init__(self, initial: Graph, updates: Iterable[Update]) -> None:
-        self._updates: tuple[Update, ...] | None = tuple(updates)
         cols: tuple[list, list, list, list] = ([], [], [], [])
         starts = [0]
-        for u in self._updates:
+        for u in updates:
             _append_ops(*cols, u.e_del, u.v_del, u.v_ins, u.e_ins)
             starts.append(len(cols[0]))
         self._set(initial, *cols, starts)
@@ -396,7 +404,6 @@ class GraphSequence:
         """A sequence over columns whose every step is a valid update in
         apply order, as ``_append_ops`` writes it; the columns are kept."""
         seq = object.__new__(cls)
-        seq._updates = None
         seq._set(initial, op, x, y, w, starts)
         return seq
 
@@ -418,16 +425,19 @@ class GraphSequence:
 
     @property
     def updates(self) -> tuple[Update, ...]:
-        """The steps as ``Update``s, built from the columns on first read."""
-        if self._updates is None:
-            op, x, y, w, starts = self.op, self.x, self.y, self.w, self.starts
-            updates = []
-            for lo, hi in zip(starts, starts[1:]):
-                i, j, s = (bisect_left(op, k, lo, hi) for k in (NODE_DEL, NODE_INS, EDGE_INS))
-                e_ins = dict(zip(zip(x[s:hi], y[s:hi]), w[s:hi]))
-                updates.append(Update(x[j:s], x[i:j], e_ins, list(zip(x[lo:i], y[lo:i]))))
-            self._updates = tuple(updates)
-        return self._updates
+        """The steps as ``Update``s, built from the columns on each read."""
+        op, x, y, w = self.op, self.x, self.y, self.w
+        updates = []
+        for lo, hi in zip(self.starts, self.starts[1:]):
+            i, j, s = _step_bounds(op, lo, hi)
+            e_ins = dict(zip(zip(x[s:hi], y[s:hi]), w[s:hi]))
+            updates.append(Update(x[j:s], x[i:j], e_ins, list(zip(x[lo:i], y[lo:i]))))
+        return tuple(updates)
+
+    def _op_sets(self) -> Iterator[set[tuple[int, int, int, int]]]:
+        """Each step's operations as a set of ``(op, x, y, w)``."""
+        ops = list(zip(self.op, self.x, self.y, self.w))
+        return (set(ops[lo:hi]) for lo, hi in zip(self.starts, self.starts[1:]))
 
     def materialize(self) -> list[Graph]:
         """Graphs G_1..G_T; raises InvalidUpdate with the offending index."""
@@ -460,7 +470,7 @@ class GraphSequence:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSequence):
             return NotImplemented
-        return self.initial == other.initial and self.updates == other.updates
+        return self.initial == other.initial and list(self._op_sets()) == list(other._op_sets())
 
     def __repr__(self) -> str:
         return f"GraphSequence(T={self.T}, kind={self.kind.value})"
@@ -510,97 +520,40 @@ class AdjacencyWitness:
     t_star: int | None = None
 
 
-def _edge_event_witness(a: GraphSequence, b: GraphSequence) -> AdjacencyWitness | None:
-    diffs = [t for t in range(a.T) if a.updates[t] != b.updates[t]]
-    if len(diffs) != 1:
-        return None
-    t = diffs[0]
-    ua, ub = a.updates[t], b.updates[t]
-    if ua.v_ins != ub.v_ins or ua.v_del != ub.v_del:
-        return None
-    if ua.e_del == ub.e_del:
-        extra = set(ua.e_ins.items()) ^ set(ub.e_ins.items())
-        if len(extra) == 1:
-            (key, _w), = extra
-            # shared keys must agree exactly, so the lone differing key
-            # appears in one sequence only
-            if key not in ua.e_ins or key not in ub.e_ins:
-                return AdjacencyWitness(AdjacencyKind.EDGE_EVENT, key, t + 1)
-        return None
-    if ua.e_ins == ub.e_ins:
-        extra_del = ua.e_del ^ ub.e_del
-        if len(extra_del) == 1:
-            (key,) = extra_del
-            return AdjacencyWitness(AdjacencyKind.EDGE_EVENT, key, t + 1)
-    return None
-
-
-def _node_event_witness(a: GraphSequence, b: GraphSequence) -> AdjacencyWitness | None:
-    node_diffs = [
-        t
-        for t in range(a.T)
-        if a.updates[t].v_ins != b.updates[t].v_ins
-        or a.updates[t].v_del != b.updates[t].v_del
-    ]
-    if len(node_diffs) != 1:
-        return None
-    t = node_diffs[0]
-    ua, ub = a.updates[t], b.updates[t]
-    cand = (ua.v_ins ^ ub.v_ins) | (ua.v_del ^ ub.v_del)
-    if len(cand) != 1:
-        return None
-    (v_star,) = cand
-    # every edge-update difference, at any time, must be an edge
-    # incident to v_star; filtering those edges must equalize the pair
-    for t2 in range(a.T):
-        u1, u2 = a.updates[t2], b.updates[t2]
-        f1 = {k: w for k, w in u1.e_ins.items() if v_star not in k}
-        f2 = {k: w for k, w in u2.e_ins.items() if v_star not in k}
-        if f1 != f2:
-            return None
-        d1 = {k for k in u1.e_del if v_star not in k}
-        d2 = {k for k in u2.e_del if v_star not in k}
-        if d1 != d2:
-            return None
-    return AdjacencyWitness(AdjacencyKind.NODE_EVENT, v_star, t + 1)
-
-
-def _edge_user_witness(a: GraphSequence, b: GraphSequence) -> AdjacencyWitness | None:
-    touched: set[EdgeKey] = set()
-    any_diff = False
-    for t in range(a.T):
-        ua, ub = a.updates[t], b.updates[t]
-        if ua == ub:
-            continue
-        any_diff = True
-        if ua.v_ins != ub.v_ins or ua.v_del != ub.v_del:
-            return None
-        for key, _w in set(ua.e_ins.items()) ^ set(ub.e_ins.items()):
-            touched.add(key)
-        touched |= ua.e_del ^ ub.e_del
-        if len(touched) > 1:
-            return None
-    if not any_diff or len(touched) != 1:
-        return None
-    (e_star,) = touched
-    return AdjacencyWitness(AdjacencyKind.EDGE_USER, e_star)
-
-
 def check_adjacency(
     a: GraphSequence, b: GraphSequence, kind: AdjacencyKind | str
 ) -> AdjacencyWitness | None:
     """Witness that (a, b) satisfy the requested adjacency relation.
 
     Returns None for non-adjacent pairs; identical sequences are never
-    adjacent.  Both sequences must share the initial graph.
+    adjacent.  Both sequences must share the initial graph.  The pair is
+    read through the operations in which each step differs:
+
+    - edge-event: exactly one, and it is an edge operation;
+    - node-event: the node operations, at least one, all name one node v*
+      at one step, and every edge operation, at any step, is incident to v*;
+    - edge-user: no node operation, and all name one edge key.
     """
     kind = AdjacencyKind(kind)
     if a.T != b.T:
         raise LengthMismatch(f"sequence lengths differ: {a.T} vs {b.T}")
     if a.initial != b.initial:
         return None
+    diff = [(t, d) for t, (p, q) in enumerate(zip(a._op_sets(), b._op_sets()), 1)
+            for d in p ^ q]
+    nodes = {(t, x) for t, (op, x, _, _) in diff if op in (NODE_DEL, NODE_INS)}
     if kind is AdjacencyKind.EDGE_EVENT:
-        return _edge_event_witness(a, b)
-    if kind is AdjacencyKind.NODE_EVENT:
-        return _node_event_witness(a, b)
-    return _edge_user_witness(a, b)
+        if len(diff) == 1 and not nodes:
+            ((t, (_, x, y, _)),) = diff
+            return AdjacencyWitness(kind, (x, y), t)
+    elif kind is AdjacencyKind.NODE_EVENT:
+        if len(nodes) == 1:
+            ((t, v),) = nodes
+            # a node operation in diff names v, so only edges can miss it
+            if all(v == x or v == y for _, (_, x, y, _) in diff):
+                return AdjacencyWitness(kind, v, t)
+    elif not nodes:
+        keys = {(x, y) for _, (_, x, y, _) in diff}
+        if len(keys) == 1:
+            return AdjacencyWitness(kind, keys.pop())
+    return None

@@ -27,29 +27,33 @@ an invalid update.
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import Graph, GraphSequence, Update, _append_ops
+from .graphs import Graph, GraphSequence, Update, _append_ops, _step_bounds
 
 
-def _fmt_update(t: int, u: Update) -> str:
+def _fmt_step(t: int, v_ins, v_del, e_ins, e_del) -> str:
+    """One line from a step's node ids, ``(u, v, w)`` insertions and
+    ``(u, v)`` deletions, each kind sorted."""
     parts = [f"t={t}"]
-    if u.v_ins:
-        parts.append("+v:" + ",".join(str(v) for v in sorted(u.v_ins)))
-    if u.v_del:
-        parts.append("-v:" + ",".join(str(v) for v in sorted(u.v_del)))
-    if u.e_ins:
-        parts.append(
-            "+e:" + ",".join(f"{a}-{b}:{w}" for (a, b), w in sorted(u.e_ins.items()))
-        )
-    if u.e_del:
-        parts.append("-e:" + ",".join(f"{a}-{b}" for a, b in sorted(u.e_del)))
+    if v_ins:
+        parts.append("+v:" + ",".join(str(v) for v in sorted(v_ins)))
+    if v_del:
+        parts.append("-v:" + ",".join(str(v) for v in sorted(v_del)))
+    if e_ins:
+        parts.append("+e:" + ",".join(f"{a}-{b}:{w}" for a, b, w in sorted(e_ins)))
+    if e_del:
+        parts.append("-e:" + ",".join(f"{a}-{b}" for a, b in sorted(e_del)))
     return " ".join(parts)
 
 
 def serialize_sequence(seq: GraphSequence) -> str:
     g0 = seq.initial
-    init = Update(v_ins=g0.nodes, e_ins=g0.edges)
-    lines = [_fmt_update(0, init)]
-    lines.extend(_fmt_update(t, u) for t, u in enumerate(seq.updates, start=1))
+    lines = [_fmt_step(0, g0.nodes, (), [(a, b, w) for (a, b), w in g0.edges.items()], ())]
+    op, x, y, w, starts = seq.op, seq.x, seq.y, seq.w, seq.starts
+    for t in range(1, len(starts)):
+        lo, hi = starts[t - 1], starts[t]
+        i, j, s = _step_bounds(op, lo, hi)
+        lines.append(_fmt_step(t, x[j:s], x[i:j], list(zip(x[s:hi], y[s:hi], w[s:hi])),
+                               list(zip(x[lo:i], y[lo:i]))))
     return "\n".join(lines) + "\n"
 
 

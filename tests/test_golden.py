@@ -1,9 +1,12 @@
-"""Byte-for-byte pins of the CLI release and experiment output.
+"""Byte-for-byte pins of the CLI release, experiment, sensitivity and
+generate output.
 
 Each log is built here from a fixed seed, so the test covers the whole
 path: serializing, parsing, replaying, releasing and writing the CSV.
-The files under ``tests/golden`` hold the expected bytes; rewrite them
-only for a change that is meant to alter what a seed releases.
+The sensitivity reports pin which oracle draws pass the adjacency check,
+and the generated pair pins its witness and both logs.  The files under
+``tests/golden`` hold the expected bytes; rewrite them only for a change
+that is meant to alter what a seed releases or which pairs are adjacent.
 """
 
 from pathlib import Path
@@ -55,3 +58,30 @@ def test_experiment_output_is_pinned(tmp_path):
     args = ["--function", "degree_histogram", "-D", "12", "--trials", "3"]
     got = _run(tmp_path, "experiment", "incremental", args)
     assert got == (GOLDEN / "experiment_degree_histogram.csv").read_bytes()
+
+
+SENSITIVITY = {
+    "sensitivity_triangle_count_edge.json":
+        ["--function", "triangle_count", "--seed", "5", "--max-pairs", "60"],
+    "sensitivity_edge_count_node.json":
+        ["--function", "edge_count", "--adjacency", "node", "--d-max", "4", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SENSITIVITY))
+def test_sensitivity_output_is_pinned(tmp_path, name):
+    out = tmp_path / "out.json"
+    result = CliRunner().invoke(main, ["sensitivity", *SENSITIVITY[name], "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_generated_pair_is_pinned(tmp_path):
+    log = tmp_path / "mst.log"
+    result = CliRunner().invoke(main, ["generate", "--target", "mst", "--adjacency", "node",
+                                       "--sigma", "1011", "-W", "3", "--flip", "2",
+                                       "--out", str(log)])
+    assert result.exit_code == 0, result.output
+    for suffix in ("", ".partner", ".expected.json"):
+        golden = GOLDEN / f"generate_mst_node_flip2.log{suffix}"
+        assert Path(f"{log}{suffix}").read_bytes() == golden.read_bytes(), suffix

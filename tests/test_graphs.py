@@ -1,24 +1,32 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from continualdp import (
     AdjacencyKind,
+    AdjacencyWitness,
     Graph,
     GraphFunction,
     GraphSequence,
     RandomSource,
     SequenceKind,
     Update,
+    adjacent_pair,
     apply_update,
     check_adjacency,
     edge_key,
     reversed_sequence,
+    unbounded_pair,
 )
 from continualdp.errors import DegreeViolation, InvalidUpdate, LengthMismatch
+from continualdp.oracle import OracleScope, _draw_pair
 from continualdp.release import exact_values
 
+import sequence_reference as seq_ref
 from conftest import max_degree, random_sequence
+from test_generators import CASES as GENERATOR_CASES
 
 EDGES = GraphFunction("edge_count")
 
@@ -338,6 +346,111 @@ def test_edge_user_rejects_two_keys():
     a = GraphSequence(g, [Update(e_del={(0, 1)}), Update(e_del={(1, 2)})])
     b = GraphSequence(g, [Update(), Update()])
     assert check_adjacency(a, b, AdjacencyKind.EDGE_USER) is None
+
+
+# ---- adjacency against the Update-based witnesses ----
+
+
+def _same_as_reference(a, b):
+    """Check every relation on (a, b) against the reference; return the
+    kinds for which the pair is adjacent."""
+    adjacent = set()
+    for kind in AdjacencyKind:
+        got = check_adjacency(a, b, kind)
+        assert got == seq_ref.check_adjacency(a, b, kind), (kind, a, b)
+        if got is not None:
+            adjacent.add(kind)
+    return adjacent
+
+
+def _oracle_draws():
+    """Seeded oracle draws for every adjacency and regime."""
+    pairs = []
+    cells = product(("edge", "node"), ("incremental", "decremental", "fully-dynamic"), (None, 3))
+    for c, (adjacency, regime, d_max) in enumerate(cells):
+        scope = OracleScope(n_max=5, T_max=4, W_max=2, D_max=d_max,
+                            adjacency=adjacency, regime=regime)
+        rng = RandomSource(4400 + c)
+        for i in range(120):
+            pair = _draw_pair(scope, rng.child(i))
+            if pair is not None:
+                pairs.append(pair)
+    return pairs
+
+
+def test_adjacency_of_oracle_draws_matches_reference():
+    pairs = _oracle_draws()
+    found = set()
+    for a, b in pairs:
+        found |= _same_as_reference(a, b)
+        found |= _same_as_reference(b, a)
+    assert found == set(AdjacencyKind)
+    # cross pairs: any two draws that share an initial graph and T
+    groups: dict = {}
+    for seq in (s for pair in pairs for s in pair):
+        group = groups.setdefault((seq.initial, seq.T), [])
+        if len(group) < 12:
+            group.append(seq)
+    crossed = 0
+    for group in groups.values():
+        for a in group:
+            for b in group:
+                _same_as_reference(a, b)
+                crossed += 1
+    assert crossed > len(pairs)
+
+
+def test_adjacency_of_generator_pairs_matches_reference():
+    event = {"edge": AdjacencyKind.EDGE_EVENT, "node": AdjacencyKind.NODE_EVENT}
+    for target, adjacency, kwargs in GENERATOR_CASES:
+        kind = event[adjacency]
+        for sigma, flip in (([1, 0, 1], 2), ([0, 1, 1, 0], 1), ([1, 1, 0, 1], 4)):
+            pair = adjacent_pair(target, adjacency, sigma, flip, **kwargs)
+            assert kind in _same_as_reference(pair.a, pair.b), target
+            assert kind in _same_as_reference(pair.b, pair.a), target
+    for f, adjacency in [
+        (GraphFunction("triangle_count"), "edge"),
+        (GraphFunction("mst_weight"), "edge"),
+        (GraphFunction("edge_count"), "node"),
+        (GraphFunction("kstar_count", k=2), "node"),
+        (GraphFunction("min_cut"), "node"),
+        (GraphFunction("max_weight_matching"), "edge"),
+        (GraphFunction("max_cardinality_matching"), "node"),
+    ]:
+        a, b = unbounded_pair(f, adjacency, 4, W=3)
+        assert event[adjacency] in _same_as_reference(a, b), f.label()
+
+
+def test_node_inserted_in_one_and_deleted_in_the_other_is_one_node_difference():
+    g = Graph({0, 1, 2})
+    a = GraphSequence(g, [Update(), Update(v_ins={3}, e_ins={(0, 3): 1})])
+    b = GraphSequence(g, [Update(), Update(v_del={3})])
+    assert _same_as_reference(a, b) == {AdjacencyKind.NODE_EVENT}
+    assert check_adjacency(a, b, "node-event") == AdjacencyWitness(
+        AdjacencyKind.NODE_EVENT, 3, 2)
+
+
+@pytest.mark.parametrize("a_steps", [
+    [Update(v_ins={2}), Update(v_ins={3})],  # two nodes at two steps
+    [Update(v_ins={2}), Update(v_del={2})],  # one node at two steps
+    [Update(v_ins={2, 3})],  # two nodes at one step
+    [Update(v_ins={2}, e_ins={(0, 1): 1})],  # an edge not incident to v*, same step
+    [Update(v_ins={2}, e_ins={(0, 2): 1}), Update(e_del={(0, 1)})],  # and at a later step
+])
+def test_node_event_refuses_more_than_one_node_at_one_step(a_steps):
+    g = Graph.from_edges([(0, 1)])
+    a = GraphSequence(g, a_steps)
+    b = GraphSequence(g, [Update()] * len(a_steps))
+    assert AdjacencyKind.NODE_EVENT not in _same_as_reference(a, b)
+
+
+def test_a_weight_only_change_is_user_level_adjacent_only():
+    g = Graph({0, 1, 2})
+    a = GraphSequence(g, [Update(e_ins={(0, 1): 1, (1, 2): 2}), Update(e_del={(0, 1)})])
+    b = GraphSequence(g, [Update(e_ins={(0, 1): 3, (1, 2): 2}), Update(e_del={(0, 1)})])
+    assert _same_as_reference(a, b) == {AdjacencyKind.EDGE_USER}
+    assert check_adjacency(a, b, "edge-user") == AdjacencyWitness(
+        AdjacencyKind.EDGE_USER, (0, 1))
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parse_reference as ref
+import sequence_reference as seq_ref
 from continualdp import (
     Graph,
     GraphFunction,
@@ -14,6 +15,7 @@ from continualdp import (
     apply_update,
     evaluate,
     parse_sequence,
+    reversed_sequence,
     serialize_sequence,
 )
 from continualdp.errors import FormatError, InvalidUpdate
@@ -29,6 +31,42 @@ def test_round_trip_500_random_sequences():
     for i in range(500):
         seq = random_sequence(rng.child(i), kind=kinds[i % 3])
         assert parse_sequence(serialize_sequence(seq)) == seq
+
+
+@pytest.mark.parametrize("kind", ["incremental", "decremental", "fully-dynamic"])
+def test_text_and_equality_match_the_update_reference(kind):
+    rng = RandomSource(20261019)
+    # several nodes a step, whose columns hold each kind out of order
+    g = Graph({1, 9, 17, 25, 41}, {(1, 9): 1, (9, 17): 2, (25, 41): 3})
+    seq = GraphSequence(g, [
+        Update(v_del={41, 1, 9, 17}, e_del={(1, 9), (9, 17), (25, 41)}),
+        Update(v_ins={33, 1, 9, 17}, e_ins={(9, 33): 2, (1, 17): 1, (1, 9): 3, (25, 33): 1}),
+    ])
+    seqs = [seq, reversed_sequence(seq)]
+    for i in range(100):
+        seq = random_sequence(rng.child(i), n_max=8, T_max=20, kind=kind)
+        seqs += [seq, reversed_sequence(seq)]
+    for seq in seqs:
+        assert serialize_sequence(seq) == seq_ref.serialize_sequence(seq)
+
+    def same(a, b):
+        return a.initial == b.initial and a.updates == b.updates
+
+    pairs = []
+    for seq in seqs:
+        text = serialize_sequence(seq)
+        shuffled = "\n".join(reversed(text.splitlines()))  # lines out of order
+        pairs += [(seq, parse_sequence(text)), (seq, parse_sequence(shuffled)),
+                  (seq, reversed_sequence(reversed_sequence(seq))),
+                  (seq, GraphSequence(seq.initial, seq.updates[:-1]))]
+    pairs += list(zip(seqs, seqs[1:]))
+    # tiny sequences, many pairs of them equal
+    tiny = [random_sequence(rng.child(1000 + i), n_max=2, T_max=2, kind=kind)
+            for i in range(30)]
+    pairs += [(a, b) for a in tiny for b in tiny]
+    for a, b in pairs:
+        assert (a == b) == same(a, b) == (b == a)
+    assert sum(same(a, b) for a, b in pairs) > len(seqs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,8 +291,6 @@ def test_parsed_lines_build_the_update_that_update_builds(seed, kind):
             assert type(value) is type(getattr(want, field))
             if not value and field != "e_ins":
                 assert value is _EMPTY
-    # the view is built once and then kept
-    assert parsed.updates is parsed.updates
 
 
 def test_canonical_edge_lines_skip_the_update_check(monkeypatch):
