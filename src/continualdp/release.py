@@ -213,6 +213,7 @@ def release(
     adjacency: str = EDGE,
     D: int | None = None,
     W: int | None = None,
+    exact: np.ndarray | None = None,
 ) -> ReleaseReport:
     """Release f(t) privately at every step of an update sequence.
 
@@ -224,6 +225,9 @@ def release(
     validated against the sequence; Gamma always comes from the table.
     A degree histogram releases the D + 1 bins 0..D, and each record's
     ``true`` has the same D + 1 entries.
+
+    ``exact``, the ``exact`` column of an earlier report on the same sequence,
+    function and D, skips the replay and its checks; it must be such an array.
     """
     kind = seq.kind
     regime = FULLY_DYNAMIC if kind is SequenceKind.FULLY_DYNAMIC else PARTIALLY_DYNAMIC
@@ -241,15 +245,19 @@ def release(
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
     # the bound refuses a bad T, epsilon or delta before the mechanism draws noise
     bound = theoretical_release_error(gamma, epsilon, delta, T)
+    shape = (T, coords) if histogram else (T,)
+    if exact is not None and getattr(exact, "shape", None) != shape:
+        raise OutOfRange(f"exact must be an array of shape {shape}")
     mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0], item_width=gamma)
-    # every check that needs no replay is above; the one replay comes last
-    values = exact_values(seq, f, D)
-    if histogram:
-        exact = np.zeros((T, coords))
-        for row, value in zip(exact, values):
-            row[:len(value)] = value
-    else:
-        exact = np.array(values, float)
+    if exact is None:
+        # every check that needs no replay is above; the one replay comes last
+        values = exact_values(seq, f, D)
+        if histogram:
+            exact = np.zeros(shape)
+            for row, value in zip(exact, values):
+                row[:len(value)] = value
+        else:
+            exact = np.array(values, float)
     est = mech.feed(np.diff(exact, axis=0, prepend=0.0))[1]
     return ReleaseReport(
         function=f.label(),

@@ -52,8 +52,17 @@ def random_sequence(
     T_max: int = 10,
     kind: str = "incremental",
     W_max: int = 3,
+    nodes_per_step: int = 1,
 ) -> GraphSequence:
-    """A random valid sequence of the requested kind (seeded)."""
+    """A random valid sequence of the requested kind (seeded).
+
+    A step inserts at most ``nodes_per_step`` nodes and deletes at most as
+    many; above 1, each step that inserts or deletes nodes draws how many.
+    The default 1 keeps the draws that the golden files were built from.
+    """
+
+    def node_count() -> int:
+        return 1 if nodes_per_step == 1 else rng.integers(1, nodes_per_step + 1)
     n0 = rng.integers(1, n_max + 1)
     next_id = n0
     present = set(range(n0))
@@ -80,18 +89,19 @@ def random_sequence(
                     e_del.add(e)
             if present and rng.uniform() < 0.2:
                 cand = sorted(present)
-                v = cand[rng.integers(0, len(cand))]
-                v_del.add(v)
-                e_del |= {e for e in edges if v in e}
+                for _ in range(min(node_count(), len(cand))):
+                    v = cand.pop(rng.integers(0, len(cand)))
+                    v_del.add(v)
+                    e_del |= {e for e in edges if v in e}
 
         survivors = present - v_del
         surviving_edges = {e for e in edges if e not in e_del}
 
         if kind in ("incremental", "fully-dynamic"):
             if rng.uniform() < 0.5:
-                v = next_id
-                next_id += 1
-                v_ins.add(v)
+                for _ in range(node_count()):
+                    v_ins.add(next_id)
+                    next_id += 1
             cand = sorted(survivors | v_ins)
             for _ in range(rng.integers(0, 3)):
                 if len(cand) >= 2:

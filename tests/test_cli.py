@@ -499,6 +499,40 @@ def test_every_command_rejects_an_invalid_update(runner, tmp_path, command):
     assert not out.exists()
 
 
+def test_experiment_replays_the_log_once(runner, tmp_path, monkeypatch):
+    # trial 0 is a full release; trials 1.. get its exact values, and every
+    # trial still calls the release through cli.diff_release
+    module = importlib.import_module("continualdp.release")
+    replays, given = [], []
+    replay = module.exact_values
+    monkeypatch.setattr(module, "exact_values",
+                        lambda *a, **k: replays.append(a) or replay(*a, **k))
+    monkeypatch.setattr(cli, "diff_release",
+                        lambda *a, **k: given.append(k["exact"]) or diff_release(*a, **k))
+    log = _generate(runner, tmp_path)
+    out = tmp_path / "exp.csv"
+    result = runner.invoke(main, ["experiment", "--function", "degree_histogram", "-D", "12",
+                                  "--epsilon", "1", "--delta", "0.05", "--trials", "3",
+                                  "--seed", "5", "--input", str(log), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(replays) == 1
+    assert len(given) == 3 and given[0] is None
+    assert given[1] is given[2] and given[1].shape == (3, 13)
+
+
+def test_experiment_refuses_epsilon_before_replaying_an_invalid_log(runner, tmp_path):
+    log = tmp_path / "bad.txt"
+    log.write_text("t=0 +v:0,1\nt=1 -e:0-1\n")
+    out = tmp_path / "exp.csv"
+    result = runner.invoke(main, ["experiment", "--function", "edge_count", "--epsilon", "inf",
+                                  "--delta", "0.05", "--trials", "3", "--seed", "1",
+                                  "--input", str(log), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "error: epsilon must be positive and finite" in result.output
+    assert "deleting absent edge" not in result.output
+    assert not out.exists()
+
+
 _ROW_COMMANDS = {
     "release-scalar": ["release", "--function", "edge_count"],
     "release-histogram": ["release", "--function", "degree_histogram", "-D", "12"],

@@ -230,7 +230,7 @@ def test_max_degree_matches_snapshots(kind):
 def test_reversed_sequence_involution():
     rng = RandomSource(7)
     for i in range(50):
-        seq = random_sequence(rng.child(i), kind="fully-dynamic")
+        seq = random_sequence(rng.child(i), kind="fully-dynamic", nodes_per_step=1 + i % 3)
         rev = reversed_sequence(seq)
         assert rev.initial == seq.materialize()[-1]
         for r in rev.updates:
@@ -454,10 +454,13 @@ def test_a_weight_only_change_is_user_level_adjacent_only():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_random_sequences_round_trip_through_reversal(seed):
-    seq = random_sequence(RandomSource(seed), n_max=5, T_max=6, kind="fully-dynamic")
-    assert reversed_sequence(reversed_sequence(seq)).materialize() == seq.materialize()
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 3))
+def test_random_sequences_round_trip_through_reversal(seed, nodes_per_step):
+    seq = random_sequence(RandomSource(seed), n_max=5, T_max=6, kind="fully-dynamic",
+                          nodes_per_step=nodes_per_step)
+    back = reversed_sequence(reversed_sequence(seq))
+    assert back.materialize() == seq.materialize()
+    assert back == seq
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,15 @@ from continualdp import (
     GraphFunction,
     GraphSequence,
     OracleScope,
+    SequenceKind,
     Update,
     brute_sensitivity,
+    check_adjacency,
     compare_with_table,
     diff_sensitivity,
     gen_event_level,
     mst_tightness_pair,
+    parse_sequence,
     sensitivity_bound,
 )
 from continualdp.errors import BudgetExceeded, OutOfRange
@@ -207,3 +210,36 @@ def test_a_terminal_missing_only_mid_sequence_fails_the_terminal_check():
     assert not oracle_mod._has_terminals(f, (kept, gone))
     assert oracle_mod._has_terminals(f, (kept, kept))
     assert oracle_mod._has_terminals(GraphFunction("edge_count"), (gone, gone))
+
+
+# Decremental pairs whose differing deletion is not at the last step.  A
+# structure through the deleted edge (or node) leaves A at t=1 and leaves B
+# at t=2, so it counts twice in the L1 distance of the difference sequences.
+_DECREMENTAL_PAIRS = {
+    "edge": ("t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,1-2:1,0-3:1,1-3:1\nt=1 -e:0-1\nt=2 -e:0-2,0-3\n",
+             "t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,1-2:1,0-3:1,1-3:1\nt=1\nt=2 -e:0-2,0-3\n"),
+    "node": ("t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,0-3:1,1-2:1,2-3:1,1-3:1\n"
+             "t=1 -v:0 -e:0-1,0-2,0-3\nt=2 -e:1-2,2-3,1-3\n",
+             "t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,0-3:1,1-2:1,2-3:1,1-3:1\n"
+             "t=1\nt=2 -e:1-2,2-3,1-3\n"),
+}
+
+
+@pytest.mark.parametrize("adjacency, kind", [("edge", "edge-event"), ("node", "node-event")])
+def test_the_decremental_pairs_are_adjacent_at_their_first_step(adjacency, kind):
+    a, b = (parse_sequence(text) for text in _DECREMENTAL_PAIRS[adjacency])
+    assert a.kind is b.kind is SequenceKind.DECREMENTAL
+    assert check_adjacency(a, b, kind).t_star == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP direction 9: the partially dynamic Gamma does not hold on "
+    "decremental logs (L1 4 > 3, 6 > 4 and 6 > 3 today)"))
+@pytest.mark.parametrize("f, adjacency", [
+    (GraphFunction("triangle_count"), "edge"),
+    (GraphFunction("kstar_count", k=2), "edge"),
+    (GraphFunction("triangle_count"), "node"),
+], ids=["triangle-edge", "kstar2-edge", "triangle-node"])
+def test_decremental_pair_within_the_partially_dynamic_gamma(f, adjacency):
+    a, b = (parse_sequence(text) for text in _DECREMENTAL_PAIRS[adjacency])
+    assert diff_sensitivity(f, a, b) <= sensitivity_bound(f, adjacency, "partially-dynamic", D=3)

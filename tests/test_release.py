@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,3 +420,67 @@ def test_records_from_columns_match_the_eager_records(seed, kind, f, adjacency):
     assert report.records is report.records
     assert report.max_abs_error == max(rec.abs_error for rec in want)
     assert len(report.records) == seq.T and report.records[-1].t == seq.T
+
+
+@pytest.mark.parametrize("kind", ["incremental", "decremental", "fully-dynamic"])
+def test_a_release_on_given_exact_values_equals_the_full_release(kind):
+    # experiment's trials 1.. reuse the exact column of its trial 0
+    rng = RandomSource(2021)
+    released = 0
+    for i in range(25):
+        seq = random_sequence(rng.child(i), n_max=7, T_max=14, kind=kind,
+                              nodes_per_step=1 + i % 2)
+        D = max(max_degree(seq), 1)
+        for f, kw in [(GraphFunction("edge_count"), {}),
+                      (GraphFunction("degree_histogram"), dict(D=D)),
+                      (GraphFunction("triangle_count"), dict(D=D)),
+                      (GraphFunction("mst_weight"), dict(W=seq.max_weight()))]:
+            def trial(j, **extra):
+                source = RandomSource(2021).child(f"{i}:{f.name}").child(f"trial{j}")
+                return release(seq, f, 0.7, 0.05, source, **kw, **extra)
+
+            try:
+                first = trial(0)
+            except UnboundedSensitivity as exc:  # refused with or without the replay
+                with pytest.raises(UnboundedSensitivity, match=re.escape(str(exc))):
+                    trial(0, exact=np.zeros(seq.T))
+                continue
+            for j in (1, 2):
+                plain, given = trial(j), trial(j, exact=first.exact)
+                assert given.est.tobytes() == plain.est.tobytes()
+                assert given.exact is first.exact
+                assert given.exact.tobytes() == plain.exact.tobytes()
+                assert (given.gamma, given.bound) == (plain.gamma, plain.bound)
+                released += 1
+    assert released >= 50
+
+
+def test_given_exact_values_skip_only_the_replay(monkeypatch):
+    seq = gen_event_level("mst", "edge", [1, 0, 1], W=5)
+    f = GraphFunction("mst_weight")
+    exact = release(seq, f, 1.0, 0.05, RandomSource(1), W=5).exact
+    module = importlib.import_module("continualdp.release")
+    monkeypatch.setattr(module, "exact_values", lambda *a, **k: pytest.fail("replayed"))
+    assert release(seq, f, 1.0, 0.05, RandomSource(2), W=5, exact=exact).exact is exact
+    with pytest.raises(WeightViolation):
+        release(seq, f, 1.0, 0.05, RandomSource(2), W=2, exact=exact)
+    with pytest.raises(NonPositiveScale, match="epsilon must be positive and finite"):
+        release(seq, f, math.inf, 0.05, RandomSource(2), W=5, exact=exact)
+    with pytest.raises(BadDelta):
+        release(seq, f, 1.0, 2.0, RandomSource(2), W=5, exact=exact)
+    with pytest.raises(UnboundedSensitivity):
+        release(seq, GraphFunction("max_cardinality_matching"), 1.0, 0.05, RandomSource(2),
+                W=5, exact=exact)
+
+
+def test_release_refuses_exact_values_of_another_shape():
+    seq = gen_event_level("degree_histogram", "edge", [1, 0, 1])
+    hist, edges = GraphFunction("degree_histogram"), GraphFunction("edge_count")
+    good = release(seq, hist, 1.0, 0.05, RandomSource(1), D=3).exact
+    assert good.shape == (seq.T, 4)
+    for f, kw, bad in [(hist, dict(D=3), good[:, :3]), (hist, dict(D=3), good[:-1]),
+                       (hist, dict(D=4), good), (edges, {}, good),
+                       (edges, {}, np.zeros((seq.T, 1))), (edges, {}, np.zeros(seq.T + 1)),
+                       (edges, {}, [0.0] * seq.T)]:
+        with pytest.raises(OutOfRange, match=r"exact must be an array of shape \("):
+            release(seq, f, 1.0, 0.05, RandomSource(1), exact=bad, **kw)

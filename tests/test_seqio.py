@@ -29,7 +29,8 @@ def test_round_trip_500_random_sequences():
     rng = RandomSource(20260824)
     kinds = ("incremental", "decremental", "fully-dynamic")
     for i in range(500):
-        seq = random_sequence(rng.child(i), kind=kinds[i % 3])
+        # up to three node insertions, and three deletions, in one step
+        seq = random_sequence(rng.child(i), kind=kinds[i % 3], nodes_per_step=1 + i // 3 % 3)
         assert parse_sequence(serialize_sequence(seq)) == seq
 
 
@@ -44,7 +45,8 @@ def test_text_and_equality_match_the_update_reference(kind):
     ])
     seqs = [seq, reversed_sequence(seq)]
     for i in range(100):
-        seq = random_sequence(rng.child(i), n_max=8, T_max=20, kind=kind)
+        seq = random_sequence(rng.child(i), n_max=8, T_max=20, kind=kind,
+                              nodes_per_step=1 + i % 3)
         seqs += [seq, reversed_sequence(seq)]
     for seq in seqs:
         assert serialize_sequence(seq) == seq_ref.serialize_sequence(seq)
@@ -61,8 +63,8 @@ def test_text_and_equality_match_the_update_reference(kind):
                   (seq, GraphSequence(seq.initial, seq.updates[:-1]))]
     pairs += list(zip(seqs, seqs[1:]))
     # tiny sequences, many pairs of them equal
-    tiny = [random_sequence(rng.child(1000 + i), n_max=2, T_max=2, kind=kind)
-            for i in range(30)]
+    tiny = [random_sequence(rng.child(1000 + i), n_max=2, T_max=2, kind=kind,
+                            nodes_per_step=1 + i % 2) for i in range(30)]
     pairs += [(a, b) for a in tiny for b in tiny]
     for a, b in pairs:
         assert (a == b) == same(a, b) == (b == a)
@@ -75,9 +77,11 @@ def test_text_and_equality_match_the_update_reference(kind):
     st.sampled_from(("incremental", "decremental", "fully-dynamic")),
     st.integers(1, 12),
     st.integers(1, 1000),
+    st.integers(1, 4),
 )
-def test_serialized_sequences_always_parse(seed, kind, n_max, W_max):
-    seq = random_sequence(RandomSource(seed), n_max=n_max, kind=kind, W_max=W_max)
+def test_serialized_sequences_always_parse(seed, kind, n_max, W_max, nodes_per_step):
+    seq = random_sequence(RandomSource(seed), n_max=n_max, kind=kind, W_max=W_max,
+                          nodes_per_step=nodes_per_step)
     assert parse_sequence(serialize_sequence(seq)) == seq
 
 
@@ -278,9 +282,11 @@ def test_fixed_lines_match_the_reference(body):
 @given(
     st.integers(0, 2**64 - 1),
     st.sampled_from(("incremental", "decremental", "fully-dynamic")),
+    st.integers(1, 3),
 )
-def test_parsed_lines_build_the_update_that_update_builds(seed, kind):
-    seq = random_sequence(RandomSource(seed), n_max=8, T_max=20, kind=kind)
+def test_parsed_lines_build_the_update_that_update_builds(seed, kind, nodes_per_step):
+    seq = random_sequence(RandomSource(seed), n_max=8, T_max=20, kind=kind,
+                          nodes_per_step=nodes_per_step)
     parsed = parse_sequence(serialize_sequence(seq))
     assert parsed.initial == seq.initial and parsed.T == seq.T
     for got, u in zip(parsed.updates, seq.updates):
