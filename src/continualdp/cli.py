@@ -315,7 +315,9 @@ def _verify_sensitivity() -> list[tuple[str, bool]]:
         (GraphFunction("high_degree", tau=2), "edge", "incremental", None),
         (GraphFunction("degree_histogram"), "edge", "incremental", 3),
         (GraphFunction("triangle_count"), "edge", "incremental", 3),
+        (GraphFunction("triangle_count"), "edge", "decremental", 3),
         (GraphFunction("kstar_count", k=2), "edge", "incremental", 3),
+        (GraphFunction("kstar_count", k=2), "edge", "decremental", 3),
         (GraphFunction("mst_weight"), "edge", "incremental", None),
         (GraphFunction("mst_weight"), "edge", "decremental", None),
         (GraphFunction("edge_count"), "edge", "fully-dynamic", None),

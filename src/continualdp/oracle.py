@@ -3,9 +3,13 @@
 The oracle draws adjacent sequence pairs inside a declared scope,
 computes the L1 distance of their difference sequences with the exact
 evaluators, and reports the maximum together with an attaining pair.
-Sampling is random (seeded and flagged as such) with a hard pair
-budget; deterministic hard fixtures relevant to the queried cell are
-always mixed in so known-tight constructions are never missed.
+One sampler serves every adjacency and regime (a ``SequenceKind`` value):
+it draws a sequence of the regime into operation columns and derives the
+partner by one random edit, at any step, that the adjacency allows, and
+``check_adjacency`` decides which pairs count.  Sampling is random (seeded
+and flagged as such) with a hard pair budget; deterministic hard fixtures
+relevant to the queried cell are always mixed in so known-tight
+constructions are never missed.
 
 Verdicts against the closed-form sensitivity registry:
 
@@ -17,22 +21,34 @@ Verdicts against the closed-form sensitivity registry:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, combinations
 from typing import Iterator
 
-from .errors import BudgetExceeded, InvalidUpdate, OutOfRange, ParameterOutOfRange
+from .errors import (
+    BudgetExceeded,
+    InvalidUpdate,
+    OutOfRange,
+    ParameterOutOfRange,
+    UnknownCombination,
+)
 from .functions import EVENT_TARGETS, MONOTONE_FUNCTIONS, GraphFunction
 from .generators import adjacent_pair, mst_tightness_pair
 from .graphs import (
+    EDGE_DEL,
+    EDGE_INS,
+    NODE_DEL,
+    NODE_INS,
     AdjacencyKind,
+    DynamicGraph,
     Graph,
     GraphSequence,
-    Update,
+    SequenceKind,
     check_adjacency,
     edge_key,
 )
 from .noise import RandomSource
 from .release import exact_values, sensitivity_bound
+from .seqio import parse_sequence
 
 Pair = tuple[GraphSequence, GraphSequence]
 
@@ -44,7 +60,7 @@ class OracleScope:
     W_max: int = 1
     D_max: int | None = None
     adjacency: str = "edge"
-    regime: str = "partially-dynamic"
+    regime: str = SequenceKind.INCREMENTAL.value
     max_pairs: int = 300
     seed: int = 0
 
@@ -53,6 +69,8 @@ class OracleScope:
             raise OutOfRange("scope bounds must allow at least one pair")
         if self.max_pairs < 1:
             raise BudgetExceeded("pair budget must be >= 1")
+        if self.regime not in _REGIME_OPS:
+            raise UnknownCombination(f"unknown regime {self.regime!r}")
 
 
 @dataclass
@@ -93,344 +111,202 @@ def diff_sensitivity(f: GraphFunction, a: GraphSequence, b: GraphSequence) -> fl
 
 # ---- random adjacent pair sampling ----
 
+# the operation kinds a sequence of each regime draws, in apply order
+_REGIME_OPS = {
+    SequenceKind.INCREMENTAL.value: (NODE_INS, EDGE_INS),
+    SequenceKind.DECREMENTAL.value: (EDGE_DEL, NODE_DEL),
+    SequenceKind.FULLY_DYNAMIC.value: (EDGE_DEL, NODE_DEL, NODE_INS, EDGE_INS),
+}
+_NODE_OPS = (NODE_DEL, NODE_INS)
 
-def _fresh_pool(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _random_initial(
-    n: int, scope: OracleScope, rng: RandomSource, density: float
-) -> tuple[Graph, dict[tuple[int, int], int]]:
-    D = scope.D_max
-    deg = [0] * n
-    edges: dict[tuple[int, int], int] = {}
-    for e in _fresh_pool(n):
-        if rng.uniform() < density and (D is None or (deg[e[0]] < D and deg[e[1]] < D)):
-            edges[e] = 1 + rng.integers(0, scope.W_max)
-            deg[e[0]] += 1
-            deg[e[1]] += 1
-    return Graph(range(n), edges), edges
+Row = tuple[int, int, int, int]  # one operation (op, x, y, w) of the columns
 
 
-def _sample_edge_incremental(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    n = 2 + rng.integers(0, scope.n_max - 1)
-    T = 1 + rng.integers(0, scope.T_max)
-    D = scope.D_max
-    pool = _fresh_pool(n)
-    deg = [0] * n
-    for i in range(len(pool) - 1, 0, -1):
-        j = rng.integers(0, i + 1)
-        pool[i], pool[j] = pool[j], pool[i]
-
-    def degree_ok(e: tuple[int, int]) -> bool:
-        return D is None or (deg[e[0]] < D and deg[e[1]] < D)
-
-    initial = Graph(range(n))
-    updates: list[Update] = []
-    for _ in range(T):
-        e_ins: dict[tuple[int, int], int] = {}
-        for _ in range(rng.integers(0, 3)):
-            if pool and degree_ok(pool[-1]):
-                e = pool.pop()
-                e_ins[e] = 1 + rng.integers(0, scope.W_max)
-                deg[e[0]] += 1
-                deg[e[1]] += 1
-            elif pool:
-                pool.pop()
-        updates.append(Update(e_ins=e_ins))
-
-    t_star = rng.integers(0, T)
-    u = updates[t_star]
-    modes = []
-    if u.e_ins:
-        modes.append("drop-ins")
-    spare = [e for e in pool if degree_ok(e)]
-    if spare:
-        modes.append("add-ins")
-    if not modes:
-        return None
-    mode = modes[rng.integers(0, len(modes))]
-    if mode == "drop-ins":
-        keys = sorted(u.e_ins)
-        e = keys[rng.integers(0, len(keys))]
-        nu = Update(e_ins={k: w for k, w in u.e_ins.items() if k != e})
-    else:
-        e = spare[rng.integers(0, len(spare))]
-        new_ins = dict(u.e_ins)
-        new_ins[e] = 1 + rng.integers(0, scope.W_max)
-        nu = Update(e_ins=new_ins)
-    b_updates = list(updates)
-    b_updates[t_star] = nu
-    return GraphSequence(initial, updates), GraphSequence(initial, b_updates)
+def _apply(state: DynamicGraph, step: list[Row], row: Row) -> None:
+    """Validate one operation on the state, apply it and add it to the step."""
+    state._step(*([c] for c in row), 0, 1)
+    step.append(row)
 
 
-def _sample_edge_decremental(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    n = 2 + rng.integers(0, scope.n_max - 1)
-    T = 1 + rng.integers(0, scope.T_max)
-    initial, edges = _random_initial(n, scope, rng, density=0.6)
-    if not edges:
-        return None
-    remaining = dict(edges)
-    updates: list[Update] = []
-    for _ in range(T):
-        e_del: set[tuple[int, int]] = set()
-        keys = sorted(remaining)
-        for _ in range(rng.integers(0, 3)):
-            if keys:
-                e = keys.pop(rng.integers(0, len(keys)))
-                e_del.add(e)
-                del remaining[e]
-        updates.append(Update(e_del=e_del))
-
-    # The closed forms cover decremental pairs whose distinguished
-    # deletion is the final difference: with shared deletions after it,
-    # a structure through e* can count twice (once when e* goes in one
-    # sequence, again when its last other edge goes in the partner).
-    t_star = T - 1
-    u = updates[t_star]
-    modes = []
-    if u.e_del:
-        modes.append("drop-del")
-    # an extra deletion is only safe for an edge never deleted later
-    never_deleted = sorted(remaining)
-    if never_deleted:
-        modes.append("add-del")
-    if not modes:
-        return None
-    mode = modes[rng.integers(0, len(modes))]
-    if mode == "drop-del":
-        keys = sorted(u.e_del)
-        e = keys[rng.integers(0, len(keys))]
-        nu = Update(e_del=u.e_del - {e})
-    else:
-        e = never_deleted[rng.integers(0, len(never_deleted))]
-        nu = Update(e_del=u.e_del | {e})
-    b_updates = list(updates)
-    b_updates[t_star] = nu
-    return GraphSequence(initial, updates), GraphSequence(initial, b_updates)
+def _choices(state: DynamicGraph, kind: int, step: list[Row], n: int, D: int) -> list[Row]:
+    """The operations of one kind that are valid next on the state and keep
+    degrees within D, with weight 0."""
+    adj = state.adj
+    if kind == EDGE_DEL:
+        return [(kind, a, b, 0) for a, b in sorted(state.edges)]
+    if kind == NODE_DEL:
+        return [(kind, v, 0, 0) for v in sorted(adj)]
+    if kind == NODE_INS:
+        return [(kind, v, 0, 0) for v in range(n)
+                if v not in adj and (NODE_DEL, v, 0, 0) not in step]
+    return [(kind, a, b, 0) for a, b in combinations(sorted(adj), 2)
+            if b not in adj[a] and len(adj[a]) < D and len(adj[b]) < D]
 
 
-def _sample_edge_fully_dynamic(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    n = 2 + rng.integers(0, scope.n_max - 1)
-    T = 1 + rng.integers(0, scope.T_max)
-    D = scope.D_max
-    initial, edges = _random_initial(n, scope, rng, density=0.4)
-    deg = [0] * n
-    for u1, v1 in edges:
-        deg[u1] += 1
-        deg[v1] += 1
-    pool = [e for e in _fresh_pool(n) if e not in edges]
-    for i in range(len(pool) - 1, 0, -1):
-        j = rng.integers(0, i + 1)
-        pool[i], pool[j] = pool[j], pool[i]
+def _sequence(initial: Graph, steps: list[list[Row]]) -> GraphSequence:
+    """The sequence whose step t holds the operations ``steps[t - 1]``."""
+    rows = [row for step in steps for row in sorted(step)]  # sorted is apply order
+    op, x, y, w = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
+    return GraphSequence._of(initial, op, x, y, w, list(accumulate(map(len, steps), initial=0)))
 
-    def degree_ok(e: tuple[int, int]) -> bool:
-        return D is None or (deg[e[0]] < D and deg[e[1]] < D)
 
-    present = dict(edges)
-    updates: list[Update] = []
-    for _ in range(T):
-        e_ins: dict[tuple[int, int], int] = {}
-        e_del: set[tuple[int, int]] = set()
-        for _ in range(rng.integers(0, 3)):
-            if rng.uniform() < 0.5 and pool:
-                # fresh edges only, so each key is touched at most once
-                e = pool[-1]
-                if degree_ok(e):
-                    pool.pop()
-                    e_ins[e] = 1 + rng.integers(0, scope.W_max)
-                    present[e] = e_ins[e]
-                    deg[e[0]] += 1
-                    deg[e[1]] += 1
-            else:
-                keys = sorted(k for k in present if k not in e_ins)
-                if keys:
-                    e = keys[rng.integers(0, len(keys))]
-                    e_del.add(e)
-                    del present[e]
-        updates.append(Update(e_ins=e_ins, e_del=e_del))
+def _degrees(seq: GraphSequence) -> Iterator[int]:
+    """The largest degree of each of G_0, ..., G_T, in a pass that validates."""
+    for g in chain((DynamicGraph(seq.initial),), seq.iter_graphs()):
+        yield max(map(len, g.adj.values()), default=0)
 
-    t_star = rng.integers(0, T)
-    u = updates[t_star]
-    later_touched: set[tuple[int, int]] = set()
-    for v in updates[t_star + 1:]:
-        later_touched |= set(v.e_ins) | set(v.e_del)
-    modes = []
-    if any(e not in later_touched for e in u.e_ins):
-        modes.append("drop-ins")
-    spare = [e for e in pool if degree_ok(e)]
-    if spare:
-        modes.append("add-ins")
-    safe_dels = sorted(e for e in u.e_del if e not in later_touched)
-    if safe_dels:
-        modes.append("drop-del")
-    still_present = sorted(e for e in present if e not in later_touched)
-    if still_present:
-        modes.append("add-del")
-    if not modes:
-        return None
-    mode = modes[rng.integers(0, len(modes))]
-    if mode == "drop-ins":
-        keys = sorted(e for e in u.e_ins if e not in later_touched)
-        e = keys[rng.integers(0, len(keys))]
-        nu = Update(e_ins={k: w for k, w in u.e_ins.items() if k != e}, e_del=u.e_del)
-    elif mode == "add-ins":
-        e = spare[rng.integers(0, len(spare))]
-        new_ins = dict(u.e_ins)
-        new_ins[e] = 1 + rng.integers(0, scope.W_max)
-        nu = Update(e_ins=new_ins, e_del=u.e_del)
-    elif mode == "drop-del":
-        e = safe_dels[rng.integers(0, len(safe_dels))]
-        nu = Update(e_ins=u.e_ins, e_del=u.e_del - {e})
-    else:
-        e = still_present[rng.integers(0, len(still_present))]
-        nu = Update(e_ins=u.e_ins, e_del=u.e_del | {e})
-    b_updates = list(updates)
-    b_updates[t_star] = nu
-    a = GraphSequence(initial, updates)
-    b = GraphSequence(initial, b_updates)
+
+def _within(seq: GraphSequence, scope: OracleScope) -> bool:
+    """Whether a sequence is valid and inside the scope's regime, T, n and D."""
+    if (seq.kind.value != scope.regime or seq.T > scope.T_max
+            or max(chain(seq.initial.nodes, seq.x), default=0) >= scope.n_max):
+        return False
     try:
-        b.validate()
+        top = max(_degrees(seq))
     except InvalidUpdate:
-        return None
-    return a, b
-
-
-def _sample_edge_pair(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    if scope.regime == "fully-dynamic":
-        return _sample_edge_fully_dynamic(scope, rng)
-    if scope.regime == "decremental":
-        return _sample_edge_decremental(scope, rng)
-    return _sample_edge_incremental(scope, rng)
-
-
-def _sample_node_incremental(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    n0 = 1 + rng.integers(0, 2)
-    T = 1 + rng.integers(0, scope.T_max)
-    D = scope.D_max
-    next_id = n0
-    present = list(range(n0))
-    deg: dict[int, int] = {v: 0 for v in present}
-    initial = Graph(present)
-
-    updates: list[Update] = []
-    inserted_at: list[tuple[int, int]] = []  # (t index, node)
-    edges_present: set[tuple[int, int]] = set()
-    for t in range(T):
-        v_ins: set[int] = set()
-        e_ins: dict[tuple[int, int], int] = {}
-        if len(present) + 1 <= scope.n_max and rng.uniform() < 0.8:
-            v = next_id
-            next_id += 1
-            v_ins.add(v)
-            deg[v] = 0
-            inserted_at.append((t, v))
-            for u in list(present):
-                if rng.uniform() < 0.5 and (D is None or (deg[u] < D and deg[v] < D)):
-                    e_ins[edge_key(u, v)] = 1 + rng.integers(0, scope.W_max)
-                    deg[u] += 1
-                    deg[v] += 1
-            present.append(v)
-        if len(present) >= 2 and rng.uniform() < 0.4:
-            u1 = present[rng.integers(0, len(present))]
-            u2 = present[rng.integers(0, len(present))]
-            if u1 != u2:
-                e = edge_key(u1, u2)
-                if e not in edges_present and e not in e_ins and (
-                    D is None or (deg[u1] < D and deg[u2] < D)
-                ):
-                    e_ins[e] = 1 + rng.integers(0, scope.W_max)
-                    deg[u1] += 1
-                    deg[u2] += 1
-        edges_present |= set(e_ins)
-        updates.append(Update(v_ins=v_ins, e_ins=e_ins))
-    if not inserted_at:
-        return None
-    t_star, v_star = inserted_at[rng.integers(0, len(inserted_at))]
-
-    b_updates = []
-    for t, u in enumerate(updates):
-        v_ins = u.v_ins - {v_star} if t == t_star else u.v_ins
-        e_ins = {k: w for k, w in u.e_ins.items() if v_star not in k}
-        b_updates.append(Update(v_ins=v_ins, e_ins=e_ins))
-    return GraphSequence(initial, updates), GraphSequence(initial, b_updates)
-
-
-def _sample_node_decremental(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    """Restricted family: the differing node is deleted in the final
-    step, so the filtered partner stays valid."""
-    n = 3 + rng.integers(0, max(scope.n_max - 2, 1))
-    n = min(n, scope.n_max)
-    T = 1 + rng.integers(0, scope.T_max)
-    initial, edges = _random_initial(n, scope, rng, density=0.5)
-    v_star = rng.integers(0, n)
-    remaining = dict(edges)
-    updates: list[Update] = []
-    for t in range(T):
-        if t == T - 1:
-            incident = {e for e in remaining if v_star in e}
-            updates.append(Update(v_del={v_star}, e_del=incident))
-            continue
-        # plain edge deletions, never node deletions before the last step
-        e_del: set[tuple[int, int]] = set()
-        keys = sorted(remaining)
-        for _ in range(rng.integers(0, 2)):
-            if keys:
-                e = keys.pop(rng.integers(0, len(keys)))
-                e_del.add(e)
-                del remaining[e]
-        updates.append(Update(e_del=e_del))
-
-    b_updates = []
-    for t, u in enumerate(updates):
-        v_del = u.v_del - {v_star}
-        e_del = {k for k in u.e_del if v_star not in k}
-        b_updates.append(Update(v_del=v_del, e_del=e_del))
-    return GraphSequence(initial, updates), GraphSequence(initial, b_updates)
-
-
-def _sample_node_pair(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    if scope.regime == "decremental":
-        return _sample_node_decremental(scope, rng)
-    return _sample_node_incremental(scope, rng)
+        return False
+    return scope.D_max is None or top <= scope.D_max
 
 
 def _draw_pair(scope: OracleScope, rng: RandomSource) -> Pair | None:
-    if scope.adjacency == "node":
-        return _sample_node_pair(scope, rng)
-    return _sample_edge_pair(scope, rng)
+    """A random sequence of the scope's regime and a partner one random
+    adjacent edit away, or None when either falls outside the scope.
+
+    Each of the T <= T_max steps of the sequence, on node ids 0..n_max-1,
+    takes up to two edge and one node operation of each kind the regime
+    allows, in apply order, each valid on one ``DynamicGraph`` state within D
+    and W.  The edit at a random step t* is one the relation allows:
+
+    - edge: add or drop one edge operation at t*, on a key that no later
+      step touches, directly or through a node operation on an endpoint;
+    - node: add or drop the operation on a node v* at t*, and drop v*'s edge
+      operations at t* and every later step (on a coin flip, at the earlier
+      steps too); an added deletion takes v*'s edges with it, and an added
+      insertion brings edges to random nodes.
+    """
+    kinds, n = _REGIME_OPS[scope.regime], scope.n_max
+    D = scope.D_max if scope.D_max is not None else n
+
+    def weight() -> int:
+        return 1 + rng.integers(0, scope.W_max)
+
+    T = 1 + rng.integers(0, scope.T_max)
+    # G_0 holds ids 0..n0-1, all of them unless the regime inserts nodes,
+    # and each pair of them is an edge with a probability drawn per sequence
+    nodes = range(rng.integers(0, n + 1) if NODE_INS in kinds else n)
+    density, deg, edges = rng.uniform(), [0] * n, {}
+    for a, b in combinations(nodes, 2):
+        if rng.uniform() < density and deg[a] < D and deg[b] < D:
+            edges[a, b] = weight()
+            deg[a], deg[b] = deg[a] + 1, deg[b] + 1
+    initial = Graph(nodes, edges, _validate=False)
+    state = DynamicGraph(initial)
+    t_star = rng.integers(0, T)
+    steps: list[list[Row]] = []
+    for t in range(T):
+        if t == t_star:
+            before = Graph(state.nodes, state.edges, _validate=False)  # G_{t*-1}
+        steps.append(step := [])
+        for kind in kinds:
+            for _ in range(rng.integers(0, 2 if kind in _NODE_OPS else 3)):
+                rows = _choices(state, kind, step, n, D)
+                if not rows:
+                    break
+                row = rows[rng.integers(0, len(rows))]
+                if kind == NODE_DEL:  # a deleted node sheds its edges in the same step
+                    for z in sorted(state.adj[row[1]]):
+                        _apply(state, step, (EDGE_DEL, *edge_key(row[1], z), 0))
+                _apply(state, step, (*row[:3], weight()) if kind == EDGE_INS else row)
+        if t == t_star:
+            after = Graph(state.nodes, state.edges, _validate=False)  # G_{t*}
+    a = _sequence(initial, steps)
+    if a.kind.value != scope.regime:
+        return None
+    edited = [list(step) for step in steps]
+    step = edited[t_star]
+    if scope.adjacency == "edge":  # drop one of the step's edge operations, or add one
+        # (not the deletion of an edge whose endpoint the step deletes)
+        rows = [row for row in step if row[0] not in _NODE_OPS and {row[1], row[2]} <= after.nodes]
+        if EDGE_DEL in kinds:
+            rows += [(EDGE_DEL, p, q, 0) for p, q in sorted(before.edges)
+                     if (EDGE_DEL, p, q, 0) not in step]
+        if EDGE_INS in kinds:
+            rows += [(EDGE_INS, p, q, 0) for p, q in combinations(sorted(after.nodes), 2)
+                     if (p, q) not in after.edges]
+        # an edit on a key that a later step touches would leave the partner invalid
+        later = [row for s in steps[t_star + 1:] for row in s]
+        keys = {row[1:3] for row in later if row[0] not in _NODE_OPS}
+        busy = {row[1] for row in later if row[0] in _NODE_OPS}
+        rows = [row for row in rows if row[1:3] not in keys and busy.isdisjoint(row[1:3])]
+        if not rows:
+            return None
+        row = rows[rng.integers(0, len(rows))]
+        if row in step:
+            step.remove(row)
+        else:
+            step.append((*row[:3], weight()) if row[0] == EDGE_INS else row)
+    else:
+        touched = {row[1] for row in step if row[0] in _NODE_OPS}
+        cands = [v for v in range(n)
+                 if v in touched or (NODE_DEL if v in before.nodes else NODE_INS) in kinds]
+        if not cands:
+            return None
+        v = cands[rng.integers(0, len(cands))]
+        first = t_star if rng.uniform() < 0.5 else 0  # the first step that loses v*'s edges
+        for s in edited[first:]:
+            s[:] = [row for row in s if row[0] in _NODE_OPS or v not in row[1:3]]
+        if v in touched:
+            step[:] = [row for row in step if row[0] not in _NODE_OPS or row[1] != v]
+        elif v in before.nodes:  # v* goes with the edges it has in the partner's G_{t*-1}
+            kept = before.edges if first else initial.edges
+            step += [(NODE_DEL, v, 0, 0)] + [(EDGE_DEL, p, q, 0) for p, q in kept if v in (p, q)]
+        else:
+            step += [(NODE_INS, v, 0, 0)] + [(EDGE_INS, *edge_key(v, z), weight())
+                                             for z in sorted(after.nodes) if rng.uniform() < 0.5]
+    b = _sequence(initial, edited)
+    return (a, b) if _within(b, scope) else None
+
+
+# Decremental pairs whose differing deletion is not at the last step: a structure
+# through the deleted edge (or node) leaves A at t=1 and B at t=2, so it counts twice.
+_DECREMENTAL_PAIRS = {
+    "edge": ("t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,1-2:1,0-3:1,1-3:1\nt=1 -e:0-1\nt=2 -e:0-2,0-3\n",
+             "t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,1-2:1,0-3:1,1-3:1\nt=1\nt=2 -e:0-2,0-3\n"),
+    "node": ("t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,0-3:1,1-2:1,2-3:1,1-3:1\n"
+             "t=1 -v:0 -e:0-1,0-2,0-3\nt=2 -e:1-2,2-3,1-3\n",
+             "t=0 +v:0,1,2,3 +e:0-1:1,0-2:1,0-3:1,1-2:1,2-3:1,1-3:1\n"
+             "t=1\nt=2 -e:1-2,2-3,1-3\n"),
+}
 
 
 def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
     """Deterministic hard pairs relevant to the queried cell.
 
-    The fixtures are incremental pairs, so only an incremental or the
-    default partially-dynamic scope embeds them."""
+    An incremental scope embeds the incremental tightness pairs, and a
+    decremental scope the decremental pair of its adjacency, if it fits."""
+    if scope.regime == SequenceKind.DECREMENTAL.value:
+        pair = tuple(map(parse_sequence, _DECREMENTAL_PAIRS[scope.adjacency]))
+        return [pair] if all(_within(seq, scope) for seq in pair) else []
+    if scope.regime != SequenceKind.INCREMENTAL.value:
+        return []
     out: list[Pair] = []
-    if scope.regime not in ("incremental", "partially-dynamic"):
-        return out
     if f.name == "mst_weight" and scope.adjacency == "edge":
-        for W in range(1, scope.W_max + 1):
-            out.append(mst_tightness_pair(W))
+        out = [mst_tightness_pair(W) for W in range(1, scope.W_max + 1)]
     target = {name: t for t, name in EVENT_TARGETS.items()
               if name not in MONOTONE_FUNCTIONS}.get(f.name)
     if target is None:
         return out
     sigma = [1] * min(scope.T_max, 3)
-    kwargs = dict(W=min(scope.W_max, 3), tau=f.tau, k=f.k)
-    if scope.adjacency == "node":
-        if target == "mst":
-            kwargs = dict(W=min(scope.W_max, 3))
-        else:
-            D = scope.D_max if scope.D_max is not None else 4
-            if D <= 3:
-                return out
-            kwargs = dict(D=D, tau=min(f.tau, D - 1) if f.tau else None,
-                          k=f.k if f.k == D - 1 else None)
-            if target == "kstar" and kwargs["k"] is None:
-                return out
-    elif target == "mst":
+    D = scope.D_max if scope.D_max is not None else 4
+    if target == "mst":
         kwargs = dict(W=min(scope.W_max, 3))
+    elif scope.adjacency == "edge":
+        kwargs = dict(W=min(scope.W_max, 3), tau=f.tau, k=f.k)
+    elif D <= 3 or (target == "kstar" and f.k != D - 1):
+        return out
+    else:
+        kwargs = dict(D=D, tau=min(f.tau, D - 1) if f.tau else None,
+                      k=f.k if f.k == D - 1 else None)
     try:
         pair = adjacent_pair(target, scope.adjacency, sigma, 1, **kwargs)
     except ParameterOutOfRange:  # e.g. no high-degree gadget for tau = 1
@@ -440,30 +316,28 @@ def _embedded_fixtures(f: GraphFunction, scope: OracleScope) -> list[Pair]:
 
 
 def _has_terminals(f: GraphFunction, pair: Pair) -> bool:
-    """Whether every graph of both sequences holds the terminals of ``f``
-    (always, for a statistic without terminals)."""
-    if f.name != "st_min_cut":
-        return True
-    return all({f.s, f.t} <= g.nodes
-               for seq in pair for g in chain((seq.initial,), seq.iter_graphs()))
+    """Whether every graph of both sequences holds the terminals ``f`` has, if any."""
+    return f.name != "st_min_cut" or all(
+        {f.s, f.t} <= g.nodes for seq in pair for g in chain((seq.initial,), seq.iter_graphs()))
 
 
 def _pairs(f: GraphFunction, scope: OracleScope) -> Iterator[Pair]:
     """Embedded fixtures, then seeded adjacent draws, within the budget.
 
     Draws stop once max_pairs pairs have been yielded in all or after
-    4 * max_pairs attempts.  A draw whose sequences are not adjacent, or
-    where a graph of either sequence lacks a terminal of ``f``, fails.
+    4 * max_pairs attempts.  A draw whose sequences are not adjacent fails,
+    and a fixture or draw where a graph of either sequence lacks a terminal
+    of ``f`` is skipped.
     """
-    fixtures = _embedded_fixtures(f, scope)
+    fixtures = [pair for pair in _embedded_fixtures(f, scope) if _has_terminals(f, pair)]
     yield from fixtures
     yielded = len(fixtures)
     rng = RandomSource(scope.seed)
     kind = AdjacencyKind.NODE_EVENT if scope.adjacency == "node" else AdjacencyKind.EDGE_EVENT
-    for attempt in range(1, 4 * scope.max_pairs + 1):
+    for _ in range(4 * scope.max_pairs):
         if yielded >= scope.max_pairs:
             return
-        pair = _draw_pair(scope, rng.child(attempt))
+        pair = _draw_pair(scope, rng)
         if (pair is None or check_adjacency(pair[0], pair[1], kind) is None
                 or not _has_terminals(f, pair)):
             continue
@@ -473,16 +347,9 @@ def _pairs(f: GraphFunction, scope: OracleScope) -> Iterator[Pair]:
 
 def brute_sensitivity(f: GraphFunction, scope: OracleScope) -> OracleResult:
     """Maximum observed difference-sequence distance within scope."""
-    best = 0.0
-    best_pair: Pair | None = None
-    tested = 0
-    for pair in _pairs(f, scope):
-        tested += 1
-        val = diff_sensitivity(f, pair[0], pair[1])
-        if val > best:
-            best = val
-            best_pair = pair
-    return OracleResult(value=best, pair=best_pair, sampled=True, pairs_tested=tested)
+    verdict = compare_with_table(f, scope)
+    return OracleResult(value=verdict.oracle_value, pair=verdict.witness, sampled=True,
+                        pairs_tested=verdict.pairs_tested)
 
 
 def compare_with_table(f: GraphFunction, scope: OracleScope) -> TableVerdict:
@@ -492,37 +359,20 @@ def compare_with_table(f: GraphFunction, scope: OracleScope) -> TableVerdict:
     degree and weight, since the table constants are parametrized by
     the promised D and W.
     """
-    tested = 0
-    worst_ratio = 0.0
-    max_value = 0.0
-    formula_at_max = 0.0
-    witness: Pair | None = None
-    tight = False
-    violation = False
+    rows = []  # (L1 distance, Gamma at the pair's D and W, pair)
     for pair in _pairs(f, scope):
-        tested += 1
-        val = diff_sensitivity(f, pair[0], pair[1])
-        graphs = [g for seq in pair for g in (seq.initial, *seq.materialize())]
-        D = max([1, *(d for g in graphs for d in g.degrees().values())])
+        val = diff_sensitivity(f, *pair)
+        D = max(1, *_degrees(pair[0]), *_degrees(pair[1]))
         W = max(pair[0].max_weight(), pair[1].max_weight())
-        bound = sensitivity_bound(f, scope.adjacency, scope.regime, D=D, W=W)
-        if val > bound + 1e-9:
-            violation = True
-        if abs(val - bound) <= 1e-9 and val > 0:
-            tight = True
-        if val > max_value:
-            max_value = val
-            formula_at_max = bound
-            witness = pair
-        if bound > 0:
-            worst_ratio = max(worst_ratio, val / bound)
-
-    status = "Violation" if violation else ("Tight" if tight else "Sound")
-    return TableVerdict(
-        status=status,
-        oracle_value=max_value,
-        formula_at_max=formula_at_max,
-        pairs_tested=tested,
-        witness=witness,
-        details={"worst_ratio": worst_ratio},
-    )
+        rows.append((val, sensitivity_bound(f, scope.adjacency, scope.regime, D=D, W=W), pair))
+    value, formula, witness = max(rows, key=lambda row: row[0], default=(0.0, 0.0, None))
+    if value == 0:
+        formula, witness = 0.0, None
+    if any(val > bound + 1e-9 for val, bound, _ in rows):
+        status = "Violation"
+    elif any(abs(val - bound) <= 1e-9 and val > 0 for val, bound, _ in rows):
+        status = "Tight"
+    else:
+        status = "Sound"
+    ratio = max((val / bound for val, bound, _ in rows if bound > 0), default=0.0)
+    return TableVerdict(status, value, formula, len(rows), witness, {"worst_ratio": ratio})

@@ -5,8 +5,10 @@ The release mechanism feeds the per-step differences
 graph is non-empty) into a binary counting mechanism whose noise scale
 is calibrated to the continuous global sensitivity Gamma of the
 difference sequence.  Gamma comes from a closed-form registry keyed by
-(function, adjacency, regime); cells without a finite bound are
-rejected with :class:`UnboundedSensitivity`.  The whole difference
+(function, adjacency, regime), where the regime is the log's
+``SequenceKind`` value: incremental, decremental (whose cells are derived
+in ``sensitivity_bound``) or fully dynamic.  Cells without a finite bound
+are rejected with :class:`UnboundedSensitivity`.  The whole difference
 sequence goes to the mechanism as one block.
 
 Histograms run one vector mechanism over the bins 0..D of the declared
@@ -40,15 +42,7 @@ UNBOUNDED = math.inf
 
 EDGE = "edge"
 NODE = "node"
-PARTIALLY_DYNAMIC = "partially-dynamic"
-FULLY_DYNAMIC = "fully-dynamic"
-
-_REGIME_ALIASES = {
-    "incremental": PARTIALLY_DYNAMIC,
-    "decremental": PARTIALLY_DYNAMIC,
-    PARTIALLY_DYNAMIC: PARTIALLY_DYNAMIC,
-    FULLY_DYNAMIC: FULLY_DYNAMIC,
-}
+FULLY_DYNAMIC = SequenceKind.FULLY_DYNAMIC.value
 
 
 def sensitivity_bound(
@@ -61,21 +55,60 @@ def sensitivity_bound(
 ) -> float:
     """Continuous global sensitivity Gamma, or UNBOUNDED (= inf).
 
-    D is the promised maximum degree, W the maximum edge weight; each is
-    required exactly when the closed form mentions it.
+    ``regime`` is a ``SequenceKind`` value.  D is the promised maximum
+    degree, W the maximum edge weight; each is required exactly when the
+    closed form mentions it.
+
+    Gamma bounds sum_t |g(t) - g(t-1)|, the L1 distance of two adjacent
+    difference sequences, where g(t) = f(B_t) - f(A_t) and g(0) = 0.  On a
+    decremental pair A deletes the differing element x (edge e* or node v*)
+    at t* and B never does, and the two agree on every other element:
+
+    - Triangle and k-star counts (either adjacency) and node-level
+      edge_count: f(G) = f(G - x) + s_x(G), where s_x counts the structures
+      through x, so g = s_x(B_t) - s_x(A_t).  Each term only falls as
+      elements go, from the same value at t = 0 to at least 0, so the total
+      variation of g is at most 2 * max s_x: twice the incremental cell,
+      whose value bounds s_x.  Edge-level edge_count keeps 1, because
+      s_x(B_t) = 1 and s_x(A_t) = 1 before t* and 0 after.
+    - Edge-level high_degree (4) and histogram (8D): after t*, an endpoint
+      u of e* has degree d + 1 in B against d in A.  Its high_degree term
+      [d = tau - 1] rises at most once and falls at most once, and its
+      histogram term e_{d+1} - e_d moves by 2 at t* and by at most 4 at each
+      of at most D - 1 falls of d: 4D - 2 per endpoint.
+    - Node-level high_degree (2D + 2) and histogram (4D^2 + 6D + 1): only
+      v* and its at most D neighbours in G_0 differ.  Each of their 0/1
+      threshold terms in A and in B changes at most once (2D + 2), and each
+      unit vector e_deg moves at most D times by 2, and by 1 when its node
+      goes (2D + 1 per node and sequence, 2D for v* in B).
+    - Edge-level MST (2W): let beta_t be the least heaviest weight on a path
+      between e*'s endpoints in A_t (inf if none).  g(t) is 0 while
+      beta_t <= w(e*), w(e*) - beta_t while beta_t is finite and larger, and
+      w(e*) once they are disconnected.  beta_t only grows, so g falls to no
+      less than w(e*) - W and then rises once to at most w(e*): at most
+      2W - w(e*).
+    - Node-level MST (2(2W - 1)(2D - 1)): let k_j be the number of
+      components of (X_t - v*) cut to edges of weight <= j that v* reaches by
+      such an edge (0 once v* is gone).  Then MST(X_t) - MST(X_t - v*) =
+      W k_W - (k_1 + ... + k_{W-1}).  k_j never exceeds v*'s at most D
+      neighbours, rises only as deletions split components and falls only
+      as v* loses neighbours, so it varies by at most 2D - 1 in each
+      sequence, and g by at most 2(2W - 1)(2D - 1).
     """
     if adjacency not in (EDGE, NODE):
         raise UnknownCombination(f"unknown adjacency {adjacency!r}")
     try:
-        regime = _REGIME_ALIASES[regime]
-    except KeyError:
+        kind = SequenceKind(regime)
+    except ValueError:
         raise UnknownCombination(f"unknown regime {regime!r}") from None
 
     name = f.name
     if name in MONOTONE_FUNCTIONS:
         return UNBOUNDED
-    if regime == FULLY_DYNAMIC:
+    if kind is SequenceKind.FULLY_DYNAMIC:
         return 2.0 if name == "edge_count" and adjacency == EDGE else UNBOUNDED
+    dec = kind is SequenceKind.DECREMENTAL
+    twice = 2.0 if dec else 1.0  # a structure count, see above
 
     def need_D() -> int:
         if D is None or D < 1:
@@ -95,26 +128,28 @@ def sensitivity_bound(
         if name == "degree_histogram":
             return 8.0 * need_D()
         if name == "triangle_count":
-            return float(need_D())
+            return twice * need_D()
         if name == "kstar_count":
             d = need_D()
-            return 2.0 * (math.comb(d, f.k) - math.comb(d - 1, f.k))
+            return twice * 2.0 * (math.comb(d, f.k) - math.comb(d - 1, f.k))
         if name == "mst_weight":
             return 2.0 * need_W()
     else:
         if name == "edge_count":
-            return float(need_D())
+            return twice * need_D()
         if name == "high_degree":
-            return 2.0 * need_D() + 1.0
+            return 2.0 * need_D() + (2.0 if dec else 1.0)
         if name == "degree_histogram":
             d = need_D()
-            return 4.0 * d * d + 2.0 * d + 1.0
+            return 4.0 * d * d + (6.0 if dec else 2.0) * d + 1.0
         if name == "triangle_count":
-            return float(math.comb(need_D(), 2))
+            return twice * math.comb(need_D(), 2)
         if name == "kstar_count":
             d = need_D()
-            return float(d * math.comb(d - 1, f.k - 1) + math.comb(d, f.k))
+            return twice * (d * math.comb(d - 1, f.k - 1) + math.comb(d, f.k))
         if name == "mst_weight":
+            if dec:
+                return 2.0 * (2 * need_W() - 1) * (2 * need_D() - 1)
             return 2.0 * need_D() * need_W()
     raise UnknownCombination(f"no table entry for {name}")
 
@@ -217,9 +252,10 @@ def release(
 ) -> ReleaseReport:
     """Release f(t) privately at every step of an update sequence.
 
-    The sequence may be partially or fully dynamic; the sensitivity table
-    decides which statistics have a finite Gamma in its regime (fully
-    dynamic: only edge_count under edge adjacency).
+    The sequence may be incremental, decremental or fully dynamic, and Gamma
+    is the table's cell for its kind; the table decides which statistics
+    have a finite Gamma in that regime (fully dynamic: only edge_count under
+    edge adjacency).
 
     ``D`` and ``W`` are caller-declared contract parameters and are
     validated against the sequence; Gamma always comes from the table.
@@ -229,8 +265,7 @@ def release(
     ``exact``, the ``exact`` column of an earlier report on the same sequence,
     function and D, skips the replay and its checks; it must be such an array.
     """
-    kind = seq.kind
-    regime = FULLY_DYNAMIC if kind is SequenceKind.FULLY_DYNAMIC else PARTIALLY_DYNAMIC
+    regime = seq.kind.value
     gamma = sensitivity_bound(f, adjacency, regime, D=D, W=W)
     if math.isinf(gamma):
         raise UnboundedSensitivity(
@@ -274,7 +309,6 @@ def release(
 __all__ = [
     "EDGE",
     "NODE",
-    "PARTIALLY_DYNAMIC",
     "FULLY_DYNAMIC",
     "UNBOUNDED",
     "ReleaseRecord",

@@ -63,6 +63,7 @@ def test_criterion_1_sensitivity_table_soundness():
         cells.append((f, "edge", "incremental"))
         cells.append((f, "edge", "decremental"))
         cells.append((f, "node", "incremental"))
+        cells.append((f, "node", "decremental"))
     cells.append((GraphFunction("edge_count"), "edge", "fully-dynamic"))
     for f, adjacency, regime in cells:
         scope = OracleScope(

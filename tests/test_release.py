@@ -41,7 +41,7 @@ from continualdp.release import ReleaseRecord, exact_values
 
 from conftest import max_degree, random_sequence
 
-PD = "partially-dynamic"
+PD = "incremental"
 FD = "fully-dynamic"
 
 
