@@ -39,9 +39,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     BadDelta,
@@ -51,6 +49,9 @@ from .errors import (
     OutOfRange,
 )
 from .noise import RandomSource, concentration_bound, laplace_block
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,8 @@ class BinaryMechanism:
         item_width: float = 1.0,
         bounds: StreamBounds | None = None,
     ) -> None:
+        import numpy as np
+
         self.T = T
         self.x = num_levels(T)
         self.y = max_summands(T)
@@ -169,6 +172,8 @@ class BinaryMechanism:
 
     def _check(self, items, n: int) -> None:
         """Refuse n more items past T, or an item outside ``bounds``."""
+        import numpy as np
+
         if self._t + n > self.T:
             raise HorizonExceeded(f"{n} more items at t={self._t} exceed horizon T={self.T}")
         b = self.bounds
@@ -187,7 +192,7 @@ class BinaryMechanism:
         of the n estimates, one per step.
         """
         if getattr(item, "ndim", 0) == (1 if self._scalar else 2):
-            return self._feed_block(np.asarray(item, float))
+            return self._feed_block(item)
         self._check(item, 1)
         self._t += 1
         t = self._t
@@ -209,6 +214,9 @@ class BinaryMechanism:
         return released, est
 
     def _feed_block(self, items: np.ndarray) -> tuple[PSumView, np.ndarray]:
+        import numpy as np
+
+        items = np.asarray(items, float)
         n, k = len(items), len(self._rngs)
         self._check(items, n)
         t0 = self._t
@@ -258,6 +266,8 @@ def _schedule(t0: int, t1: int):
     """Per level i = 0, 1, ...: the ends and release-order positions of its
     p-sums that close at steps t0+1..t1 (store rows ``t0 >> i`` to
     ``t1 >> i``).  Step t closes levels 0..ctz(t), lowest first."""
+    import numpy as np
+
     ts = np.arange(t0 + 1, t1 + 1)
     closing = np.frexp(ts & -ts)[1]
     offset = np.cumsum(closing) - closing  # step t's first position is offset[t - t0 - 1]
@@ -274,6 +284,8 @@ def _count(t0: int, t1: int) -> int:
 def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
     """Records of the p-sums released at steps t0+1..t1, in release order.
     Vector rows are copied out, so no record aliases the store."""
+    import numpy as np
+
     total, k = _count(t0, t1), len(mech._rngs)
     levels, ends = np.empty(total, int), np.empty(total, int)
     clean, noisy = np.empty((total, k)), np.empty((total, k))

@@ -25,7 +25,7 @@ class FormatError(ContinualDPError):
 
 
 class NonPositiveScale(ContinualDPError):
-    """Laplace scale must be strictly positive."""
+    """Laplace scale, and the bound it gives, must be positive and finite."""
 
 
 class EmptyList(ContinualDPError):
@@ -85,7 +85,7 @@ class UnknownRange(ContinualDPError):
 
 
 class ParameterOutOfRange(ContinualDPError):
-    """Generator parameters outside the construction's validity domain."""
+    """Generator or sensitivity parameters outside their validity domain."""
 
 
 class NodeSetMismatch(ContinualDPError):

@@ -32,19 +32,22 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
     MissingTerminal,
     OutOfRange,
+    ParameterOutOfRange,
     SizeLimitExceeded,
     UnknownFunction,
 )
 from .graphs import DynamicGraph, Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSEST_EXHAUSTIVE_LIMIT = 20
 
@@ -176,6 +179,8 @@ def _stoer_wagner(weights: np.ndarray) -> tuple[float, list[int]]:
     """Global min cut of a connected weighted graph given as a matrix, with
     the rows of one side of it: the group merged into the last vertex of
     the best phase."""
+    import numpy as np
+
     n = weights.shape[0]
     w = weights.astype(float).copy()
     alive = list(range(n))
@@ -216,6 +221,8 @@ def _min_cut_side(g: Graph) -> tuple[float, set[int]]:
     component = _component(g)
     if len(component) < g.n:
         return 0.0, component
+    import numpy as np
+
     order = sorted(g.nodes)
     idx = {v: i for i, v in enumerate(order)}
     mat = np.zeros((g.n, g.n))
@@ -575,6 +582,8 @@ class _SubsetEdges(_Insertions):
             raise SizeLimitExceeded(
                 f"exhaustive densest subgraph limited to n <= {DENSEST_EXHAUSTIVE_LIMIT}"
             )
+        import numpy as np
+
         self.bit = {v: i for i, v in enumerate(sorted(g.nodes))}
         size = np.zeros(1 << n, np.uint8)
         for i in range(n):
@@ -676,4 +685,6 @@ def static_sensitivity(f: GraphFunction, W: int | None = None) -> int:
         return rho
     if W is None:
         raise OutOfRange(f"{f.label()} release requires a declared weight bound W")
+    if W > sys.float_info.max:
+        raise ParameterOutOfRange("W is too large for a float; declare a smaller W")
     return W

@@ -143,7 +143,10 @@ def additive_error(epsilon: float, beta: float, delta: float, r: float, rho: flo
         raise OutOfRange(f"T must be >= 1, got {T}")
     _check_parameters(epsilon, beta, delta, r)
     log_r = math.log(r) / math.log(1.0 + beta)
-    return 16.0 * log_r * rho * math.log(2.0 * T / delta) / epsilon
+    alpha = 16.0 * log_r * rho * math.log(2.0 * T / delta) / epsilon
+    if alpha == math.inf:
+        raise OutOfRange(f"additive error is too large for a float at epsilon={epsilon}, rho={rho}")
+    return alpha
 
 
 class MonotoneMechanism:

@@ -14,10 +14,12 @@ import hashlib
 import math
 import os
 import struct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BadDelta, EmptyList, NonPositiveScale
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SEED_KEY_LABEL = b"continualdp.noise.RandomSource seed key v1:"
 # bytes per SHAKE-256 call; fixed, so reads of any size see the same stream
@@ -81,6 +83,8 @@ class RandomSource:
 
     def _uniforms(self, n: int) -> np.ndarray:
         """The next n draws of ``uniform()``, as an array."""
+        import numpy as np
+
         parts = []
         size = 8 * n
         while size:
@@ -108,10 +112,15 @@ class RandomSource:
         return low + word % span
 
 
+def _check_scale(b: float) -> None:
+    """Refuse a Laplace scale outside (0, inf), before anything is drawn."""
+    if not 0 < b < math.inf:
+        raise NonPositiveScale(f"scale must be positive and finite, got {b}")
+
+
 def sample_laplace(rng: RandomSource, b: float) -> float:
     """Sample Lap(0, b) by inverse CDF on one uniform in (-1/2, 1/2)."""
-    if b <= 0:
-        raise NonPositiveScale(f"scale must be positive, got {b}")
+    _check_scale(b)
     u = rng.uniform() - 0.5
     while u == -0.5:  # ln(0) guard; probability ~2^-53 per draw
         u = rng.uniform() - 0.5
@@ -120,8 +129,9 @@ def sample_laplace(rng: RandomSource, b: float) -> float:
 
 def laplace_block(rng: RandomSource, b: float, n: int) -> np.ndarray:
     """The next n draws of ``sample_laplace(rng, b)``, bit for bit, as an array."""
-    if b <= 0:
-        raise NonPositiveScale(f"scale must be positive, got {b}")
+    import numpy as np
+
+    _check_scale(b)
     out = np.empty(n)
     done = 0
     while done < n:
@@ -139,6 +149,7 @@ def concentration_bound(scales, delta: float) -> float:
 
     For scales b_i and failure probability delta, returns
     nu * sqrt(8 ln(2/delta)) with nu = sqrt(sum b_i^2) * sqrt(ln(2/delta)).
+    Every scale must lie in (0, inf), and the bound must be finite.
     """
     scales = list(scales)
     if not scales:
@@ -146,8 +157,10 @@ def concentration_bound(scales, delta: float) -> float:
     if not 0 < delta < 1:
         raise BadDelta(f"delta must be in (0, 1), got {delta}")
     for b in scales:
-        if b <= 0:
-            raise NonPositiveScale(f"scale must be positive, got {b}")
+        _check_scale(b)
     log_term = math.log(2.0 / delta)
     nu = math.sqrt(sum(b * b for b in scales)) * math.sqrt(log_term)
-    return nu * math.sqrt(8.0 * log_term)
+    bound = nu * math.sqrt(8.0 * log_term)
+    if not math.isfinite(bound):
+        raise NonPositiveScale(f"scales up to {max(scales)} give a bound too large for a float")
+    return bound

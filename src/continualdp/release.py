@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .counting import BinaryMechanism, num_levels, theoretical_count_error
 from .errors import (
     DegreeViolation,
     OutOfRange,
+    ParameterOutOfRange,
     UnboundedSensitivity,
     UnknownCombination,
     WeightViolation,
@@ -37,6 +37,9 @@ from .errors import (
 from .functions import MONOTONE_FUNCTIONS, GraphFunction, evaluate
 from .graphs import EDGE_INS, GraphSequence, SequenceKind, reversed_sequence
 from .noise import RandomSource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNBOUNDED = math.inf
 
@@ -57,7 +60,8 @@ def sensitivity_bound(
 
     ``regime`` is a ``SequenceKind`` value.  D is the promised maximum
     degree, W the maximum edge weight; each is required exactly when the
-    closed form mentions it.
+    closed form mentions it.  A D or W whose cell is too large for a float
+    raises ParameterOutOfRange.
 
     Gamma bounds sum_t |g(t) - g(t-1)|, the L1 distance of two adjacent
     difference sequences, where g(t) = f(B_t) - f(A_t) and g(0) = 0.  On a
@@ -107,8 +111,20 @@ def sensitivity_bound(
         return UNBOUNDED
     if kind is SequenceKind.FULLY_DYNAMIC:
         return 2.0 if name == "edge_count" and adjacency == EDGE else UNBOUNDED
-    dec = kind is SequenceKind.DECREMENTAL
-    twice = 2.0 if dec else 1.0  # a structure count, see above
+    try:
+        gamma = _cell(f, adjacency, kind is SequenceKind.DECREMENTAL, D, W)
+    except OverflowError:  # an int cell too large to convert
+        gamma = math.inf
+    if gamma == math.inf:
+        raise ParameterOutOfRange(
+            f"{f.label()} sensitivity is too large for a float; declare a smaller D or W")
+    return gamma
+
+
+def _cell(f: GraphFunction, adjacency: str, dec: bool, D: int | None, W: int | None) -> float:
+    """The table's cell for an incremental or decremental (``dec``) log."""
+    name = f.name
+    twice = 2.0 if dec else 1.0  # a structure count, see sensitivity_bound
 
     def need_D() -> int:
         if D is None or D < 1:
@@ -188,6 +204,8 @@ class ReleaseReport:
 
     @cached_property
     def abs_error(self) -> np.ndarray:
+        import numpy as np
+
         err = np.abs(self.est - self.exact)
         return err.max(axis=1) if err.ndim == 2 else err
 
@@ -265,6 +283,8 @@ def release(
     ``exact``, the ``exact`` column of an earlier report on the same sequence,
     function and D, skips the replay and its checks; it must be such an array.
     """
+    import numpy as np
+
     regime = seq.kind.value
     gamma = sensitivity_bound(f, adjacency, regime, D=D, W=W)
     if math.isinf(gamma):

@@ -184,6 +184,26 @@ def test_release_rejects_non_finite_epsilon(runner, tmp_path, mechanism, functio
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--function", "edge_count", "--epsilon", "1e-320"], "scale must be positive and finite"),
+    (["--function", "edge_count", "--epsilon", "1e-300"], "bound too large for a float"),
+    (["--function", "mst_weight", "-W", str(10**400), "--epsilon", "1"],
+     "mst_weight sensitivity is too large for a float"),
+    (["--function", "triangle_count", "-D", str(10**400), "--epsilon", "1"],
+     "triangle_count sensitivity is too large for a float"),
+    (["--mechanism", "monotone", "--function", "min_cut", "-W", str(10**400),
+      "--range-r", "10", "--epsilon", "1"], "W is too large for a float"),
+], ids=["epsilon=1e-320", "epsilon=1e-300", "mst-W", "triangle-D", "monotone-W"])
+def test_release_refuses_values_too_large_for_a_float(runner, tmp_path, args, message):
+    log, csv = tmp_path / "s.log", tmp_path / "rel.csv"
+    log.write_text("t=0 +v:0,1,2\nt=1 +e:0-1:1\nt=2 +e:1-2:1\nt=3 +e:0-2:1\n")
+    result = runner.invoke(main, ["release", *args, "--delta", "0.05", "--input", str(log),
+                                  "--out", str(csv), "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    assert "error: " in result.output and message in result.output
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf", "0", "2"])
 def test_release_monotone_rejects_delta_outside_unit_interval(runner, tmp_path, delta):
     seq = _generate(runner, tmp_path)

@@ -1,4 +1,5 @@
-"""What a run loads: generators, oracle and monotone only on first use.
+"""What a run loads: generators, oracle and monotone only on first use,
+and numpy only where code builds an array.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests
 do not count.
@@ -21,23 +22,40 @@ except SystemExit as exc:
 
 @pytest.mark.parametrize("code", ["import continualdp", "import continualdp.cli"])
 def test_import_loads_no_lazy_module(code):
-    assert loaded_modules(code, *LAZY) == []
+    assert loaded_modules(code, *LAZY, "numpy") == []
+
+
+def test_parse_and_local_evaluators_load_no_numpy():
+    code = """
+from continualdp import GraphFunction, evaluate, parse_sequence
+from continualdp.release import exact_values
+seq = parse_sequence("t=0 +v:0,1,2,3\\nt=1 +e:0-1:1,1-2:1\\nt=2 +e:0-2:1,2-3:1\\n")
+for name in ("edge_count", "triangle_count", "degree_histogram"):
+    f = GraphFunction(name)
+    assert [evaluate(f, g) for g in seq.iter_graphs()] == exact_values(seq, f, D=3)
+"""
+    assert loaded_modules(code, "numpy") == []
 
 
 @pytest.mark.parametrize(
     "args, loaded",
     [
-        (["release", "--function", "edge_count"], []),
-        (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"], []),
+        (["release", "--function", "edge_count"], ["numpy"]),
+        (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
+         ["numpy"]),
         # the control: the monotone mechanism is loaded when it runs
         (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
           "--range-r", "10"],
-         ["continualdp.monotone"]),
+         ["continualdp.monotone", "numpy"]),
+        # exact values and the oracle build no array
+        (["eval", "--function", "edge_count"], []),
+        (["sensitivity", "--function", "edge_count", "--max-pairs", "20"],
+         ["continualdp.generators", "continualdp.oracle"]),
     ],
-    ids=["release", "experiment", "monotone"],
+    ids=["release", "experiment", "monotone", "eval", "sensitivity"],
 )
 def test_cli_runs_load_only_what_they_use(tmp_path, args, loaded):
-    assert _cli_loaded(tmp_path, args, *LAZY) == loaded
+    assert _cli_loaded(tmp_path, args, *LAZY, "numpy") == loaded
 
 
 def test_experiment_leaves_numpy_ma_unloaded(tmp_path):
@@ -62,7 +80,8 @@ def test_cli_runs_leave_numpy_random_unloaded(tmp_path, args):
     # noise comes from a SHAKE-256 stream; numpy 1.x loads numpy.random on import
     if loaded_modules("import numpy", "numpy.random"):
         pytest.skip("a bare import numpy loads numpy.random")
-    assert _cli_loaded(tmp_path, args, "numpy", "numpy.random") == ["numpy"]
+    loaded = [] if args[0] in ("eval", "sensitivity") else ["numpy"]
+    assert _cli_loaded(tmp_path, args, "numpy", "numpy.random") == loaded
 
 
 def _cli_loaded(tmp_path, args, *modules):

@@ -22,6 +22,7 @@ from continualdp.errors import (
     BadDelta,
     NonMonotoneInput,
     OutOfRange,
+    ParameterOutOfRange,
     UnboundedSensitivity,
     UnknownRange,
     WeightViolation,
@@ -171,6 +172,18 @@ def test_monotone_release_requires_declared_weight_bound(name):
         monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(0), r=8.0)
     with pytest.raises(WeightViolation, match="max weight 2 exceeds declared W=1"):
         monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(0), r=8.0, W=1)
+
+
+def test_monotone_release_refuses_values_too_large_for_a_float(monkeypatch):
+    draws = []
+    monkeypatch.setattr(monotone, "sample_laplace", lambda *a: draws.append(a) or 0.0)
+    seq = gen_event_level("min_cut", "edge", [1, 1], W=2)
+    f = GraphFunction("min_cut")
+    with pytest.raises(ParameterOutOfRange, match="W is too large for a float"):
+        monotone_release(seq, f, 1.0, 0.5, 0.1, RandomSource(0), r=8.0, W=10**400)
+    with pytest.raises(OutOfRange, match="additive error is too large for a float"):
+        monotone_release(seq, f, 1e-320, 0.5, 0.1, RandomSource(0), r=8.0, W=2)
+    assert draws == []
 
 
 def test_monotone_release_requires_a_declared_range():

@@ -52,11 +52,13 @@ def test_stream_known_answer():
 
 
 def test_laplace_scale_validation():
-    with pytest.raises(NonPositiveScale):
-        sample_laplace(RandomSource(0), 0.0)
-    for b in (0.0, -1.0):
-        with pytest.raises(NonPositiveScale):
-            laplace_block(RandomSource(0), b, 3)
+    for b in (0.0, -1.0, math.inf, math.nan):
+        rng = RandomSource(0)
+        with pytest.raises(NonPositiveScale, match="scale must be positive and finite"):
+            sample_laplace(rng, b)
+        with pytest.raises(NonPositiveScale, match="scale must be positive and finite"):
+            laplace_block(rng, b, 3)
+        assert rng.uniform() == RandomSource(0).uniform()  # refused before any draw
 
 
 # one chunk of the stream holds 512 words; 5000 draws span two log1p slices
@@ -156,8 +158,12 @@ def test_concentration_bound_validation():
         concentration_bound([], 0.05)
     with pytest.raises(BadDelta):
         concentration_bound([1.0], 1.5)
-    with pytest.raises(NonPositiveScale):
-        concentration_bound([1.0, -1.0], 0.05)
+    for b in (-1.0, math.inf, math.nan):
+        with pytest.raises(NonPositiveScale, match="scale must be positive and finite"):
+            concentration_bound([1.0, b], 0.05)
+    # finite scales whose bound overflows a float
+    with pytest.raises(NonPositiveScale, match="too large for a float"):
+        concentration_bound([1e300], 0.05)
 
 
 def test_concentration_bound_holds_empirically():

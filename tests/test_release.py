@@ -32,6 +32,7 @@ from continualdp.errors import (
     DegreeViolation,
     NonPositiveScale,
     OutOfRange,
+    ParameterOutOfRange,
     UnboundedSensitivity,
     UnknownCombination,
     WeightViolation,
@@ -53,6 +54,20 @@ def test_edge_adjacent_table():
     # 2 * (C(4,2) - C(3,2)) = 6
     assert sensitivity_bound(GraphFunction("kstar_count", k=2), "edge", PD, D=4) == 6
     assert sensitivity_bound(GraphFunction("mst_weight"), "edge", PD, W=10) == 20
+
+
+@pytest.mark.parametrize("f, adjacency, regime, kw", [
+    (GraphFunction("mst_weight"), "edge", PD, dict(W=10**400)),
+    (GraphFunction("triangle_count"), "edge", PD, dict(D=10**400)),
+    (GraphFunction("triangle_count"), "node", "decremental", dict(D=10**400)),
+    (GraphFunction("mst_weight"), "node", "decremental", dict(D=2, W=10**400)),
+    (GraphFunction("kstar_count", k=1000), "edge", PD, dict(D=2000)),
+    # 4D^2 + 2D + 1 overflows in float arithmetic, without an OverflowError
+    (GraphFunction("degree_histogram"), "node", PD, dict(D=10**155)),
+], ids=["mst-W", "triangle-D", "triangle-node-dec-D", "mst-node-dec-W", "kstar-k", "hist-D"])
+def test_table_refuses_a_cell_too_large_for_a_float(f, adjacency, regime, kw):
+    with pytest.raises(ParameterOutOfRange, match="too large for a float"):
+        sensitivity_bound(f, adjacency, regime, **kw)
 
 
 def test_node_adjacent_table():
@@ -202,8 +217,11 @@ def test_degree_checked_release_makes_one_pass(monkeypatch):
     (dict(epsilon=math.inf), NonPositiveScale, "epsilon must be positive and finite"),
     (dict(epsilon=0.0), NonPositiveScale, "epsilon must be positive and finite"),
     (dict(epsilon=math.inf, delta=2.0), NonPositiveScale, "epsilon must be positive and finite"),
+    # Gamma * x / epsilon overflows to inf, or its square overflows in the bound
+    (dict(epsilon=1e-320), NonPositiveScale, "scale must be positive and finite, got inf"),
+    (dict(epsilon=1e-300), NonPositiveScale, "bound too large for a float"),
 ], ids=["delta=nan", "delta=2", "delta=0", "epsilon=nan", "epsilon=inf", "epsilon=0",
-        "epsilon=inf,delta=2"])
+        "epsilon=inf,delta=2", "epsilon=1e-320", "epsilon=1e-300"])
 def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, match):
     # a bad epsilon or delta is refused before any noise is drawn or the log replayed
     module = importlib.import_module("continualdp.release")
