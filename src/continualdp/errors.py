@@ -49,7 +49,7 @@ class OutOfRange(ContinualDPError):
 
 
 class SizeLimitExceeded(ContinualDPError):
-    """Graph too large for an exhaustive evaluation strategy."""
+    """Graph above the node count an exact evaluator accepts."""
 
 
 class MissingTerminal(ContinualDPError):

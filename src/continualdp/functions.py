@@ -7,11 +7,15 @@ sensitivity rho.  ``evaluate``, the release mechanisms, the oracle and the
 generators all read it.  The non-trivial evaluators are checked against
 independent oracles in ``tests/oracles.py``:
 
-* minimum cut: hand-rolled Stoer-Wagner (vectorized), against networkx
+* minimum cut: hand-rolled Stoer-Wagner on integer rows, against
+  networkx and a numpy Stoer-Wagner with the same phases
 * max weight matching: blossom (networkx), against a bitmask subset DP
 * max cardinality matching: Edmonds' blossom search, against the DP
-* densest subgraph: table of |E(S)| over every node subset, against
-  parametric max-flow
+* densest subgraph: Dinkelbach steps on Goldberg's max-flow network,
+  exact in integers for n <= 20, against parametric max-flow and a table
+  of |E(S)| over every node subset
+
+None of them imports numpy, so neither does a monotone release.
 
 On a ``DynamicGraph`` state, ``evaluate`` keeps a running value of every
 statistic but edge count and weighted matching: computed once from
@@ -35,7 +39,8 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from operator import add
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     MissingTerminal,
@@ -46,10 +51,7 @@ from .errors import (
 )
 from .graphs import DynamicGraph, Graph
 
-if TYPE_CHECKING:
-    import numpy as np
-
-DENSEST_EXHAUSTIVE_LIMIT = 20
+DENSEST_SIZE_LIMIT = 20
 
 # generator target -> the statistic it drives; the CLI lists the targets
 # without loading generators
@@ -175,42 +177,44 @@ def _component(g: Graph) -> set[int]:
     return {v for v in g.nodes if dsu.find(v) == root}
 
 
-def _stoer_wagner(weights: np.ndarray) -> tuple[float, list[int]]:
-    """Global min cut of a connected weighted graph given as a matrix, with
-    the rows of one side of it: the group merged into the last vertex of
-    the best phase."""
-    import numpy as np
+def _stoer_wagner(w: list[list[int]]) -> tuple[float, list[int]]:
+    """Global min cut of a connected weighted graph given as symmetric
+    integer rows, which it consumes, with the rows of one side of it: the
+    group merged into the last vertex of the best phase.
 
-    n = weights.shape[0]
-    w = weights.astype(float).copy()
-    alive = list(range(n))
-    group = [[i] for i in range(n)]
+    Each phase grows from the first live row and takes the first row of
+    largest connectivity; merging drops the merged-away row and column.
+    """
+    alive = list(range(len(w)))
+    group = [[i] for i in alive]
+    # a row already taken in a phase reads below every live connectivity,
+    # however much it gains from the rest of the phase
+    taken = -sum(map(sum, w)) - 1
     best, side = math.inf, group[0]
     while len(alive) > 1:
         # maximum-adjacency phase starting from alive[0]
-        sub = w[np.ix_(alive, alive)]
-        m = len(alive)
-        conn = sub[0].copy()
-        conn[0] = -math.inf
-        prev_pos = 0
-        last_pos = 0
-        cut_of_phase = 0.0
-        for _ in range(m - 1):
-            pos = int(conn.argmax())
-            cut_of_phase = conn[pos]
-            prev_pos, last_pos = last_pos, pos
-            conn += sub[pos]
-            conn[pos] = -math.inf
-        s, t = alive[prev_pos], alive[last_pos]
+        conn = list(w[0])
+        conn[0] = taken
+        prev = last = 0
+        cut_of_phase = 0
+        for _ in range(len(alive) - 1):
+            cut_of_phase = max(conn)
+            pos = conn.index(cut_of_phase)
+            prev, last = last, pos
+            conn = list(map(add, conn, w[pos]))
+            conn[pos] = taken
         if cut_of_phase < best:
-            best, side = float(cut_of_phase), group[t]
-        # merge t into s
-        group[s] += group[t]
-        w[s, :] += w[t, :]
-        w[:, s] += w[:, t]
-        w[s, s] = 0.0
-        alive.remove(t)
-    return best, side
+            best, side = cut_of_phase, group[alive[last]]
+        # merge the last row into the one before it
+        group[alive[prev]] += group[alive[last]]
+        merged = w[prev] = list(map(add, w[prev], w[last]))
+        merged[prev] = 0
+        for row, x in zip(w, merged):
+            row[prev] = x
+        del w[last], alive[last]
+        for row in w:
+            del row[last]
+    return float(best), side
 
 
 def _min_cut_side(g: Graph) -> tuple[float, set[int]]:
@@ -221,15 +225,12 @@ def _min_cut_side(g: Graph) -> tuple[float, set[int]]:
     component = _component(g)
     if len(component) < g.n:
         return 0.0, component
-    import numpy as np
-
     order = sorted(g.nodes)
     idx = {v: i for i, v in enumerate(order)}
-    mat = np.zeros((g.n, g.n))
+    rows = [[0] * g.n for _ in order]
     for (u, v), w in g.edges.items():
-        mat[idx[u], idx[v]] = w
-        mat[idx[v], idx[u]] = w
-    value, side = _stoer_wagner(mat)
+        rows[idx[u]][idx[v]] = rows[idx[v]][idx[u]] = w
+    value, side = _stoer_wagner(rows)
     return value, {order[i] for i in side}
 
 
@@ -355,7 +356,86 @@ def max_cardinality_matching(g: Graph) -> int:
 
 def densest_subgraph(g: Graph) -> float:
     """max over nonempty S of |E(S)| / |S| (unweighted)."""
-    return _SubsetEdges(g).total
+    return _Density(g).value(g)
+
+
+def _densest(g: Graph, start) -> tuple[int, set[int]]:
+    """(|E(S)|, S) for a densest node set S, by Dinkelbach steps from the
+    node set ``start``, non-empty unless ``g`` has no nodes.
+
+    With p / q the density of the current set, each step finds an S
+    maximizing q·|E(S)| - p·|S| as the source side of a minimum cut in
+    Goldberg's network.  That network joins the source to each node v with
+    capacity q·m, v to the sink with q·m + 2p - q·deg(v), and both ends of
+    each edge with q; here every source-v-sink path is saturated first,
+    which leaves v one arc of capacity |q·deg(v) - 2p|, from the source
+    where that is positive and to the sink otherwise.  The maximum is then
+    (sum of the source arcs - minimum cut) / 2; a positive one makes S
+    denser than the current set, and zero proves the current set densest.
+    """
+    if g.n > DENSEST_SIZE_LIMIT:
+        raise SizeLimitExceeded(f"densest subgraph limited to n <= {DENSEST_SIZE_LIMIT}")
+    order = sorted(g.nodes)
+    idx = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    nbr: list[list[int]] = [[] for _ in order]
+    for u, v in g.edges:
+        nbr[idx[u]].append(idx[v])
+        nbr[idx[v]].append(idx[u])
+    source, sink = n, n + 1
+    side = {idx[v] for v in start}
+    while True:
+        p = sum(j in side for i in side for j in nbr[i]) // 2
+        q = len(side)
+        cap = [[0] * (n + 2) for _ in range(n + 2)]
+        arcs = [list(js) for js in nbr] + [[], []]
+        gain = 0
+        for i, js in enumerate(nbr):
+            row = cap[i]
+            for j in js:
+                row[j] = q
+            excess = q * len(js) - 2 * p
+            if excess > 0:
+                cap[source][i] = excess
+                gain += excess
+                end = source
+            else:
+                row[sink] = -excess
+                end = sink
+            arcs[i].append(end)
+            arcs[end].append(i)
+        flow, cut = _max_flow(cap, arcs, source, sink)
+        if flow == gain:
+            return p, {order[i] for i in side}
+        side = cut - {source}
+
+
+def _max_flow(cap: list[list[int]], arcs: list[list[int]], source: int,
+              sink: int) -> tuple[int, set[int]]:
+    """Maximum flow by shortest augmenting paths on a dense capacity
+    matrix, which it leaves as the residual, with the source side of the
+    minimum cut nearest the source: the nodes the source still reaches.
+    ``arcs[u]`` lists every v with an arc u-v either way."""
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in arcs[u]:
+                if v not in parent and cap[u][v]:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow, set(parent)
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        sent = min(cap[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            cap[u][v] -= sent
+            cap[v][u] += sent
+        flow += sent
 
 
 class _Running:
@@ -568,44 +648,26 @@ class _Matching(_Insertions):
             self.total += 1
 
 
-class _SubsetEdges(_Insertions):
-    """Densest subgraph on a table of |E(S)| for every node subset S.
+class _Density(_Insertions):
+    """Densest subgraph on a kept densest node set S* with p = |E(S*)|.
 
-    Bit i of a subset's index is the i-th smallest node.  An inserted edge
-    {a, b} adds 1 to every subset holding both, and only those can beat
-    the kept optimum.  Counts fit uint8: n <= 20 has at most 190 edges.
+    Insertions only let densities grow, so after one S* is still a good
+    start: the next ``value`` resumes the Dinkelbach steps from it.
     """
 
+    grown = False
+
     def __init__(self, g: Graph) -> None:
-        n = g.n
-        if n > DENSEST_EXHAUSTIVE_LIMIT:
-            raise SizeLimitExceeded(
-                f"exhaustive densest subgraph limited to n <= {DENSEST_EXHAUSTIVE_LIMIT}"
-            )
-        import numpy as np
-
-        self.bit = {v: i for i, v in enumerate(sorted(g.nodes))}
-        size = np.zeros(1 << n, np.uint8)
-        for i in range(n):
-            size[1 << i:2 << i] = size[:1 << i] + 1
-        # axis n-1-i of the (2,)*n views is bit i
-        self.size = size.reshape((2,) * n)
-        self.count = np.zeros_like(self.size)
-        for a, b in g.edges:
-            self.count[self._both(a, b)] += 1
-        self.total = float((self.count.ravel()[1:] / size[1:]).max()) if n else 0.0
-
-    def _both(self, a: int, b: int) -> tuple:
-        """Index of the subsets holding both a and b."""
-        n = len(self.bit)
-        idx = [slice(None)] * n
-        idx[n - 1 - self.bit[a]] = idx[n - 1 - self.bit[b]] = 1
-        return tuple(idx)
+        self.p, self.side = _densest(g, g.nodes)
 
     def insert(self, g, a, b):
-        idx = self._both(a, b)
-        self.count[idx] += 1
-        self.total = max(self.total, float((self.count[idx] / self.size[idx]).max()))
+        self.grown = True
+
+    def value(self, g):
+        if self.grown:
+            self.p, self.side = _densest(g, self.side)
+            self.grown = False
+        return self.p / (len(self.side) or 1)
 
 
 class Statistic(NamedTuple):
@@ -647,7 +709,7 @@ STATISTICS = {
         lambda g, f: max_cardinality_matching(g), lambda g, f: _Matching(g), 1,
     ),
     "densest_subgraph": Statistic(
-        lambda g, f: densest_subgraph(g), lambda g, f: _SubsetEdges(g), 1,
+        lambda g, f: densest_subgraph(g), lambda g, f: _Density(g), 1,
     ),
 }
 FUNCTION_NAMES = frozenset(STATISTICS)

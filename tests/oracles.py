@@ -1,12 +1,16 @@
 """Independent exact evaluators that the production ones in
 ``continualdp.functions`` are checked against: networkx's Stoer-Wagner
-for the global minimum cut, a bitmask subset DP for both matchings, and
-parametric max-flow for the densest subgraph."""
+and a numpy Stoer-Wagner for the global minimum cut, a bitmask subset DP
+for both matchings, and parametric max-flow and a table of |E(S)| over
+every node subset for the densest subgraph."""
 
 from __future__ import annotations
 
+import math
+
 from continualdp import Graph
 from continualdp.errors import SizeLimitExceeded
+from continualdp.functions import DENSEST_SIZE_LIMIT, _component
 
 MATCHING_DP_LIMIT = 22
 
@@ -22,6 +26,87 @@ def min_cut_networkx(g: Graph) -> float:
         return 0.0
     value, _part = nx.stoer_wagner(G)
     return float(value)
+
+
+def min_cut_side_numpy(g: Graph) -> tuple[float, set[int]]:
+    """Global minimum cut with one side S of it, by Stoer-Wagner on a
+    float matrix: the same phases, start vertex and first-maximum
+    tie-break as ``functions._min_cut_side``, so the same value and side."""
+    import numpy as np
+
+    if g.n <= 1:
+        return 0.0, set(g.nodes)
+    component = _component(g)
+    if len(component) < g.n:
+        return 0.0, component
+    order = sorted(g.nodes)
+    idx = {v: i for i, v in enumerate(order)}
+    w = np.zeros((g.n, g.n))
+    for (u, v), wt in g.edges.items():
+        w[idx[u], idx[v]] = w[idx[v], idx[u]] = wt
+    alive = list(range(g.n))
+    group = [[i] for i in range(g.n)]
+    best, side = math.inf, group[0]
+    while len(alive) > 1:
+        sub = w[np.ix_(alive, alive)]
+        conn = sub[0].copy()
+        conn[0] = -math.inf
+        prev_pos = last_pos = 0
+        cut_of_phase = 0.0
+        for _ in range(len(alive) - 1):
+            pos = int(conn.argmax())
+            cut_of_phase = conn[pos]
+            prev_pos, last_pos = last_pos, pos
+            conn += sub[pos]
+            conn[pos] = -math.inf
+        s, t = alive[prev_pos], alive[last_pos]
+        if cut_of_phase < best:
+            best, side = float(cut_of_phase), group[t]
+        group[s] += group[t]
+        w[s, :] += w[t, :]
+        w[:, s] += w[:, t]
+        w[s, s] = 0.0
+        alive.remove(t)
+    return best, {order[i] for i in side}
+
+
+class SubsetEdges:
+    """Densest subgraph on a numpy table of |E(S)| for every node subset S.
+
+    Bit i of a subset's index is the i-th smallest node.  An inserted edge
+    {a, b} adds 1 to every subset holding both, and only those can beat
+    the kept optimum.  Counts fit uint8: n <= 20 has at most 190 edges.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        import numpy as np
+
+        n = g.n
+        if n > DENSEST_SIZE_LIMIT:
+            raise SizeLimitExceeded(f"subset table limited to n <= {DENSEST_SIZE_LIMIT}")
+        self.bit = {v: i for i, v in enumerate(sorted(g.nodes))}
+        size = np.zeros(1 << n, np.uint8)
+        for i in range(n):
+            size[1 << i:2 << i] = size[:1 << i] + 1
+        # axis n-1-i of the (2,)*n views is bit i
+        self.size = size.reshape((2,) * n)
+        self.count = np.zeros_like(self.size)
+        for a, b in g.edges:
+            self.count[self._both(a, b)] += 1
+        self.total = float((self.count.ravel()[1:] / size[1:]).max()) if n else 0.0
+
+    def _both(self, a: int, b: int) -> tuple:
+        """Index of the subsets holding both a and b."""
+        n = len(self.bit)
+        idx = [slice(None)] * n
+        idx[n - 1 - self.bit[a]] = idx[n - 1 - self.bit[b]] = 1
+        return tuple(idx)
+
+    def insert(self, a: int, b: int) -> None:
+        """Count the new edge {a, b} between two nodes of the table."""
+        idx = self._both(a, b)
+        self.count[idx] += 1
+        self.total = max(self.total, float((self.count[idx] / self.size[idx]).max()))
 
 
 def matching_dp(g: Graph, unit: bool) -> int:

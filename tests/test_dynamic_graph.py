@@ -128,16 +128,12 @@ def test_histogram_bins_follow_node_insertions_and_deletions():
         (0, 2, 2), (0, 2, 1), (1, 2)]
 
 
-def _loads_networkx(code: str) -> bool:
-    """Whether ``code`` run in a fresh interpreter leaves networkx loaded."""
-    return loaded_modules(code, "networkx") == ["networkx"]
-
-
 def test_import_does_not_load_networkx():
-    assert not _loads_networkx("import continualdp, continualdp.cli")
+    assert loaded_modules("import continualdp, continualdp.cli", "networkx") == []
 
 
-def test_monotone_release_does_not_load_networkx():
+@pytest.mark.parametrize("module", ["networkx", "numpy"])
+def test_monotone_release_does_not_load(module):
     code = """
 from continualdp import Graph, GraphFunction, GraphSequence, RandomSource, Update
 from continualdp import monotone_release
@@ -146,7 +142,7 @@ seq = GraphSequence(Graph(range(4)), [Update(e_ins={(0, 1): 1, (2, 3): 1}),
 for name in ("min_cut", "max_cardinality_matching", "densest_subgraph"):
     monotone_release(seq, GraphFunction(name), 1.0, 0.5, 0.1, RandomSource(1), r=8.0, W=1)
 """
-    assert not _loads_networkx(code)
+    assert loaded_modules(code, module) == []
 
 
 @pytest.mark.parametrize("f", MONOTONE, ids=lambda f: f.name)

@@ -2,8 +2,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from continualdp import Graph, GraphFunction, RandomSource, evaluate, static_sensitivity
+from continualdp import Graph, GraphFunction, RandomSource, Update, evaluate, static_sensitivity
+from continualdp import functions
 from continualdp.errors import (
     MissingTerminal,
     OutOfRange,
@@ -160,6 +163,30 @@ def test_densest_dual_routes_agree():
         assert oracles.densest_flow(g) == pytest.approx(densest_subgraph(g))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(min_value=0, max_value=20))
+def test_min_cut_and_densest_equal_the_numpy_references(seed, n):
+    # along an insertion-only sequence: the same min cut value and side as
+    # the numpy Stoer-Wagner, so a kept side is recomputed on the same
+    # steps, and the same density as the subset table, at every step
+    rng = RandomSource(seed)
+    g = random_graph(rng.child("g"), n, density=rng.uniform() / 2)
+    state, table = DynamicGraph(g), oracles.SubsetEdges(g)
+    absent = [e for e in itertools.combinations(range(n), 2) if e not in g.edges]
+    cut, densest = GraphFunction("min_cut"), GraphFunction("densest_subgraph")
+    for _ in range(12):
+        snap = Graph(state.nodes, state.edges)
+        value, side = functions._min_cut_side(snap)
+        assert (value, side) == oracles.min_cut_side_numpy(snap)
+        assert evaluate(cut, state) == value
+        assert evaluate(densest, state) == densest_subgraph(snap) == table.total
+        step = {absent.pop(rng.integers(0, len(absent))): 1 + rng.integers(0, 3)
+                for _ in range(min(1 + rng.integers(0, 3), len(absent)))}
+        state.apply(Update(e_ins=step))
+        for a, b in step:
+            table.insert(a, b)
+
+
 def test_st_min_cut_requires_terminals():
     g = weighted_path()
     with pytest.raises(MissingTerminal):
@@ -169,8 +196,15 @@ def test_st_min_cut_requires_terminals():
 def test_size_limits_enforced():
     with pytest.raises(SizeLimitExceeded):
         oracles.matching_dp(Graph(range(23)), unit=False)
+    # the densest subgraph is exact up to 20 nodes, from scratch and kept
+    f = GraphFunction("densest_subgraph")
+    at_limit, over = (random_graph(RandomSource(n), n, density=0.5) for n in (20, 21))
+    assert densest_subgraph(at_limit) == oracles.SubsetEdges(at_limit).total
+    assert evaluate(f, DynamicGraph(at_limit)) == densest_subgraph(at_limit)
     with pytest.raises(SizeLimitExceeded):
-        densest_subgraph(Graph(range(21)))
+        densest_subgraph(over)
+    with pytest.raises(SizeLimitExceeded):
+        evaluate(f, DynamicGraph(over))
 
 
 def test_graph_function_validation():

@@ -3,6 +3,8 @@ generate output.
 
 Each log is built here from a fixed seed, so the test covers the whole
 path: serializing, parsing, replaying, releasing and writing the CSV.
+The monotone releases pin the exact min cut and densest subgraph values
+that the SVT ladder compares against its thresholds.
 The sensitivity reports pin which oracle draws pass the adjacency check,
 and the generated pair pins its witness and both logs.  The files under
 ``tests/golden`` hold the expected bytes; rewrite them only for a change
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from continualdp import RandomSource, serialize_sequence
+from continualdp import Graph, GraphSequence, RandomSource, Update, serialize_sequence
 from continualdp.cli import main
 
 from conftest import random_sequence
@@ -30,17 +32,46 @@ CASES = {
         "incremental",
         ["--function", "degree_histogram", "-D", "12"],
     ),
+    # a large epsilon and a fine ladder, so the output follows the exact values
+    "monotone_min_cut": (
+        "edges",
+        ["--mechanism", "monotone", "--function", "min_cut", "-W", "2", "--range-r", "24",
+         "--beta", "0.1"],
+        "50",
+    ),
+    "monotone_densest_subgraph": (
+        "incremental",
+        ["--mechanism", "monotone", "--function", "densest_subgraph", "--range-r", "20",
+         "--beta", "0.1"],
+        "50",
+    ),
 }
 
 
-def _run(tmp_path: Path, command: str, kind: str, args: list[str]) -> bytes:
-    seq = random_sequence(RandomSource(808), n_max=8, T_max=40, kind=kind)
+def _edge_log(rng: RandomSource, n: int, T: int, W: int) -> GraphSequence:
+    """An insertion-only log on n fixed nodes: each step inserts one to
+    three absent edges of weight 1..W."""
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    updates = []
+    for _ in range(T):
+        e_ins = {}
+        for _ in range(min(rng.integers(1, 4), len(absent))):
+            e_ins[absent.pop(rng.integers(0, len(absent)))] = rng.integers(1, W + 1)
+        updates.append(Update(e_ins=e_ins))
+    return GraphSequence(Graph(set(range(n)), {}), updates)
+
+
+def _run(tmp_path: Path, command: str, kind: str, args: list[str], epsilon: str = "1") -> bytes:
+    if kind == "edges":
+        seq = _edge_log(RandomSource(808), n=12, T=30, W=2)
+    else:
+        seq = random_sequence(RandomSource(808), n_max=8, T_max=40, kind=kind)
     log = tmp_path / "seq.log"
     log.write_text(serialize_sequence(seq))
     out = tmp_path / "out.csv"
     result = CliRunner().invoke(
         main,
-        [command, *args, "--epsilon", "1", "--delta", "0.05",
+        [command, *args, "--epsilon", epsilon, "--delta", "0.05",
          "--input", str(log), "--seed", "17", "--out", str(out)],
     )
     assert result.exit_code == 0, result.output
@@ -49,8 +80,7 @@ def _run(tmp_path: Path, command: str, kind: str, args: list[str]) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_release_output_is_pinned(tmp_path, name):
-    kind, args = CASES[name]
-    assert _run(tmp_path, "release", kind, args) == (GOLDEN / f"{name}.csv").read_bytes()
+    assert _run(tmp_path, "release", *CASES[name]) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 def test_experiment_output_is_pinned(tmp_path):

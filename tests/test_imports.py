@@ -43,16 +43,20 @@ for name in ("edge_count", "triangle_count", "degree_histogram"):
         (["release", "--function", "edge_count"], ["numpy"]),
         (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
          ["numpy"]),
-        # the control: the monotone mechanism is loaded when it runs
+        # the control: the monotone mechanism is loaded when it runs, and its
+        # exact values and SVT build no array
         (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
           "--range-r", "10"],
-         ["continualdp.monotone", "numpy"]),
+         ["continualdp.monotone"]),
         # exact values and the oracle build no array
         (["eval", "--function", "edge_count"], []),
+        (["eval", "--function", "min_cut"], []),
+        (["eval", "--function", "densest_subgraph"], []),
         (["sensitivity", "--function", "edge_count", "--max-pairs", "20"],
          ["continualdp.generators", "continualdp.oracle"]),
     ],
-    ids=["release", "experiment", "monotone", "eval", "sensitivity"],
+    ids=["release", "experiment", "monotone", "eval", "eval-min_cut", "eval-densest_subgraph",
+         "sensitivity"],
 )
 def test_cli_runs_load_only_what_they_use(tmp_path, args, loaded):
     assert _cli_loaded(tmp_path, args, *LAZY, "numpy") == loaded
@@ -65,22 +69,22 @@ def test_experiment_leaves_numpy_ma_unloaded(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, loaded",
     [
-        ["release", "--function", "edge_count"],
-        ["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
-        ["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
-         "--range-r", "10"],
-        ["eval", "--function", "edge_count"],
-        ["sensitivity", "--function", "edge_count", "--max-pairs", "20"],
+        (["release", "--function", "edge_count"], ["numpy"]),
+        (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
+         ["numpy"]),
+        (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
+          "--range-r", "10"], []),
+        (["eval", "--function", "edge_count"], []),
+        (["sensitivity", "--function", "edge_count", "--max-pairs", "20"], []),
     ],
     ids=["release", "experiment", "monotone", "eval", "sensitivity"],
 )
-def test_cli_runs_leave_numpy_random_unloaded(tmp_path, args):
+def test_cli_runs_leave_numpy_random_unloaded(tmp_path, args, loaded):
     # noise comes from a SHAKE-256 stream; numpy 1.x loads numpy.random on import
     if loaded_modules("import numpy", "numpy.random"):
         pytest.skip("a bare import numpy loads numpy.random")
-    loaded = [] if args[0] in ("eval", "sensitivity") else ["numpy"]
     assert _cli_loaded(tmp_path, args, "numpy", "numpy.random") == loaded
 
 
