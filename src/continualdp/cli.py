@@ -33,7 +33,7 @@ from .errors import ContinualDPError, UnboundedSensitivity, UnknownCombination
 from .functions import EVENT_TARGETS, GraphFunction, evaluate
 from .graphs import GraphSequence
 from .noise import RandomSource, concentration_bound, sample_laplace
-from .release import ReleaseReport, exact_values, sensitivity_bound, theoretical_release_error
+from .release import ReleaseReport, exact_values, theoretical_release_error
 from .release import release as diff_release
 from .seqio import parse_sequence, serialize_sequence
 
@@ -378,6 +378,8 @@ def _verify_generators() -> list[tuple[str, bool]]:
 
 
 def _verify_bounds() -> list[tuple[str, bool]]:
+    import numpy as np
+
     from .counting import BinaryMechanism, prefix_intervals
     from .generators import gen_event_level
 
@@ -392,16 +394,22 @@ def _verify_bounds() -> list[tuple[str, bool]]:
     ok = exceed / trials <= 0.05 + 0.02
     results = [(f"concentration bound exceeded {exceed}/{trials}", ok)]
 
-    # the clean p-sums over each prefix's dyadic intervals give the exact count
+    # the clean p-sums over each prefix's dyadic intervals give the exact count,
+    # fed item by item and as the one block a release feeds
     seq = gen_event_level("edge_count", "edge", [1, 0, 1, 1, 1, 0, 1, 1])
     counts = exact_values(seq, GraphFunction("edge_count"))
-    mech = BinaryMechanism(seq.T, 1.0, RandomSource(3))
-    for prev, count in zip([0, *counts], counts):
-        mech.feed(count - prev)
-    clean = {(rec.level, rec.start): rec.clean for rec in mech.trace()}
-    ok = all(sum(clean[i, start] for i, start, _end in prefix_intervals(t)) == count
-             for t, count in enumerate(counts, start=1))
-    results.append(("p-sum reconstruction of the exact count", ok))
+    diffs = np.diff(np.array(counts, float), prepend=0.0)
+    items, block = (BinaryMechanism(seq.T, 1.0, RandomSource(3)) for _ in range(2))
+    for diff in diffs:
+        items.feed(diff)
+    block.feed(diffs)
+    for mech, label in [(items, "p-sum reconstruction of the exact count"),
+                        (block, "p-sum reconstruction from one block, as item by item")]:
+        clean = {(rec.level, rec.start): rec.clean for rec in mech.trace()}
+        ok = all(sum(clean[i, start] for i, start, _end in prefix_intervals(t)) == count
+                 for t, count in enumerate(counts, start=1))
+        # the block's trace must be the items' bit for bit: repr tells -0.0 from 0.0
+        results.append((label, ok and repr(mech.trace()) == repr(items.trace())))
     bound64 = theoretical_release_error(1.0, 1.0, 0.05, 64)
     bound4096 = theoretical_release_error(1.0, 1.0, 0.05, 4096)
     results.append(("error bound monotone in T", bound4096 > bound64))

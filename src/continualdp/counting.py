@@ -14,22 +14,20 @@ the dyadic tree is padded virtually; p-sums that would extend past T
 never close.
 
 A vector stream takes one source per coordinate, and coordinate i releases
-exactly what a scalar mechanism on source i would.  All noise is drawn when
-the mechanism is built: one block of ``sum(T >> i)`` Laplace draws per
-source, in release order, one per p-sum the horizon can close.
-
-``feed`` takes one item or a block of consecutive items along a leading
-time axis, and the two can be mixed.  Both compute the p-sum of level i
-ending at e as ``S_e - S_(e - 2^i)`` from the running prefix total S and
-add its own stored draw, so any split of a stream into blocks releases bit
-for bit what feeding it item by item does.  On integer streams (exact in
-float64) every p-sum is the exact interval sum.  The p-sums are kept in one
-store, one clean and one noisy array per level, row ``(e >> i) - 1`` (a
-noisy row holds its draw until the p-sum closes); ``estimate`` and
-``trace`` read it, and a block's p-sums are a view of it whose records are
-built only when read.  Only the noisy p-sums and the estimates summed from
-them are private; the clean arrays are the exact interval sums of the data,
-kept for audits (``verify bounds`` rebuilds every count from them).
+exactly what a scalar mechanism on source i would.  ``feed`` takes one
+item or a block of consecutive items along a leading time axis, and the
+two can be mixed.  The mechanism keeps two arrays: the prefix totals
+S_0..S_T, row t written once, at step t, and one Laplace draw per p-sum
+the horizon can close, ``sum(T >> i)`` per source, all drawn in release
+order when the mechanism is built and never written again.  Every reader
+(both feed paths, ``estimate``, ``trace`` and a block's view) computes the
+p-sum of level i ending at e as ``S_e - S_(e - 2^i)`` plus its draw, so
+any split of a stream into blocks releases bit for bit what feeding it
+item by item does.  On integer streams (exact in float64) every p-sum is
+the exact interval sum.  Only the noisy p-sums and the estimates summed
+from them are private; the clean p-sums in the records are the exact
+interval sums of the data, kept for audits (``verify bounds`` rebuilds
+every count from them).
 """
 
 from __future__ import annotations
@@ -155,14 +153,12 @@ class BinaryMechanism:
         self._rngs = [rng] if self._scalar else list(rng)
         k = len(self._rngs)
         self._t = 0
-        # running prefix total S_t, and S at each level's last close
-        self._total = np.zeros(k)
-        self._last = np.zeros((self.x, k))
-        # the p-sums: level i's ending at e is row (e >> i) - 1, a draw until it closes
-        draws = np.transpose([laplace_block(r, self.per_psum_scale, _count(0, T))
-                              for r in self._rngs])
-        self._noisy = [draws[pos] for _ends, pos in _schedule(0, T)]
-        self._clean = [np.zeros((T >> i, k)) for i in range(self.x)]
+        # S[t]: the total of the first t items, written at step t
+        self._S = np.zeros((T + 1, k))
+        # one draw per p-sum the horizon can close, in release order
+        self._draws = np.empty((_count(0, T), k))
+        for j, r in enumerate(self._rngs):
+            self._draws[:, j] = laplace_block(r, self.per_psum_scale, len(self._draws))
         # row i: the estimate at the last multiple of 2^i so far (0 at t=0)
         self._head = np.zeros((self.x + 1, k))
 
@@ -170,10 +166,17 @@ class BinaryMechanism:
     def t(self) -> int:
         return self._t
 
-    def _check(self, items, n: int) -> None:
-        """Refuse n more items past T, or an item outside ``bounds``."""
+    def _check(self, items, block: bool) -> None:
+        """Refuse a wrong-shaped item or block, items past T, or one outside ``bounds``."""
         import numpy as np
 
+        shape = () if self._scalar else (len(self._rngs),)
+        # np.shape(1.0) raises and catches an AttributeError, slow on the single path
+        got = () if isinstance(items, int | float) else np.shape(items)
+        if got[block:] != shape:
+            raise OutOfRange(f"an item must have shape {shape} and a block shape "
+                             f"{('n', *shape)}, got {got}")
+        n = len(items) if block else 1
         if self._t + n > self.T:
             raise HorizonExceeded(f"{n} more items at t={self._t} exceed horizon T={self.T}")
         b = self.bounds
@@ -193,17 +196,14 @@ class BinaryMechanism:
         """
         if getattr(item, "ndim", 0) == (1 if self._scalar else 2):
             return self._feed_block(item)
-        self._check(item, 1)
-        self._t += 1
-        t = self._t
-        self._total += item
+        self._check(item, False)
+        S, t = self._S, self._t + 1
+        S[t] = S[t - 1] + item  # row t is read only from step t on
+        self._t = t
         closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
-        clean = self._total - self._last[:closing]
-        self._last[:closing] = self._total
-        noisy = clean + [self._noisy[i][(t >> i) - 1] for i in range(closing)]
-        for i in range(closing):
-            self._clean[i][(t >> i) - 1] = clean[i]
-            self._noisy[i][(t >> i) - 1] = noisy[i]
+        clean = S[t] - S[[t - (1 << i) for i in range(closing)]]
+        first = _count(0, t - 1)
+        noisy = clean + self._draws[first:first + closing]
         # the estimate at t minus its lowest bit, plus that bit's p-sum
         est = self._head[closing] + noisy[-1]
         self._head[:closing] = est
@@ -217,34 +217,31 @@ class BinaryMechanism:
         import numpy as np
 
         items = np.asarray(items, float)
-        n, k = len(items), len(self._rngs)
-        self._check(items, n)
-        t0 = self._t
-        # prefix totals S_{t0}, ..., S_{t0+n}, summed in stream order
-        S = np.cumsum(np.vstack([self._total, items.reshape(n, k)]), axis=0)
-        for i in range(self.x):
-            first = ((t0 >> i) + 1) << i  # level i closes at first, first + 2^i, ...
-            if first > t0 + n:
-                break
-            steps = slice(first - t0 - 1, n, 1 << i)
-            at = S[1:][steps]
-            c = np.diff(at, axis=0, prepend=self._last[i:i + 1])
-            self._last[i] = at[-1]
-            rows = slice(t0 >> i, (t0 + n) >> i)
-            self._clean[i][rows] = c
-            self._noisy[i][rows] += c
-        self._total = S[-1]
-        self._t = t0 + n
-        ts = np.arange(t0 + 1, t0 + n + 1)
-        # highest level first, as estimate(t) sums
-        est = np.zeros((n, k))
+        self._check(items, True)
+        S, t0, n = self._S, self._t, len(items)
+        t1 = self._t = t0 + n
+        S[t0 + 1:t1 + 1] = items.reshape(n, len(self._rngs))
+        np.cumsum(S[t0:t1 + 1], axis=0, out=S[t0:t1 + 1])  # in stream order, from S_t0
+        ts, closing = _steps(t0, t1)
+        # the p-sum each step releases last, that of its lowest set bit
+        top = S[ts - (ts & -ts)]
+        np.subtract(S[t0 + 1:t1 + 1], top, out=top)
+        top += self._draws[_count(0, t0) + np.cumsum(closing) - 1]
+        # est_t = est_(t - h) + top_t for h the lowest bit of t, as the single-item path
+        est = np.empty((n, len(self._rngs)))
         for i in reversed(range(self.x)):
-            on = np.flatnonzero(ts >> i & 1)
-            est[on] += self._noisy[i][(ts[on] >> i) - 1]
+            h = 1 << i
+            j = (((t0 >> i) + 1) | 1) * h - t0 - 1  # the first step whose lowest bit is h
+            if j >= n:
+                continue
+            if j < h:  # t - h <= t0, where _head keeps its estimate
+                est[j] = self._head[i + 1] + top[j]
+                j += 2 * h
+            np.add(est[j - h:n - h:2 * h], top[j::2 * h], out=est[j::2 * h])
         for i in range(self.x + 1):
-            if (last := self._t >> i << i) > t0:
+            if (last := t1 >> i << i) > t0:
                 self._head[i] = est[last - t0 - 1]
-        return PSumView(self, t0, self._t), est[:, 0] if self._scalar else est
+        return PSumView(self, t0, t1), est[:, 0] if self._scalar else est
 
     def estimate(self, t: int | None = None) -> float | np.ndarray:
         """Noisy prefix sum at time t (defaults to the current time)."""
@@ -252,9 +249,10 @@ class BinaryMechanism:
             t = self._t
         if not 1 <= t <= self._t:
             raise OutOfRange(f"no estimate available for t={t}")
-        # prefix_intervals(t): per set bit i, highest first, the level-i p-sum
-        est = sum(self._noisy[i][(t >> i) - 1]
-                  for i in reversed(range(t.bit_length())) if t >> i & 1)
+        S, draws = self._S, self._draws
+        # highest level first, as the feeds sum
+        est = sum(S[e] - S[start - 1] + draws[_count(0, e - 1) + i]
+                  for i, start, e in prefix_intervals(t))
         return float(est[0]) if self._scalar else est
 
     def trace(self) -> list[PSumRecord]:
@@ -262,23 +260,17 @@ class BinaryMechanism:
         return _psum_records(self, 0, self._t)
 
 
-def _schedule(t0: int, t1: int):
-    """Per level i = 0, 1, ...: the ends and release-order positions of its
-    p-sums that close at steps t0+1..t1 (store rows ``t0 >> i`` to
-    ``t1 >> i``).  Step t closes levels 0..ctz(t), lowest first."""
+def _steps(t0: int, t1: int):
+    """Steps t0+1..t1, and how many p-sums each closes: levels 0..ctz(t)."""
     import numpy as np
 
     ts = np.arange(t0 + 1, t1 + 1)
-    closing = np.frexp(ts & -ts)[1]
-    offset = np.cumsum(closing) - closing  # step t's first position is offset[t - t0 - 1]
-    for i in range(t1.bit_length()):
-        steps = slice((((t0 >> i) + 1) << i) - t0 - 1, t1 - t0, 1 << i)
-        yield ts[steps], offset[steps] + i
+    return ts, np.frexp(ts & -ts)[1]
 
 
 def _count(t0: int, t1: int) -> int:
-    """How many p-sums close at steps t0+1..t1: level i's at the multiples of 2^i."""
-    return sum((t1 >> i) - (t0 >> i) for i in range(t1.bit_length()))
+    """How many p-sums close at steps t0+1..t1; up to t, sum_i t >> i = 2t - popcount(t)."""
+    return 2 * (t1 - t0) - t1.bit_count() + t0.bit_count()
 
 
 def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
@@ -286,16 +278,15 @@ def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
     Vector rows are copied out, so no record aliases the store."""
     import numpy as np
 
-    total, k = _count(t0, t1), len(mech._rngs)
-    levels, ends = np.empty(total, int), np.empty(total, int)
-    clean, noisy = np.empty((total, k)), np.empty((total, k))
-    for i, (e, pos) in enumerate(_schedule(t0, t1)):
-        rows = slice(t0 >> i, t1 >> i)
-        levels[pos], ends[pos] = i, e
-        clean[pos], noisy[pos] = mech._clean[i][rows], mech._noisy[i][rows]
+    ts, closing = _steps(t0, t1)
+    ends = np.repeat(ts, closing)
+    levels = np.arange(len(ends)) - np.repeat(np.cumsum(closing) - closing, closing)
+    before = ends - (1 << levels)
+    clean = mech._S[ends] - mech._S[before]
+    noisy = clean + mech._draws[_count(0, t0):_count(0, t1)]
     if mech._scalar:
         clean, noisy = clean[:, 0].tolist(), noisy[:, 0].tolist()
-    fields = zip(levels.tolist(), (ends - (1 << levels) + 1).tolist(), ends.tolist(),
+    fields = zip(levels.tolist(), (before + 1).tolist(), ends.tolist(),
                  clean, noisy, repeat(mech.per_psum_scale))
     # tuple.__new__ skips the generated PSumRecord.__new__, a Python call per record
     return list(map(partial(tuple.__new__, PSumRecord), fields))
@@ -303,8 +294,9 @@ def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
 
 class PSumView(Sequence):
     """The p-sums a block feed released (steps t0+1..t1, release order), read
-    from the store when iterated or indexed; ``len`` builds no record.  A
-    released row is never written again, so later feeds leave the view as is."""
+    from the prefix totals and draws when iterated or indexed; ``len`` builds
+    no record.  Later feeds write neither S_0..S_t1 nor the draws, so they
+    leave the view as is."""
 
     def __init__(self, mech: BinaryMechanism, t0: int, t1: int) -> None:
         self._mech, self._t0, self._t1 = mech, t0, t1

@@ -629,13 +629,11 @@ def _star_toggle_pair(T: int, node_level: bool) -> tuple[GraphSequence, GraphSeq
     """
     if node_level:
         init = Graph({0, 3}, {(0, 3): 1})
-        ins1 = Update(v_ins={1}, e_ins={(0, 1): 1})
         ins2 = Update(v_ins={2}, e_ins={(0, 2): 1})
         both = Update(v_ins={1, 2}, e_ins={(0, 1): 1, (0, 2): 1})
         off = Update(v_del={2}, e_del={(0, 2)})
     else:
         init = Graph({0, 1, 2, 3}, {(0, 3): 1})
-        ins1 = Update(e_ins={(0, 1): 1})
         ins2 = Update(e_ins={(0, 2): 1})
         both = Update(e_ins={(0, 1): 1, (0, 2): 1})
         off = Update(e_del={(0, 2)})
@@ -648,7 +646,6 @@ def _triangle_toggle_pair(T: int, node_level: bool) -> tuple[GraphSequence, Grap
     """Triangle completion toggling (fully dynamic triangle / k-star)."""
     if node_level:
         init = Graph({0})
-        ins1 = Update(v_ins={1}, e_ins={(0, 1): 1})
         both = Update(v_ins={1, 2}, e_ins={(0, 1): 1, (0, 2): 1, (1, 2): 1})
         only2_first = Update(v_ins={2}, e_ins={(0, 2): 1})
         on_a = Update(v_ins={2}, e_ins={(0, 2): 1, (1, 2): 1})

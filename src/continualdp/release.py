@@ -291,6 +291,8 @@ def release(
         raise UnboundedSensitivity(
             f"{f.label()} has no finite sensitivity for {adjacency}/{regime} release"
         )
+    if gamma == 0:  # e.g. 3-stars at D = 2: the statistic is 0 on every log D allows
+        raise ParameterOutOfRange(f"{f.label()} is 0 on every graph of max degree D={D}")
     if W is not None and (max_weight := seq.max_weight()) > W:
         raise WeightViolation(f"sequence max weight {max_weight} exceeds declared W={W}")
 

@@ -204,6 +204,24 @@ def test_release_refuses_values_too_large_for_a_float(runner, tmp_path, args, me
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("args, label", [
+    (["--function", "kstar_count", "--k", "3", "-D", "2"], "kstar_count(k=3)"),
+    (["--function", "kstar_count", "--k", "3", "-D", "2", "--adjacency", "node"],
+     "kstar_count(k=3)"),
+    (["--function", "triangle_count", "-D", "1", "--adjacency", "node"], "triangle_count"),
+], ids=["kstar-edge", "kstar-node", "triangle-node"])
+def test_release_refuses_a_statistic_that_is_0_under_its_D(runner, tmp_path, args, label):
+    # Gamma = 0: no graph of max degree D has a 3-star, or a triangle at D = 1
+    log, csv = tmp_path / "s.log", tmp_path / "rel.csv"
+    log.write_text("t=0 +v:0,1,2\nt=1 +e:0-1:1\nt=2 +e:1-2:1\n")
+    result = runner.invoke(main, ["release", *args, "--epsilon", "1", "--delta", "0.05",
+                                  "--input", str(log), "--out", str(csv), "--seed", "1"])
+    assert result.exit_code == 2, result.output
+    D = args[args.index("-D") + 1]
+    assert f"error: {label} is 0 on every graph of max degree D={D}" in result.output
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf", "0", "2"])
 def test_release_monotone_rejects_delta_outside_unit_interval(runner, tmp_path, delta):
     seq = _generate(runner, tmp_path)

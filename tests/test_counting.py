@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -17,7 +18,7 @@ from continualdp import (
     prefix_intervals,
     theoretical_count_error,
 )
-from continualdp import counting
+from continualdp import counting, noise
 from continualdp.errors import (
     HorizonExceeded,
     ItemOutOfBounds,
@@ -301,6 +302,13 @@ def test_bad_block_leaves_state_unchanged(k):
     bad[1] = 3  # one item outside [-2, 2]
     with pytest.raises(ItemOutOfBounds):
         mech.feed(bad)
+    # an item is () for one source and (k,) for k, a block (n,) or (n, k)
+    wrong = ([[1.0, 2.0], np.ones((2, 1)), np.ones((0, 2))] if k is None
+             else [5.0, np.float64(5.0), np.array([1.0]), [1.0, 2.0], np.ones((4, 2)),
+                   np.ones((2, k, 1))])
+    for item in wrong:
+        with pytest.raises(OutOfRange, match="must have shape"):
+            mech.feed(item)
     assert (mech.t, _records_bits(mech.trace()), _bits(mech.estimate())) == before
     _recs, est = mech.feed(ones(6))
     ref, ref_rngs = build()
@@ -308,6 +316,35 @@ def test_bad_block_leaves_state_unchanged(k):
     assert _bits(est) == _bits(ref_est[4:])
     assert _records_bits(mech.trace()) == _records_bits(ref.trace())
     assert [r.uniform() for r in rngs] == [r.uniform() for r in ref_rngs]
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_draws_are_never_written(k):
+    mech = BinaryMechanism(64, 1.0, RandomSource(4) if k is None
+                           else [RandomSource(i) for i in range(k)])
+    ones = (lambda n: np.ones(n)) if k is None else (lambda n: np.ones((n, k)))
+    before = mech._draws.tobytes()
+    for n in (5, 1, 26, 1, 1, 30):
+        mech.feed(ones(n)[0] if n == 1 else ones(n))  # single items and blocks
+    assert mech.t == 64 and mech._draws.tobytes() == before
+
+
+def test_block_fed_mechanism_holds_prefix_totals_and_draws():
+    T, k = 4096, 8
+    rngs = [RandomSource(i) for i in range(k)]
+    items = np.arange(T * k, dtype=float).reshape(T, k) % 5
+    tracemalloc.start()
+    try:
+        mech = BinaryMechanism(T, 1.0, rngs)
+        _recs, est = mech.feed(items)
+        # each source keeps its own chunk of the SHAKE-256 stream
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(False, noise.__file__)])
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.statistics("filename")) - est.nbytes
+    # (T + 1) x k prefix totals and (2T - 1) x k draws: 3Tk floats, no per-level stores
+    assert mech.t == T and held <= 3.05 * T * k * 8
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
