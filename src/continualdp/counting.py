@@ -16,27 +16,28 @@ never close.
 A vector stream takes one source per coordinate, and coordinate i releases
 exactly what a scalar mechanism on source i would.  ``feed`` takes one
 item or a block of consecutive items along a leading time axis, and the
-two can be mixed.  The mechanism keeps two arrays: the prefix totals
-S_0..S_T, row t written once, at step t, and one Laplace draw per p-sum
-the horizon can close, ``sum(T >> i)`` per source, all drawn in release
-order when the mechanism is built and never written again.  Every reader
-(both feed paths, ``estimate``, ``trace`` and a block's view) computes the
-p-sum of level i ending at e as ``S_e - S_(e - 2^i)`` plus its draw, so
-any split of a stream into blocks releases bit for bit what feeding it
-item by item does.  On integer streams (exact in float64) every p-sum is
-the exact interval sum.  Only the noisy p-sums and the estimates summed
-from them are private; the clean p-sums in the records are the exact
-interval sums of the data, kept for audits (``verify bounds`` rebuilds
-every count from them).
+two can be mixed.  The mechanism keeps the prefix totals S_0..S_T, row t
+written once, at step t, and one Laplace draw per p-sum the horizon can
+close, ``sum(T >> i)`` per source, all drawn in release order when the
+mechanism is built and never written again.  Every reader (both feed
+paths, ``estimate``, ``trace`` and a block's view) computes the p-sum of
+level i ending at e as ``S_e - S_(e - 2^i)`` plus its draw, so any split
+of a stream into blocks releases bit for bit what feeding it item by item
+does.  One source keeps lists of floats and calls ``sample_laplace``, with
+no numpy; k sources keep arrays, drawn by ``laplace_block`` to equal values.
+On integer streams (exact in float64) every p-sum is the exact interval sum.
+Only the noisy p-sums and the estimates summed from them are private; the
+clean p-sums in the records are the exact interval sums of the data, kept
+for audits (``verify bounds`` rebuilds every count from them).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -46,7 +47,7 @@ from .errors import (
     NonPositiveScale,
     OutOfRange,
 )
-from .noise import RandomSource, concentration_bound, laplace_block
+from .noise import RandomSource, concentration_bound, laplace_block, sample_laplace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -139,8 +140,6 @@ class BinaryMechanism:
         item_width: float = 1.0,
         bounds: StreamBounds | None = None,
     ) -> None:
-        import numpy as np
-
         self.T = T
         self.x = num_levels(T)
         self.y = max_summands(T)
@@ -151,83 +150,112 @@ class BinaryMechanism:
         self.bounds = bounds
         self._scalar = isinstance(rng, RandomSource)
         self._rngs = [rng] if self._scalar else list(rng)
-        k = len(self._rngs)
         self._t = 0
-        # S[t]: the total of the first t items, written at step t
-        self._S = np.zeros((T + 1, k))
-        # one draw per p-sum the horizon can close, in release order
-        self._draws = np.empty((_count(0, T), k))
-        for j, r in enumerate(self._rngs):
-            self._draws[:, j] = laplace_block(r, self.per_psum_scale, len(self._draws))
-        # row i: the estimate at the last multiple of 2^i so far (0 at t=0)
-        self._head = np.zeros((self.x + 1, k))
+        n = _count(0, T)  # one draw per p-sum the horizon can close, in release order
+        # S[t]: the total of the first t items, written at step t; head[i]: the
+        # estimate at the last multiple of 2^i so far (0 at t=0)
+        if self._scalar:
+            self._S = [0.0] * (T + 1)
+            self._draws = [sample_laplace(rng, self.per_psum_scale) for _ in range(n)]
+            self._head = [0.0] * (self.x + 1)
+        else:
+            import numpy as np
+
+            k = len(self._rngs)
+            self._S = np.zeros((T + 1, k))
+            self._draws = np.empty((n, k))
+            for j, r in enumerate(self._rngs):
+                self._draws[:, j] = laplace_block(r, self.per_psum_scale, n)
+            self._head = np.zeros((self.x + 1, k))
 
     @property
     def t(self) -> int:
         return self._t
 
-    def _check(self, items, block: bool) -> None:
-        """Refuse a wrong-shaped item or block, items past T, or one outside ``bounds``."""
-        import numpy as np
+    def _check(self, items, block: bool):
+        """Refuse a wrong-shaped item or block, items past T, or one outside
+        ``bounds``, in that order.  One source is checked with builtins, and
+        its item comes back as a float, a block as a list of ints and floats."""
+        if self._scalar:
+            if not block:
+                items = _number(items)
+            elif not {*map(type, items)} <= {float, int}:
+                items = [*map(_number, items)]
+        else:
+            import numpy as np
 
-        shape = () if self._scalar else (len(self._rngs),)
-        # np.shape(1.0) raises and catches an AttributeError, slow on the single path
-        got = () if isinstance(items, int | float) else np.shape(items)
-        if got[block:] != shape:
-            raise OutOfRange(f"an item must have shape {shape} and a block shape "
-                             f"{('n', *shape)}, got {got}")
+            shape = (len(self._rngs),)
+            if (got := np.shape(items))[block:] != shape:
+                raise OutOfRange(f"an item must have shape {shape} and a block shape "
+                                 f"{('n', *shape)}, got {got}")
         n = len(items) if block else 1
         if self._t + n > self.T:
             raise HorizonExceeded(f"{n} more items at t={self._t} exceed horizon T={self.T}")
-        b = self.bounds
-        if b is not None and np.size(items):
+        b, bad = self.bounds, None
+        if b is not None and self._scalar:
+            bad = next((v for v in (items if block else [items]) if not b.L1 <= v <= b.L2), None)
+        elif b is not None and np.size(items):
             lo, hi = np.min(items), np.max(items)
-            if not b.L1 <= lo <= hi <= b.L2:
-                raise ItemOutOfBounds(f"item {lo if lo < b.L1 else hi} outside [{b.L1}, {b.L2}]")
+            bad = None if b.L1 <= lo <= hi <= b.L2 else lo if lo < b.L1 else hi
+        if bad is not None:
+            raise ItemOutOfBounds(f"item {bad} outside [{b.L1}, {b.L2}]")
+        return items
 
-    def feed(self, item: float | np.ndarray) -> tuple[Sequence[PSumRecord], float | np.ndarray]:
+    def feed(self, item) -> tuple[Sequence[PSumRecord], float | list[float] | np.ndarray]:
         """Consume one item, or a block of consecutive items.
 
         One item returns (list of newly released p-sums, estimate).  A block
-        is a 1-D array for one source, or an (n, k) array for k sources,
-        along the time axis; it returns the p-sums released at any of its n
-        steps, in release order, as a read-only ``PSumView``, and an array
-        of the n estimates, one per step.
+        is a list or 1-D array for one source, or an (n, k) array for k
+        sources, along the time axis; it returns the p-sums released at any
+        of its n steps, in release order, as a read-only ``PSumView``, and
+        the n estimates, one per step: a list for one source, an (n, k)
+        array for k.
         """
-        if getattr(item, "ndim", 0) == (1 if self._scalar else 2):
+        if self._scalar and (isinstance(item, list) or getattr(item, "ndim", 0) == 1):
+            t0, rows = self._t, item if isinstance(item, list) else item.tolist()
+            est = self._run(self._check(rows, True))
+            return PSumView(self, t0, self._t), est
+        if not self._scalar and getattr(item, "ndim", 0) == 2:
             return self._feed_block(item)
-        self._check(item, False)
-        S, t = self._S, self._t + 1
-        S[t] = S[t - 1] + item  # row t is read only from step t on
+        est = self._run([self._check(item, False)])[0]
+        return _psum_records(self, self._t - 1, self._t), est
+
+    def _run(self, rows) -> list:
+        """Feed rows one step each and return their estimates: at t, the
+        estimate at t minus its lowest bit plus that bit's p-sum.  A row is a
+        float for one source and a (k,) array for k."""
+        S, head, draws = self._S, self._head, self._draws
+        t, n = self._t, _count(0, self._t)  # n: the p-sums released so far
+        out = []
+        for row in rows:
+            t += 1
+            S[t] = S[t - 1] + row  # row t is read only from step t on
+            closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
+            n += closing
+            est = head[closing] + (S[t] - S[t - (1 << closing - 1)] + draws[n - 1])
+            for i in range(closing):
+                head[i] = est
+            out.append(est)
         self._t = t
-        closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
-        clean = S[t] - S[[t - (1 << i) for i in range(closing)]]
-        first = _count(0, t - 1)
-        noisy = clean + self._draws[first:first + closing]
-        # the estimate at t minus its lowest bit, plus that bit's p-sum
-        est = self._head[closing] + noisy[-1]
-        self._head[:closing] = est
-        if self._scalar:
-            clean, noisy, est = clean[:, 0].tolist(), noisy[:, 0].tolist(), est[0].item()
-        released = [PSumRecord(i, t - (1 << i) + 1, t, clean[i], noisy[i], self.per_psum_scale)
-                    for i in range(closing)]
-        return released, est
+        return out
 
     def _feed_block(self, items: np.ndarray) -> tuple[PSumView, np.ndarray]:
+        """A block of k-source rows, as arrays over the whole block."""
         import numpy as np
 
         items = np.asarray(items, float)
         self._check(items, True)
         S, t0, n = self._S, self._t, len(items)
         t1 = self._t = t0 + n
-        S[t0 + 1:t1 + 1] = items.reshape(n, len(self._rngs))
+        S[t0 + 1:t1 + 1] = items
         np.cumsum(S[t0:t1 + 1], axis=0, out=S[t0:t1 + 1])  # in stream order, from S_t0
-        ts, closing = _steps(t0, t1)
+        ts = np.arange(t0 + 1, t1 + 1)
+        closing = np.frexp(ts & -ts)[1]  # levels 0..ctz(t) close at t
         # the p-sum each step releases last, that of its lowest set bit
         top = S[ts - (ts & -ts)]
         np.subtract(S[t0 + 1:t1 + 1], top, out=top)
         top += self._draws[_count(0, t0) + np.cumsum(closing) - 1]
-        # est_t = est_(t - h) + top_t for h the lowest bit of t, as the single-item path
+        # est_t = est_(t - h) + top_t for h the lowest bit of t, as _run
         est = np.empty((n, len(self._rngs)))
         for i in reversed(range(self.x)):
             h = 1 << i
@@ -241,7 +269,7 @@ class BinaryMechanism:
         for i in range(self.x + 1):
             if (last := t1 >> i << i) > t0:
                 self._head[i] = est[last - t0 - 1]
-        return PSumView(self, t0, t1), est[:, 0] if self._scalar else est
+        return PSumView(self, t0, t1), est
 
     def estimate(self, t: int | None = None) -> float | np.ndarray:
         """Noisy prefix sum at time t (defaults to the current time)."""
@@ -251,21 +279,20 @@ class BinaryMechanism:
             raise OutOfRange(f"no estimate available for t={t}")
         S, draws = self._S, self._draws
         # highest level first, as the feeds sum
-        est = sum(S[e] - S[start - 1] + draws[_count(0, e - 1) + i]
-                  for i, start, e in prefix_intervals(t))
-        return float(est[0]) if self._scalar else est
+        return sum(S[e] - S[start - 1] + draws[_count(0, e - 1) + i]
+                   for i, start, e in prefix_intervals(t))
 
     def trace(self) -> list[PSumRecord]:
         """All released p-sums in release order (audit hook)."""
         return _psum_records(self, 0, self._t)
 
 
-def _steps(t0: int, t1: int):
-    """Steps t0+1..t1, and how many p-sums each closes: levels 0..ctz(t)."""
-    import numpy as np
-
-    ts = np.arange(t0 + 1, t1 + 1)
-    return ts, np.frexp(ts & -ts)[1]
+def _number(v) -> float:
+    """One source's item as a float: a number, or anything of shape ()."""
+    if isinstance(v, (int, float)) or getattr(v, "shape", None) == ():
+        return float(v)
+    raise OutOfRange("an item must have shape () and a block shape ('n',), got "
+                     f"{getattr(v, 'shape', type(v).__name__)}")
 
 
 def _count(t0: int, t1: int) -> int:
@@ -273,30 +300,29 @@ def _count(t0: int, t1: int) -> int:
     return 2 * (t1 - t0) - t1.bit_count() + t0.bit_count()
 
 
+# tuple.__new__ skips the generated PSumRecord.__new__, a Python call per record
+_record = partial(tuple.__new__, PSumRecord)
+
+
 def _psum_records(mech: BinaryMechanism, t0: int, t1: int) -> list[PSumRecord]:
     """Records of the p-sums released at steps t0+1..t1, in release order.
-    Vector rows are copied out, so no record aliases the store."""
-    import numpy as np
-
-    ts, closing = _steps(t0, t1)
-    ends = np.repeat(ts, closing)
-    levels = np.arange(len(ends)) - np.repeat(np.cumsum(closing) - closing, closing)
-    before = ends - (1 << levels)
-    clean = mech._S[ends] - mech._S[before]
-    noisy = clean + mech._draws[_count(0, t0):_count(0, t1)]
-    if mech._scalar:
-        clean, noisy = clean[:, 0].tolist(), noisy[:, 0].tolist()
-    fields = zip(levels.tolist(), (before + 1).tolist(), ends.tolist(),
-                 clean, noisy, repeat(mech.per_psum_scale))
-    # tuple.__new__ skips the generated PSumRecord.__new__, a Python call per record
-    return list(map(partial(tuple.__new__, PSumRecord), fields))
+    Vector rows are computed afresh, so no record aliases the store."""
+    S, draws, scale = mech._S, mech._draws, mech.per_psum_scale
+    n = _count(0, t0)
+    out = []
+    for t in range(t0 + 1, t1 + 1):
+        for i in range((t & -t).bit_length()):
+            clean = S[t] - S[t - (1 << i)]
+            out.append(_record((i, t - (1 << i) + 1, t, clean, clean + draws[n], scale)))
+            n += 1
+    return out
 
 
 class PSumView(Sequence):
     """The p-sums a block feed released (steps t0+1..t1, release order), read
     from the prefix totals and draws when iterated or indexed; ``len`` builds
-    no record.  Later feeds write neither S_0..S_t1 nor the draws, so they
-    leave the view as is."""
+    no record, and an index or slice builds only the steps it covers.  Later
+    feeds write neither S_0..S_t1 nor the draws, so they leave the view as is."""
 
     def __init__(self, mech: BinaryMechanism, t0: int, t1: int) -> None:
         self._mech, self._t0, self._t1 = mech, t0, t1
@@ -305,7 +331,16 @@ class PSumView(Sequence):
         return _count(self._t0, self._t1)
 
     def __getitem__(self, index):
-        return _psum_records(self._mech, self._t0, self._t1)[index]
+        picked = range(len(self))[index]  # raises IndexError as a list would
+        js, t0 = picked if isinstance(index, slice) else [picked], self._t0
+        if not js:
+            return []
+        # the steps t0+a+1..t0+b+1 hold the picked records: _count rises with t
+        a, b = (bisect_right(range(t0 + 1, self._t1 + 1), j, key=partial(_count, t0))
+                for j in (min(js), max(js)))
+        recs, off = _psum_records(self._mech, t0 + a, t0 + b + 1), _count(t0, t0 + a)
+        out = [recs[j - off] for j in js]
+        return out if isinstance(index, slice) else out[0]
 
     def __iter__(self):
         return iter(_psum_records(self._mech, self._t0, self._t1))

@@ -9,13 +9,14 @@ difference sequence.  Gamma comes from a closed-form registry keyed by
 ``SequenceKind`` value: incremental, decremental (whose cells are derived
 in ``sensitivity_bound``) or fully dynamic.  Cells without a finite bound
 are rejected with :class:`UnboundedSensitivity`.  The whole difference
-sequence goes to the mechanism as one block.
+sequence goes to the mechanism as one block.  A scalar statistic's columns
+are lists of floats, so its release runs without numpy.
 
 Histograms run one vector mechanism over the bins 0..D of the declared
 degree bound D, so the output's shape never depends on the data; bin i
 draws from the child source ``coord{i}`` at scale Gamma * x / epsilon,
 because Gamma bounds the L1 distance of the whole vector difference
-sequence.
+sequence.  Their columns are (T, D + 1) arrays.
 """
 
 from __future__ import annotations
@@ -187,11 +188,11 @@ class ReleaseRecord:
 @dataclass(eq=False)
 class ReleaseReport:
     """A release held as columns: ``exact`` and ``est`` have one row per
-    step, ``(T,)`` for a scalar statistic and ``(T, D + 1)`` for a
-    histogram.  Only ``est`` is private output; ``exact``, the errors and
-    ``records`` are diagnostics.  ``abs_error`` (each step's largest
-    error) and ``records`` (one ``ReleaseRecord`` per step) are built on
-    first read."""
+    step, lists of T floats for a scalar statistic and ``(T, D + 1)``
+    arrays for a histogram.  Only ``est`` is private output; ``exact``, the
+    errors and ``records`` are diagnostics.  ``abs_error`` (each step's
+    largest error, a list or an array as the columns) and ``records`` (one
+    ``ReleaseRecord`` per step) are built on first read."""
 
     function: str
     epsilon: float
@@ -199,27 +200,26 @@ class ReleaseReport:
     gamma: float
     adjacency: str
     bound: float
-    exact: np.ndarray = field(repr=False)
-    est: np.ndarray = field(repr=False)
+    exact: list[float] | np.ndarray = field(repr=False)
+    est: list[float] | np.ndarray = field(repr=False)
 
     @cached_property
-    def abs_error(self) -> np.ndarray:
-        import numpy as np
-
-        err = np.abs(self.est - self.exact)
-        return err.max(axis=1) if err.ndim == 2 else err
+    def abs_error(self) -> list[float] | np.ndarray:
+        if isinstance(self.est, list):
+            return [abs(e - v) for e, v in zip(self.est, self.exact)]
+        return abs(self.est - self.exact).max(axis=1)  # abs is np.abs on an array
 
     @property
     def max_abs_error(self) -> float:
-        return float(self.abs_error.max())
+        return float(max(self.abs_error))
 
     @cached_property
     def records(self) -> list[ReleaseRecord]:
-        histogram = self.exact.ndim == 2
-        exact = (self.exact.astype(int) if histogram else self.exact).tolist()
-        rows = zip(exact, self.est.tolist(), self.abs_error.tolist())
-        if histogram:
-            rows = ((tuple(v), tuple(e), err) for v, e, err in rows)
+        if isinstance(self.est, list):
+            rows = zip(self.exact, self.est, self.abs_error)
+        else:
+            rows = ((tuple(v), tuple(e), err) for v, e, err in zip(
+                self.exact.astype(int).tolist(), self.est.tolist(), self.abs_error.tolist()))
         return [ReleaseRecord(t, v, e, err, self.bound)
                 for t, (v, e, err) in enumerate(rows, start=1)]
 
@@ -266,7 +266,7 @@ def release(
     adjacency: str = EDGE,
     D: int | None = None,
     W: int | None = None,
-    exact: np.ndarray | None = None,
+    exact: list[float] | np.ndarray | None = None,
 ) -> ReleaseReport:
     """Release f(t) privately at every step of an update sequence.
 
@@ -281,10 +281,9 @@ def release(
     ``true`` has the same D + 1 entries.
 
     ``exact``, the ``exact`` column of an earlier report on the same sequence,
-    function and D, skips the replay and its checks; it must be such an array.
+    function and D, skips the replay and its checks; it must be such a
+    column: a list of T floats, or for a histogram a (T, D + 1) array.
     """
-    import numpy as np
-
     regime = seq.kind.value
     gamma = sensitivity_bound(f, adjacency, regime, D=D, W=W)
     if math.isinf(gamma):
@@ -302,20 +301,27 @@ def release(
     rngs = [rng.child(f"coord{i}") for i in range(coords)]
     # the bound refuses a bad T, epsilon or delta before the mechanism draws noise
     bound = theoretical_release_error(gamma, epsilon, delta, T)
-    shape = (T, coords) if histogram else (T,)
-    if exact is not None and getattr(exact, "shape", None) != shape:
-        raise OutOfRange(f"exact must be an array of shape {shape}")
+    if exact is not None and not (
+            getattr(exact, "shape", None) == (T, coords) if histogram
+            else type(exact) is list and len(exact) == T and {*map(type, exact)} <= {float}):
+        want = f"an array of shape {(T, coords)}" if histogram else f"a list of {T} floats"
+        raise OutOfRange(f"exact must be {want}")
     mech = BinaryMechanism(T, epsilon, rngs if histogram else rngs[0], item_width=gamma)
-    if exact is None:
-        # every check that needs no replay is above; the one replay comes last
-        values = exact_values(seq, f, D)
-        if histogram:
-            exact = np.zeros(shape)
-            for row, value in zip(exact, values):
+    # every check that needs no replay is above; the one replay comes last
+    if histogram:
+        import numpy as np
+
+        if exact is None:
+            exact = np.zeros((T, coords))
+            for row, value in zip(exact, exact_values(seq, f, D)):
                 row[:len(value)] = value
-        else:
-            exact = np.array(values, float)
-    est = mech.feed(np.diff(exact, axis=0, prepend=0.0))[1]
+        diffs = np.diff(exact, axis=0, prepend=0.0)
+    else:
+        if exact is None:
+            exact = list(map(float, exact_values(seq, f, D)))
+        # b - a against a leading 0.0: the IEEE result of np.diff(prepend=0.0)
+        diffs = [b - a for a, b in zip([0.0, *exact], exact)]
+    est = mech.feed(diffs)[1]
     return ReleaseReport(
         function=f.label(),
         epsilon=epsilon,

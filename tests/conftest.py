@@ -23,6 +23,7 @@ def zero_noise_draws():
     inside the block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("continualdp.counting.laplace_block", lambda rng, b, n: np.zeros(n))
+        mp.setattr("continualdp.counting.sample_laplace", lambda rng, b: 0.0)
         mp.setattr("continualdp.monotone.sample_laplace", lambda rng, b: 0.0)
         yield
 

@@ -302,8 +302,9 @@ def test_bad_block_leaves_state_unchanged(k):
     bad[1] = 3  # one item outside [-2, 2]
     with pytest.raises(ItemOutOfBounds):
         mech.feed(bad)
-    # an item is () for one source and (k,) for k, a block (n,) or (n, k)
-    wrong = ([[1.0, 2.0], np.ones((2, 1)), np.ones((0, 2))] if k is None
+    # an item is () for one source and (k,) for k, a block (n,) or (n, k); one
+    # source takes a list of numbers as a block, so a list of lists is (n, 2)
+    wrong = ([[[1.0, 2.0]], [1.0, np.ones(1)], np.ones((2, 1)), np.ones((0, 2))] if k is None
              else [5.0, np.float64(5.0), np.array([1.0]), [1.0, 2.0], np.ones((4, 2)),
                    np.ones((2, k, 1))])
     for item in wrong:
@@ -323,10 +324,10 @@ def test_draws_are_never_written(k):
     mech = BinaryMechanism(64, 1.0, RandomSource(4) if k is None
                            else [RandomSource(i) for i in range(k)])
     ones = (lambda n: np.ones(n)) if k is None else (lambda n: np.ones((n, k)))
-    before = mech._draws.tobytes()
+    before = _bits(mech._draws)
     for n in (5, 1, 26, 1, 1, 30):
         mech.feed(ones(n)[0] if n == 1 else ones(n))  # single items and blocks
-    assert mech.t == 64 and mech._draws.tobytes() == before
+    assert mech.t == 64 and _bits(mech._draws) == before
 
 
 def test_block_fed_mechanism_holds_prefix_totals_and_draws():
@@ -425,3 +426,66 @@ def test_vector_records_do_not_alias_the_store():
         r.noisy[:] = -99.0
     assert _records_bits(mech.trace()) == _records_bits(recs) == trace
     assert [_bits(mech.estimate(t)) for t in range(1, 11)] == estimates
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_view_index_builds_only_the_steps_it_covers(k):
+    mech = BinaryMechanism(300, 1.0, RandomSource(5) if k is None
+                           else [RandomSource(i) for i in range(k)])
+    mech.feed(np.ones(37 if k is None else (37, k)))
+    recs, _est = mech.feed(np.arange(250.0) if k is None else np.ones((250, k)))
+    every = list(recs)
+    n = len(every)
+    built = []
+    records = counting._psum_records
+
+    def spy(mech, t0, t1):
+        built.append(t1 - t0)
+        return records(mech, t0, t1)
+
+    with mock.patch.object(counting, "_psum_records", spy):
+        for i in range(-n, n):
+            assert _records_bits([recs[i]]) == _records_bits([every[i]])
+        assert built == [1] * (2 * n)  # one step per record asked for
+        for cut in [slice(None), slice(3, 40), slice(-9, None), slice(None, None, -7),
+                    slice(100, 5, -3), slice(40, 3), slice(n, None)]:
+            assert _records_bits(recs[cut]) == _records_bits(every[cut])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            recs[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    T=st.integers(min_value=1, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_one_source_stream_is_the_same_in_every_form(T, seed, data):
+    items = data.draw(st.lists(st.integers(min_value=-5, max_value=5) | st.floats(-5, 5),
+                               min_size=T, max_size=T), label="items")
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(T - 1, 1))),
+                            label="cuts") - {T})
+    forms = data.draw(st.lists(st.sampled_from(["list", "array", "items"]),
+                               min_size=len(cuts) + 1, max_size=len(cuts) + 1), label="forms")
+
+    def run(pieces):
+        mech = BinaryMechanism(T, 0.9, RandomSource(seed), item_width=3.0)
+        est = []
+        for form, piece in pieces:
+            if form == "items":
+                est.extend(mech.feed(item)[1] for item in piece)
+            else:
+                recs, block_est = mech.feed(piece if form == "list" else np.array(piece, float))
+                assert type(block_est) is list and len(recs) == _closed_in(mech.t - len(piece),
+                                                                          mech.t)
+                est.extend(block_est)
+        assert {*map(type, est)} <= {float}
+        return _bits(est), _records_bits(mech.trace())
+
+    bounds = [0, *cuts, T]
+    split = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    want = run([("items", items)])
+    assert run([("list", items)]) == want
+    assert run([("array", items)]) == want
+    assert run(list(zip(forms, split))) == want

@@ -83,11 +83,18 @@ def test_release_output_is_pinned(tmp_path, name):
     assert _run(tmp_path, "release", *CASES[name]) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-def test_experiment_output_is_pinned(tmp_path):
+EXPERIMENTS = {
+    "experiment_degree_histogram": ("incremental", ["--function", "degree_histogram", "-D", "12"]),
+    "experiment_edge_count": ("fully-dynamic", ["--function", "edge_count"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_output_is_pinned(tmp_path, name):
     # the # summary: line pins the quantiles of the per-trial max error
-    args = ["--function", "degree_histogram", "-D", "12", "--trials", "3"]
-    got = _run(tmp_path, "experiment", "incremental", args)
-    assert got == (GOLDEN / "experiment_degree_histogram.csv").read_bytes()
+    kind, args = EXPERIMENTS[name]
+    got = _run(tmp_path, "experiment", kind, [*args, "--trials", "3"])
+    assert got == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 SENSITIVITY = {

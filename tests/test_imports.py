@@ -40,9 +40,12 @@ for name in ("edge_count", "triangle_count", "degree_histogram"):
 @pytest.mark.parametrize(
     "args, loaded",
     [
-        (["release", "--function", "edge_count"], ["numpy"]),
+        # a scalar statistic's columns are lists, and one source draws with
+        # sample_laplace; a histogram's mechanism holds arrays
+        (["release", "--function", "edge_count"], []),
         (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
          ["numpy"]),
+        (["experiment", "--function", "edge_count", "--trials", "2"], []),
         # the control: the monotone mechanism is loaded when it runs, and its
         # exact values and SVT build no array
         (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
@@ -55,11 +58,22 @@ for name in ("edge_count", "triangle_count", "degree_histogram"):
         (["sensitivity", "--function", "edge_count", "--max-pairs", "20"],
          ["continualdp.generators", "continualdp.oracle"]),
     ],
-    ids=["release", "experiment", "monotone", "eval", "eval-min_cut", "eval-densest_subgraph",
-         "sensitivity"],
+    ids=["release", "experiment", "experiment-edge_count", "monotone", "eval", "eval-min_cut",
+         "eval-densest_subgraph", "sensitivity"],
 )
 def test_cli_runs_load_only_what_they_use(tmp_path, args, loaded):
     assert _cli_loaded(tmp_path, args, *LAZY, "numpy") == loaded
+
+
+def test_scalar_library_releases_load_no_numpy():
+    code = """
+from continualdp import GraphFunction, RandomSource, parse_sequence, release
+seq = parse_sequence("t=0 +v:0,1,2,3\\nt=1 +e:0-1:2,1-2:1\\nt=2 +e:0-2:1,2-3:3\\n")
+for name, kw in [("triangle_count", dict(D=3)), ("mst_weight", dict(W=3))]:
+    report = release(seq, GraphFunction(name), 1.0, 0.05, RandomSource(1), **kw)
+    assert len(report.records) == 2 and report.max_abs_error >= 0
+"""
+    assert loaded_modules(code, "numpy") == []
 
 
 def test_experiment_leaves_numpy_ma_unloaded(tmp_path):
@@ -71,15 +85,16 @@ def test_experiment_leaves_numpy_ma_unloaded(tmp_path):
 @pytest.mark.parametrize(
     "args, loaded",
     [
-        (["release", "--function", "edge_count"], ["numpy"]),
+        (["release", "--function", "edge_count"], []),
         (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
          ["numpy"]),
+        (["experiment", "--function", "edge_count", "--trials", "2"], []),
         (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
           "--range-r", "10"], []),
         (["eval", "--function", "edge_count"], []),
         (["sensitivity", "--function", "edge_count", "--max-pairs", "20"], []),
     ],
-    ids=["release", "experiment", "monotone", "eval", "sensitivity"],
+    ids=["release", "experiment", "experiment-edge_count", "monotone", "eval", "sensitivity"],
 )
 def test_cli_runs_leave_numpy_random_unloaded(tmp_path, args, loaded):
     # noise comes from a SHAKE-256 stream; numpy 1.x loads numpy.random on import

@@ -227,9 +227,9 @@ def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, ma
     module = importlib.import_module("continualdp.release")
     counting = importlib.import_module("continualdp.counting")
     calls, draws = [], []
-    evaluate, block = module.exact_values, counting.laplace_block
+    evaluate, draw = module.exact_values, counting.sample_laplace
     monkeypatch.setattr(module, "exact_values", lambda *a: calls.append(a) or evaluate(*a))
-    monkeypatch.setattr(counting, "laplace_block", lambda *a: draws.append(a) or block(*a))
+    monkeypatch.setattr(counting, "sample_laplace", lambda *a: draws.append(a) or draw(*a))
     seq = gen_event_level("triangle", "edge", [1, 1, 1])
 
     def run(epsilon=1.0, delta=0.05):
@@ -239,8 +239,8 @@ def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, ma
     with pytest.raises(error, match=match):
         run(**bad)
     assert calls == [] and draws == []
-    run()  # the spies see the one evaluation and one noise block of a valid release
-    assert len(calls) == len(draws) == 1
+    run()  # the spies see the one evaluation and the draws of a valid release
+    assert len(calls) == 1 and len(draws) == sum(seq.T >> i for i in range(seq.T.bit_length()))
 
 
 def _invalidated(seq: GraphSequence, rng: RandomSource, mode: str) -> GraphSequence:
@@ -267,9 +267,14 @@ def _invalidated(seq: GraphSequence, rng: RandomSource, mode: str) -> GraphSeque
     return GraphSequence(seq.initial, updates)
 
 
+def _column(values) -> list:
+    """A report's column as a list: a scalar statistic's already is one."""
+    return values if isinstance(values, list) else values.tolist()
+
+
 def _outcome(run):
     try:
-        return run().est.tolist()
+        return _column(run().est)
     except ContinualDPError as exc:
         return type(exc), str(exc)
 
@@ -404,7 +409,7 @@ def _eager_records(seq, f, est, bound, D):
         rows = zip(exact.astype(int).tolist(), est.tolist(), errors)
         return [ReleaseRecord(t, tuple(value), tuple(e), err, bound)
                 for t, (value, e, err) in enumerate(rows, start=1)]
-    rows = zip(np.array(values, float).tolist(), est.tolist())
+    rows = zip(np.array(values, float).tolist(), est)
     return [ReleaseRecord(t, v, e, abs(e - v), bound) for t, (v, e) in enumerate(rows, start=1)]
 
 
@@ -461,16 +466,21 @@ def test_a_release_on_given_exact_values_equals_the_full_release(kind):
                 first = trial(0)
             except UnboundedSensitivity as exc:  # refused with or without the replay
                 with pytest.raises(UnboundedSensitivity, match=re.escape(str(exc))):
-                    trial(0, exact=np.zeros(seq.T))
+                    trial(0, exact=[0.0] * seq.T)
                 continue
             for j in (1, 2):
                 plain, given = trial(j), trial(j, exact=first.exact)
-                assert given.est.tobytes() == plain.est.tobytes()
+                assert _bits(given.est) == _bits(plain.est)
                 assert given.exact is first.exact
-                assert given.exact.tobytes() == plain.exact.tobytes()
+                assert _bits(given.exact) == _bits(plain.exact)
                 assert (given.gamma, given.bound) == (plain.gamma, plain.bound)
                 released += 1
     assert released >= 50
+
+
+def _bits(column) -> bytes:
+    """The exact float64 bytes of a list or array column, so that -0.0 != 0.0."""
+    return np.asarray(column, float).tobytes()
 
 
 def test_given_exact_values_skip_only_the_replay(monkeypatch):
@@ -497,8 +507,13 @@ def test_release_refuses_exact_values_of_another_shape():
     good = release(seq, hist, 1.0, 0.05, RandomSource(1), D=3).exact
     assert good.shape == (seq.T, 4)
     for f, kw, bad in [(hist, dict(D=3), good[:, :3]), (hist, dict(D=3), good[:-1]),
-                       (hist, dict(D=4), good), (edges, {}, good),
-                       (edges, {}, np.zeros((seq.T, 1))), (edges, {}, np.zeros(seq.T + 1)),
-                       (edges, {}, [0.0] * seq.T)]:
-        with pytest.raises(OutOfRange, match=r"exact must be an array of shape \("):
+                       (hist, dict(D=4), good), (hist, dict(D=3), good.tolist())]:
+        with pytest.raises(OutOfRange, match=r"exact must be an array of shape \(3, "):
             release(seq, f, 1.0, 0.05, RandomSource(1), exact=bad, **kw)
+    # a scalar statistic's column is a list of T floats
+    scalar = release(seq, edges, 1.0, 0.05, RandomSource(1)).exact
+    assert type(scalar) is list and {*map(type, scalar)} == {float} and len(scalar) == seq.T
+    for bad in [good, np.zeros(seq.T), np.zeros((seq.T, 1)), [0.0] * (seq.T + 1),
+                [0, 0, 0], [[0.0]] * seq.T, tuple(scalar)]:
+        with pytest.raises(OutOfRange, match="exact must be a list of 3 floats"):
+            release(seq, edges, 1.0, 0.05, RandomSource(1), exact=bad)
