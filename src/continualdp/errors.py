@@ -48,10 +48,6 @@ class OutOfRange(ContinualDPError):
     """Index arguments outside their documented domain."""
 
 
-class SizeLimitExceeded(ContinualDPError):
-    """Graph above the node count an exact evaluator accepts."""
-
-
 class MissingTerminal(ContinualDPError):
     """A required terminal node (s or t) is absent from the graph."""
 

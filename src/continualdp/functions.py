@@ -9,13 +9,15 @@ independent oracles in ``tests/oracles.py``:
 
 * minimum cut: hand-rolled Stoer-Wagner on integer rows, against
   networkx and a numpy Stoer-Wagner with the same phases
+* s-t minimum cut: integer max-flow (``_max_flow``), against networkx
 * max weight matching: blossom (networkx), against a bitmask subset DP
 * max cardinality matching: Edmonds' blossom search, against the DP
-* densest subgraph: Dinkelbach steps on Goldberg's max-flow network,
-  exact in integers for n <= 20, against parametric max-flow and a table
-  of |E(S)| over every node subset
+* densest subgraph: Dinkelbach steps on Goldberg's network by the same
+  max-flow, against parametric max-flow and a table of |E(S)| over every
+  node subset
 
-None of them imports numpy, so neither does a monotone release.
+None of them imports numpy, so neither does a monotone release; only
+weighted matching imports networkx.
 
 On a ``DynamicGraph`` state, ``evaluate`` keeps a running value of every
 statistic but edge count and weighted matching: computed once from
@@ -46,12 +48,9 @@ from .errors import (
     MissingTerminal,
     OutOfRange,
     ParameterOutOfRange,
-    SizeLimitExceeded,
     UnknownFunction,
 )
 from .graphs import DynamicGraph, Graph
-
-DENSEST_SIZE_LIMIT = 20
 
 # generator target -> the statistic it drives; the CLI lists the targets
 # without loading generators
@@ -177,7 +176,7 @@ def _component(g: Graph) -> set[int]:
     return {v for v in g.nodes if dsu.find(v) == root}
 
 
-def _stoer_wagner(w: list[list[int]]) -> tuple[float, list[int]]:
+def _stoer_wagner(w: list[list[int]]) -> tuple[int, list[int]]:
     """Global min cut of a connected weighted graph given as symmetric
     integer rows, which it consumes, with the rows of one side of it: the
     group merged into the last vertex of the best phase.
@@ -214,7 +213,7 @@ def _stoer_wagner(w: list[list[int]]) -> tuple[float, list[int]]:
         del w[last], alive[last]
         for row in w:
             del row[last]
-    return float(best), side
+    return best, side
 
 
 def _min_cut_side(g: Graph) -> tuple[float, set[int]]:
@@ -231,7 +230,9 @@ def _min_cut_side(g: Graph) -> tuple[float, set[int]]:
     for (u, v), w in g.edges.items():
         rows[idx[u]][idx[v]] = rows[idx[v]][idx[u]] = w
     value, side = _stoer_wagner(rows)
-    return value, {order[i] for i in side}
+    if value > sys.float_info.max:
+        raise ParameterOutOfRange("cut value is too large for a float")
+    return float(value), {order[i] for i in side}
 
 
 def min_cut(g: Graph) -> float:
@@ -240,17 +241,20 @@ def min_cut(g: Graph) -> float:
 
 
 def _st_cut_side(g: Graph, s: int, t: int) -> tuple[float, set[int]]:
-    """Minimum s-t cut via max-flow, with its s-side."""
+    """Minimum s-t cut by max-flow, with the s-side nearest s."""
     if s not in g.nodes or t not in g.nodes:
         raise MissingTerminal(f"terminal {s if s not in g.nodes else t} absent")
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(g.nodes)
+    order = sorted(g.nodes)
+    idx = {v: i for i, v in enumerate(order)}
+    adj = g.adjacency()
+    arcs = [[idx[x] for x in adj[v]] for v in order]
+    cap = [[0] * g.n for _ in order]
     for (u, v), w in g.edges.items():
-        G.add_edge(u, v, capacity=w)
-    value, (side, _t_side) = nx.minimum_cut(G, s, t, capacity="capacity")
-    return float(value), side
+        cap[idx[u]][idx[v]] = cap[idx[v]][idx[u]] = w
+    value, side = _max_flow(cap, arcs, idx[s], idx[t])
+    if value > sys.float_info.max:
+        raise ParameterOutOfRange("cut value is too large for a float")
+    return float(value), {order[i] for i in side}
 
 
 def st_min_cut(g: Graph, s: int, t: int) -> float:
@@ -373,8 +377,6 @@ def _densest(g: Graph, start) -> tuple[int, set[int]]:
     (sum of the source arcs - minimum cut) / 2; a positive one makes S
     denser than the current set, and zero proves the current set densest.
     """
-    if g.n > DENSEST_SIZE_LIMIT:
-        raise SizeLimitExceeded(f"densest subgraph limited to n <= {DENSEST_SIZE_LIMIT}")
     order = sorted(g.nodes)
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)

@@ -1,17 +1,19 @@
 """Independent exact evaluators that the production ones in
 ``continualdp.functions`` are checked against: networkx's Stoer-Wagner
-and a numpy Stoer-Wagner for the global minimum cut, a bitmask subset DP
-for both matchings, and parametric max-flow and a table of |E(S)| over
-every node subset for the densest subgraph."""
+and a numpy Stoer-Wagner for the global minimum cut, networkx's max-flow
+for the s-t minimum cut, a bitmask subset DP for both matchings, and
+parametric max-flow and a table of |E(S)| over every node subset for the
+densest subgraph.  The subset table and the DP take exponential time and
+memory, so they refuse graphs above their node limits with a ValueError."""
 
 from __future__ import annotations
 
 import math
 
 from continualdp import Graph
-from continualdp.errors import SizeLimitExceeded
-from continualdp.functions import DENSEST_SIZE_LIMIT, _component
+from continualdp.functions import _component
 
+SUBSET_TABLE_LIMIT = 20
 MATCHING_DP_LIMIT = 22
 
 
@@ -26,6 +28,17 @@ def min_cut_networkx(g: Graph) -> float:
         return 0.0
     value, _part = nx.stoer_wagner(G)
     return float(value)
+
+
+def st_min_cut_networkx(g: Graph, s: int, t: int) -> float:
+    """Minimum s-t cut by networkx max-flow, each edge a capacity both ways."""
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(g.nodes)
+    for (u, v), w in g.edges.items():
+        G.add_edge(u, v, capacity=w)
+    return float(nx.minimum_cut_value(G, s, t))
 
 
 def min_cut_side_numpy(g: Graph) -> tuple[float, set[int]]:
@@ -82,8 +95,8 @@ class SubsetEdges:
         import numpy as np
 
         n = g.n
-        if n > DENSEST_SIZE_LIMIT:
-            raise SizeLimitExceeded(f"subset table limited to n <= {DENSEST_SIZE_LIMIT}")
+        if n > SUBSET_TABLE_LIMIT:
+            raise ValueError(f"subset table limited to n <= {SUBSET_TABLE_LIMIT}")
         self.bit = {v: i for i, v in enumerate(sorted(g.nodes))}
         size = np.zeros(1 << n, np.uint8)
         for i in range(n):
@@ -112,7 +125,7 @@ class SubsetEdges:
 def matching_dp(g: Graph, unit: bool) -> int:
     """Exact matching by subset DP over the node set; ``unit`` counts edges."""
     if g.n > MATCHING_DP_LIMIT:
-        raise SizeLimitExceeded(f"matching DP limited to n <= {MATCHING_DP_LIMIT}")
+        raise ValueError(f"matching DP limited to n <= {MATCHING_DP_LIMIT}")
     order = sorted(g.nodes)
     idx = {v: i for i, v in enumerate(order)}
     nbr: list[list[tuple[int, int]]] = [[] for _ in order]

@@ -204,6 +204,25 @@ def test_release_refuses_values_too_large_for_a_float(runner, tmp_path, args, me
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("function", [["min_cut"], ["st_min_cut", "--s", "0", "--t", "1"]],
+                         ids=["min_cut", "st_min_cut"])
+@pytest.mark.parametrize("command", [
+    ["eval"],
+    ["release", "--mechanism", "monotone", "-W", str(10**308), "--range-r", "10",
+     "--epsilon", "1", "--delta", "0.05", "--seed", "1"],
+], ids=["eval", "monotone"])
+def test_a_cut_too_large_for_a_float_is_refused(runner, tmp_path, command, function):
+    # each weight fits a float and the declared W, but every cut weighs 2 * 10**308
+    log, csv = tmp_path / "big.log", tmp_path / "out.csv"
+    w = 10**308
+    log.write_text(f"t=0 +v:0,1,2\nt=1 +e:0-1:{w},1-2:{w},0-2:{w}\n")
+    result = runner.invoke(main, [*command, "--function", *function, "--input", str(log),
+                                  "--out", str(csv)])
+    assert result.exit_code == 2, result.output
+    assert "error: cut value is too large for a float" in result.output
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("args, label", [
     (["--function", "kstar_count", "--k", "3", "-D", "2"], "kstar_count(k=3)"),
     (["--function", "kstar_count", "--k", "3", "-D", "2", "--adjacency", "node"],

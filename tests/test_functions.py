@@ -10,7 +10,6 @@ from continualdp import functions
 from continualdp.errors import (
     MissingTerminal,
     OutOfRange,
-    SizeLimitExceeded,
     UnknownFunction,
 )
 from continualdp.graphs import DynamicGraph
@@ -193,18 +192,42 @@ def test_st_min_cut_requires_terminals():
         st_min_cut(g, 0, 9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(min_value=2, max_value=25))
+def test_st_min_cut_equals_networkx_and_its_side_is_a_minimum_cut(seed, n):
+    rng = RandomSource(seed)
+    g = random_graph(rng.child("g"), n, density=rng.uniform(), W=1 + rng.integers(0, 5))
+    s = rng.integers(0, n)
+    t = (s + rng.integers(1, n)) % n
+    value, side = functions._st_cut_side(g, s, t)
+    assert value == st_min_cut(g, s, t) == oracles.st_min_cut_networkx(g, s, t)
+    assert s in side and t not in side
+    assert value == sum(w for (u, v), w in g.edges.items() if (u in side) != (v in side))
+
+
 def test_size_limits_enforced():
-    with pytest.raises(SizeLimitExceeded):
+    # the exponential references refuse graphs above their node limits
+    with pytest.raises(ValueError, match="matching DP limited to n <= 22"):
         oracles.matching_dp(Graph(range(23)), unit=False)
-    # the densest subgraph is exact up to 20 nodes, from scratch and kept
+    with pytest.raises(ValueError, match="subset table limited to n <= 20"):
+        oracles.SubsetEdges(Graph(range(21)))
+
+
+@pytest.mark.parametrize("n", [21, 40, 60])
+def test_densest_subgraph_above_20_nodes_equals_parametric_max_flow(n):
+    # from scratch, and kept on a DynamicGraph along later insertions
+    rng = RandomSource(n)
+    g = random_graph(rng.child("g"), n, density=6 / n)
     f = GraphFunction("densest_subgraph")
-    at_limit, over = (random_graph(RandomSource(n), n, density=0.5) for n in (20, 21))
-    assert densest_subgraph(at_limit) == oracles.SubsetEdges(at_limit).total
-    assert evaluate(f, DynamicGraph(at_limit)) == densest_subgraph(at_limit)
-    with pytest.raises(SizeLimitExceeded):
-        densest_subgraph(over)
-    with pytest.raises(SizeLimitExceeded):
-        evaluate(f, DynamicGraph(over))
+    state = DynamicGraph(g)
+    absent = [e for e in itertools.combinations(range(n), 2) if e not in g.edges]
+    for _ in range(4):
+        snap = Graph(state.nodes, state.edges)
+        want = oracles.densest_flow(snap)
+        assert densest_subgraph(snap) == pytest.approx(want)
+        assert evaluate(f, state) == pytest.approx(want)
+        state.apply(Update(e_ins={absent.pop(rng.integers(0, len(absent))): 1
+                                  for _ in range(n // 4)}))
 
 
 def test_graph_function_validation():

@@ -3,8 +3,8 @@ generate output.
 
 Each log is built here from a fixed seed, so the test covers the whole
 path: serializing, parsing, replaying, releasing and writing the CSV.
-The monotone releases pin the exact min cut and densest subgraph values
-that the SVT ladder compares against its thresholds.
+The monotone releases pin the exact min cut, s-t min cut and densest
+subgraph values that the SVT ladder compares against its thresholds.
 The sensitivity reports pin which oracle draws pass the adjacency check,
 and the generated pair pins its witness and both logs.  The files under
 ``tests/golden`` hold the expected bytes; rewrite them only for a change
@@ -37,6 +37,12 @@ CASES = {
         "edges",
         ["--mechanism", "monotone", "--function", "min_cut", "-W", "2", "--range-r", "24",
          "--beta", "0.1"],
+        "50",
+    ),
+    "monotone_st_min_cut": (
+        "edges",
+        ["--mechanism", "monotone", "--function", "st_min_cut", "--s", "0", "--t", "1", "-W",
+         "2", "--range-r", "24", "--beta", "0.1"],
         "50",
     ),
     "monotone_densest_subgraph": (
