@@ -23,8 +23,9 @@ mechanism is built and never written again.  Every reader (both feed
 paths, ``estimate``, ``trace`` and a block's view) computes the p-sum of
 level i ending at e as ``S_e - S_(e - 2^i)`` plus its draw, so any split
 of a stream into blocks releases bit for bit what feeding it item by item
-does.  One source keeps lists of floats and calls ``sample_laplace``, with
-no numpy; k sources keep arrays, drawn by ``laplace_block`` to equal values.
+does.  One source keeps its totals and draws in ``array('d')`` stores,
+drawn in one pass by ``laplace_array``, with no numpy; k sources keep numpy
+arrays, drawn by ``laplace_block`` to equal values.
 On integer streams (exact in float64) every p-sum is the exact interval sum.
 Only the noisy p-sums and the estimates summed from them are private; the
 clean p-sums in the records are the exact interval sums of the data, kept
@@ -34,6 +35,7 @@ for audits (``verify bounds`` rebuilds every count from them).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ from .errors import (
     NonPositiveScale,
     OutOfRange,
 )
-from .noise import RandomSource, concentration_bound, laplace_block, sample_laplace
+from .noise import RandomSource, concentration_bound, laplace_array, laplace_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,8 +157,8 @@ class BinaryMechanism:
         # S[t]: the total of the first t items, written at step t; head[i]: the
         # estimate at the last multiple of 2^i so far (0 at t=0)
         if self._scalar:
-            self._S = [0.0] * (T + 1)
-            self._draws = [sample_laplace(rng, self.per_psum_scale) for _ in range(n)]
+            self._S = array("d", [0.0]) * (T + 1)
+            self._draws = laplace_array(rng, self.per_psum_scale, n)
             self._head = [0.0] * (self.x + 1)
         else:
             import numpy as np
@@ -226,13 +228,13 @@ class BinaryMechanism:
         float for one source and a (k,) array for k."""
         S, head, draws = self._S, self._head, self._draws
         t, n = self._t, _count(0, self._t)  # n: the p-sums released so far
-        out = []
+        out, s = [], S[t]  # s: S_t, carried so that no step reads it back
         for row in rows:
             t += 1
-            S[t] = S[t - 1] + row  # row t is read only from step t on
+            S[t] = s = s + row  # row t is read only from step t on
             closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
             n += closing
-            est = head[closing] + (S[t] - S[t - (1 << closing - 1)] + draws[n - 1])
+            est = head[closing] + (s - S[t - (1 << closing - 1)] + draws[n - 1])
             for i in range(closing):
                 head[i] = est
             out.append(est)

@@ -6,15 +6,30 @@ byte stream under a 32-byte key.  A seeded source derives its key from a
 unseeded source takes its key from OS entropy and cannot be replayed.
 Child sources derived from (seed, label) pairs keep parallel trials
 independent yet replayable.
+
+The stream is hashed by CPython's built-in SHAKE-256 and BLAKE2b, which
+load no OpenSSL; a build configured without them, as FIPS builds can be,
+falls back to ``hashlib``, with the same bytes.  ``laplace_array`` draws a
+block of Laplace noise into an ``array('d')`` without numpy;
+``laplace_block`` draws the same values into a numpy array, reading its
+chunks through ``hashlib``'s faster OpenSSL SHAKE, as that path loads
+numpy anyway.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
+from array import array
+from math import copysign, log1p
 from typing import TYPE_CHECKING
+
+try:  # CPython's own hashes: hashlib would map OpenSSL's libcrypto
+    from _blake2 import blake2b
+    from _sha3 import shake_256
+except ImportError:
+    from hashlib import blake2b, shake_256
 
 from .errors import BadDelta, EmptyList, NonPositiveScale
 
@@ -27,7 +42,7 @@ _CHUNK = 4096
 _WORD = struct.Struct(">Q")
 _WORDS = 1 << 64
 _ULP = 2.0**-53  # a uniform is the top 53 bits of a word, times 2^-53
-_SLICE = 4096  # draws per math.log1p pass of laplace_block
+_SLICE = 4096  # draws per math.log1p pass of laplace_array and laplace_block
 
 
 class RandomSource:
@@ -47,7 +62,7 @@ class RandomSource:
         else:
             self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
             seed_bytes = self.seed.to_bytes(8, "big")
-            self._start(hashlib.shake_256(_SEED_KEY_LABEL + seed_bytes).digest(32))
+            self._start(shake_256(_SEED_KEY_LABEL + seed_bytes).digest(32))
 
     def _start(self, key: bytes) -> None:
         self._key = key
@@ -61,15 +76,15 @@ class RandomSource:
         if self.seed is None:
             child = RandomSource.__new__(RandomSource)
             child.seed = None
-            key = hashlib.blake2b(str(label).encode(), key=self._key, digest_size=32)
+            key = blake2b(str(label).encode(), key=self._key, digest_size=32)
             child._start(key.digest())
             return child
-        h = hashlib.blake2b(f"{self.seed}:{label}".encode(), digest_size=8)
+        h = blake2b(f"{self.seed}:{label}".encode(), digest_size=8)
         return RandomSource(int.from_bytes(h.digest(), "big"))
 
-    def _refill(self) -> None:
+    def _refill(self, shake=shake_256) -> None:
         counter = self._counter.to_bytes(8, "big")
-        self._chunk = hashlib.shake_256(self._key + counter).digest(_CHUNK)
+        self._chunk = shake(self._key + counter).digest(_CHUNK)
         self._counter += 1
         self._pos = 0
 
@@ -81,20 +96,25 @@ class RandomSource:
         self._pos = pos + 8
         return _WORD.unpack_from(self._chunk, pos)[0]
 
-    def _uniforms(self, n: int) -> np.ndarray:
-        """The next n draws of ``uniform()``, as an array."""
-        import numpy as np
-
+    def _read(self, size: int, shake=shake_256) -> bytes:
+        """The next ``size`` bytes of the stream; ``shake`` hashes any new chunk."""
         parts = []
-        size = 8 * n
         while size:
             if self._pos == len(self._chunk):
-                self._refill()
+                self._refill(shake)
             part = self._chunk[self._pos:self._pos + size]
             self._pos += len(part)
             size -= len(part)
             parts.append(part)
-        return (np.frombuffer(b"".join(parts), ">u8") >> 11) * _ULP
+        return b"".join(parts)
+
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next n draws of ``uniform()``, as an array."""
+        import hashlib
+
+        import numpy as np
+
+        return (np.frombuffer(self._read(8 * n, hashlib.shake_256), ">u8") >> 11) * _ULP
 
     def uniform(self) -> float:
         """One uniform draw in [0, 1), a multiple of 2^-53."""
@@ -125,6 +145,20 @@ def sample_laplace(rng: RandomSource, b: float) -> float:
     while u == -0.5:  # ln(0) guard; probability ~2^-53 per draw
         u = rng.uniform() - 0.5
     return -b * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
+
+
+def laplace_array(rng: RandomSource, b: float, n: int) -> array:
+    """The next n draws of ``sample_laplace(rng, b)``, bit for bit, as an
+    ``array('d')``, read and transformed a slice at a time without numpy."""
+    _check_scale(b)
+    out = array("d")
+    while len(out) < n:
+        m = min(n - len(out), _SLICE)
+        words = struct.unpack(f">{m}Q", rng._read(8 * m))
+        # sample_laplace's arithmetic, skipping exact zero uniforms as it does
+        out.extend([-b * copysign(1.0, u) * log1p(-2.0 * abs(u))
+                    for w in words if (u := (w >> 11) * _ULP - 0.5) != -0.5])
+    return out
 
 
 def laplace_block(rng: RandomSource, b: float, n: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -23,7 +24,7 @@ def zero_noise_draws():
     inside the block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("continualdp.counting.laplace_block", lambda rng, b, n: np.zeros(n))
-        mp.setattr("continualdp.counting.sample_laplace", lambda rng, b: 0.0)
+        mp.setattr("continualdp.counting.laplace_array", lambda rng, b, n: array("d", [0.0]) * n)
         mp.setattr("continualdp.monotone.sample_laplace", lambda rng, b: 0.0)
         yield
 

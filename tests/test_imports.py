@@ -1,5 +1,7 @@
 """What a run loads: generators, oracle and monotone only on first use,
-and numpy only where code builds an array.
+and numpy only where code builds an array.  OpenSSL's ``_hashlib`` comes
+only with numpy: the noise stream hashes with CPython's built-in SHAKE-256
+and BLAKE2b, and only the numpy draws read it through ``hashlib``.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests
 do not count.
@@ -22,7 +24,7 @@ except SystemExit as exc:
 
 @pytest.mark.parametrize("code", ["import continualdp", "import continualdp.cli"])
 def test_import_loads_no_lazy_module(code):
-    assert loaded_modules(code, *LAZY, "numpy") == []
+    assert loaded_modules(code, *LAZY, "numpy", "_hashlib") == []
 
 
 def test_parse_and_local_evaluators_load_no_numpy():
@@ -34,17 +36,18 @@ for name in ("edge_count", "triangle_count", "degree_histogram"):
     f = GraphFunction(name)
     assert [evaluate(f, g) for g in seq.iter_graphs()] == exact_values(seq, f, D=3)
 """
-    assert loaded_modules(code, "numpy") == []
+    assert loaded_modules(code, "numpy", "_hashlib") == []
 
 
 @pytest.mark.parametrize(
     "args, loaded",
     [
-        # a scalar statistic's columns are lists, and one source draws with
-        # sample_laplace; a histogram's mechanism holds arrays
+        # a scalar statistic's columns are lists, and one source draws into
+        # array('d') stores; a histogram's mechanism holds numpy arrays, drawn
+        # through hashlib's SHAKE
         (["release", "--function", "edge_count"], []),
         (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
-         ["numpy"]),
+         ["numpy", "_hashlib"]),
         (["experiment", "--function", "edge_count", "--trials", "2"], []),
         # the control: the monotone mechanism is loaded when it runs, and its
         # exact values and SVT build no array
@@ -62,7 +65,7 @@ for name in ("edge_count", "triangle_count", "degree_histogram"):
          "eval-densest_subgraph", "sensitivity"],
 )
 def test_cli_runs_load_only_what_they_use(tmp_path, args, loaded):
-    assert _cli_loaded(tmp_path, args, *LAZY, "numpy") == loaded
+    assert _cli_loaded(tmp_path, args, *LAZY, "numpy", "_hashlib") == loaded
 
 
 def test_scalar_library_releases_load_no_numpy():
@@ -73,7 +76,7 @@ for name, kw in [("triangle_count", dict(D=3)), ("mst_weight", dict(W=3))]:
     report = release(seq, GraphFunction(name), 1.0, 0.05, RandomSource(1), **kw)
     assert len(report.records) == 2 and report.max_abs_error >= 0
 """
-    assert loaded_modules(code, "numpy") == []
+    assert loaded_modules(code, "numpy", "_hashlib") == []
 
 
 def test_experiment_leaves_numpy_ma_unloaded(tmp_path):

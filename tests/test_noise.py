@@ -1,13 +1,20 @@
 import hashlib
+import importlib.util
 import math
 import struct
+import sys
+from array import array
 
 import numpy as np
 import pytest
 
-from continualdp import RandomSource, concentration_bound, sample_laplace
+from continualdp import RandomSource, concentration_bound, noise, sample_laplace
 from continualdp.errors import BadDelta, EmptyList, NonPositiveScale
-from continualdp.noise import laplace_block
+from continualdp.noise import laplace_array, laplace_block
+
+# the block samplers, each with a test of the container it returns
+SAMPLERS = [(laplace_block, lambda d: isinstance(d, np.ndarray) and d.dtype == np.float64),
+            (laplace_array, lambda d: isinstance(d, array) and d.typecode == "d")]
 
 
 def test_same_seed_reproduces_the_stream():
@@ -51,33 +58,77 @@ def test_stream_known_answer():
     assert rng.integers(0, 2**64) == words[600]
 
 
+def _shake_stream(key: bytes, chunks: int) -> bytes:
+    return b"".join(hashlib.shake_256(key + i.to_bytes(8, "big")).digest(4096)
+                    for i in range(chunks))
+
+
+def _fresh_noise(monkeypatch, fallback: bool):
+    """A fresh copy of the noise module; with ``fallback``, as a build
+    without CPython's built-in _sha3 and _blake2 imports it."""
+    if fallback:
+        for name in ("_sha3", "_blake2"):
+            monkeypatch.setitem(sys.modules, name, None)  # importing it raises ImportError
+    spec = importlib.util.spec_from_file_location("continualdp._noise_copy", noise.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["builtin", "hashlib"])
+def test_stream_bytes_equal_hashlib_shake(monkeypatch, fallback):
+    mod = _fresh_noise(monkeypatch, fallback)
+    if fallback:
+        assert (mod.shake_256, mod.blake2b) == (hashlib.shake_256, hashlib.blake2b)
+    else:
+        sha3, blake2 = pytest.importorskip("_sha3"), pytest.importorskip("_blake2")
+        assert (mod.shake_256, mod.blake2b) == (sha3.shake_256, blake2.blake2b)
+    seeded = mod.RandomSource(123)
+    key = hashlib.shake_256(b"continualdp.noise.RandomSource seed key v1:"
+                            + (123).to_bytes(8, "big")).digest(32)
+    child_seed = hashlib.blake2b(b"123:trial 2", digest_size=8).digest()
+    child_key = hashlib.shake_256(b"continualdp.noise.RandomSource seed key v1:"
+                                  + child_seed).digest(32)
+    unseeded = mod.RandomSource()
+    unseeded_child_key = hashlib.blake2b(b"x", key=unseeded._key, digest_size=32).digest()
+    cases = [(seeded, key), (seeded.child("trial 2"), child_key),
+             (unseeded.child("x"), unseeded_child_key)]
+    for rng, key in cases:
+        # three reads that cross the first two chunk boundaries mid-word
+        got = rng._read(5) + rng._read(8000) + rng._read(4 * 4096 - 8005)
+        assert got == _shake_stream(key, 4)
+
+
 def test_laplace_scale_validation():
     for b in (0.0, -1.0, math.inf, math.nan):
         rng = RandomSource(0)
         with pytest.raises(NonPositiveScale, match="scale must be positive and finite"):
             sample_laplace(rng, b)
-        with pytest.raises(NonPositiveScale, match="scale must be positive and finite"):
-            laplace_block(rng, b, 3)
+        for sampler, _ in SAMPLERS:
+            with pytest.raises(NonPositiveScale, match="scale must be positive and finite"):
+                sampler(rng, b, 3)
         assert rng.uniform() == RandomSource(0).uniform()  # refused before any draw
 
 
-# one chunk of the stream holds 512 words; 5000 draws span two log1p slices
-@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1023, 1024, 1025, 5000])
+# one chunk of the stream holds 512 words; a log1p slice takes 4096 draws
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1023, 1024, 1025, 4095, 4096, 4097, 5000])
 def test_laplace_block_equals_scalar_draws(n):
-    block, scalar = RandomSource(7), RandomSource(7)
-    draws = laplace_block(block, 1.5, n)
-    assert draws.dtype == np.float64 and draws.shape == (n,)
-    assert draws.tolist() == [sample_laplace(scalar, 1.5) for _ in range(n)]
-    # both sources stand at the same place in the stream
-    assert block.uniform() == scalar.uniform()
+    for sampler, holds in SAMPLERS:
+        block, scalar = RandomSource(7), RandomSource(7)
+        draws = sampler(block, 1.5, n)
+        assert holds(draws) and len(draws) == n
+        assert draws.tolist() == [sample_laplace(scalar, 1.5) for _ in range(n)]
+        # both sources stand at the same place in the stream
+        assert block.uniform() == scalar.uniform()
 
 
 def test_laplace_block_continues_a_partly_read_chunk():
-    block, scalar = RandomSource(8), RandomSource(8)
-    assert [block.uniform() for _ in range(300)] == [scalar.uniform() for _ in range(300)]
-    draws = laplace_block(block, 0.5, 4500)
-    assert draws.tolist() == [sample_laplace(scalar, 0.5) for _ in range(4500)]
-    assert block.integers(0, 10**9) == scalar.integers(0, 10**9)
+    for sampler, _ in SAMPLERS:
+        block, scalar = RandomSource(8), RandomSource(8)
+        assert [block.uniform() for _ in range(300)] == [scalar.uniform() for _ in range(300)]
+        draws = sampler(block, 0.5, 4500)
+        assert draws.tolist() == [sample_laplace(scalar, 0.5) for _ in range(4500)]
+        assert block.integers(0, 10**9) == scalar.integers(0, 10**9)
 
 
 def _stubbed(words):
@@ -92,12 +143,15 @@ def _stubbed(words):
 def test_laplace_block_skips_exact_zero_uniforms():
     # a uniform is the word's top 53 bits times 2^-53
     head = [int(u * 2**53) << 11 for u in (0.25, 0.0, 0.0, 0.75, 0.0, 0.5)]
-    block, scalar = _stubbed(head), _stubbed(head)
-    draws = laplace_block(block, 2.0, 6)
-    assert draws.tolist() == [sample_laplace(scalar, 2.0) for _ in range(6)]
-    # u = 0.25 - 0.5 and, after two skipped zeros, u = 0.75 - 0.5
-    assert draws[0] == 2.0 * math.log1p(-0.5) and draws[1] == -2.0 * math.log1p(-0.5)
-    assert block.uniform() == scalar.uniform()
+    for sampler, _ in SAMPLERS:
+        block, scalar = _stubbed(head), _stubbed(head)
+        draws = sampler(block, 2.0, 6)
+        assert draws.tolist() == [sample_laplace(scalar, 2.0) for _ in range(6)]
+        # u = 0.25 - 0.5 and, after two skipped zeros, u = 0.75 - 0.5
+        assert draws[0] == 2.0 * math.log1p(-0.5) and draws[1] == -2.0 * math.log1p(-0.5)
+        # u = 0.5 - 0.5 = +0.0 draws -2.0 * log1p(-0.0) = +0.0, as the scalar draw does
+        assert math.copysign(1.0, draws[2]) == 1.0 and draws[2] == 0.0
+        assert block.uniform() == scalar.uniform()
 
 
 def test_integers_of_a_span_of_one():

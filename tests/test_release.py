@@ -227,9 +227,9 @@ def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, ma
     module = importlib.import_module("continualdp.release")
     counting = importlib.import_module("continualdp.counting")
     calls, draws = [], []
-    evaluate, draw = module.exact_values, counting.sample_laplace
+    evaluate, draw = module.exact_values, counting.laplace_array
     monkeypatch.setattr(module, "exact_values", lambda *a: calls.append(a) or evaluate(*a))
-    monkeypatch.setattr(counting, "sample_laplace", lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(counting, "laplace_array", lambda *a: draws.append(a[2]) or draw(*a))
     seq = gen_event_level("triangle", "edge", [1, 1, 1])
 
     def run(epsilon=1.0, delta=0.05):
@@ -240,7 +240,7 @@ def test_release_checks_parameters_before_evaluating(monkeypatch, bad, error, ma
         run(**bad)
     assert calls == [] and draws == []
     run()  # the spies see the one evaluation and the draws of a valid release
-    assert len(calls) == 1 and len(draws) == sum(seq.T >> i for i in range(seq.T.bit_length()))
+    assert len(calls) == 1 and draws == [sum(seq.T >> i for i in range(seq.T.bit_length()))]
 
 
 def _invalidated(seq: GraphSequence, rng: RandomSource, mode: str) -> GraphSequence:
