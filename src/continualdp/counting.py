@@ -16,14 +16,15 @@ never close.
 A vector stream takes one source per coordinate, and coordinate i releases
 exactly what a scalar mechanism on source i would.  ``feed`` takes one
 item or a block of consecutive items along a leading time axis, and the
-two can be mixed.  The mechanism keeps the prefix totals S_0..S_T, row t
+two can be mixed: every feed runs one step loop, an item at a time, so
+any split of a stream into blocks releases bit for bit what feeding it
+item by item does.  The mechanism keeps the prefix totals S_0..S_T, row t
 written once, at step t, and one Laplace draw per p-sum the horizon can
 close, ``sum(T >> i)`` per source, all drawn in release order when the
-mechanism is built and never written again.  Every reader (both feed
-paths, ``estimate``, ``trace`` and a block's view) computes the p-sum of
-level i ending at e as ``S_e - S_(e - 2^i)`` plus its draw, so any split
-of a stream into blocks releases bit for bit what feeding it item by item
-does.  One source keeps its totals and draws in ``array('d')`` stores,
+mechanism is built and never written again.  Every reader (the step
+loop, ``estimate``, ``trace`` and a block's view) computes the p-sum of
+level i ending at e as ``S_e - S_(e - 2^i)`` plus its draw.  One source
+keeps its totals and draws in ``array('d')`` stores,
 drawn in one pass by ``laplace_array``, with no numpy; k sources keep numpy
 arrays, drawn by ``laplace_block`` to equal values.
 On integer streams (exact in float64) every p-sum is the exact interval sum.
@@ -175,21 +176,30 @@ class BinaryMechanism:
         return self._t
 
     def _check(self, items, block: bool):
-        """Refuse a wrong-shaped item or block, items past T, or one outside
-        ``bounds``, in that order.  One source is checked with builtins, and
-        its item comes back as a float, a block as a list of ints and floats."""
+        """Refuse a wrong-shaped or non-numeric item or block, items past T, or
+        one outside ``bounds``, in that order.  One source is checked with
+        builtins, and its item comes back as a float, a block as a list of ints
+        and floats; k sources' come back as a float array."""
         if self._scalar:
             if not block:
                 items = _number(items)
-            elif not {*map(type, items)} <= {float, int}:
-                items = [*map(_number, items)]
+            else:
+                items = items if isinstance(items, list) else items.tolist()
+                if not {*map(type, items)} <= {float, int}:
+                    items = [*map(_number, items)]
         else:
             import numpy as np
 
             shape = (len(self._rngs),)
-            if (got := np.shape(items))[block:] != shape:
+            try:
+                a = np.asarray(items)
+                got = f"{a.dtype} of shape {a.shape}"
+            except ValueError:
+                a, got = None, "a ragged item"
+            if a is None or a.dtype.kind not in "biuf" or a.shape[block:] != shape:
                 raise OutOfRange(f"an item must have shape {shape} and a block shape "
-                                 f"{('n', *shape)}, got {got}")
+                                 f"{('n', *shape)}, of numbers; got {got}")
+            items = a.astype(float, copy=False)
         n = len(items) if block else 1
         if self._t + n > self.T:
             raise HorizonExceeded(f"{n} more items at t={self._t} exceed horizon T={self.T}")
@@ -211,67 +221,40 @@ class BinaryMechanism:
         sources, along the time axis; it returns the p-sums released at any
         of its n steps, in release order, as a read-only ``PSumView``, and
         the n estimates, one per step: a list for one source, an (n, k)
-        array for k.
+        array for k.  Every feed runs the same step loop, one item at a time.
         """
-        if self._scalar and (isinstance(item, list) or getattr(item, "ndim", 0) == 1):
-            t0, rows = self._t, item if isinstance(item, list) else item.tolist()
-            est = self._run(self._check(rows, True))
-            return PSumView(self, t0, self._t), est
-        if not self._scalar and getattr(item, "ndim", 0) == 2:
-            return self._feed_block(item)
-        est = self._run([self._check(item, False)])[0]
-        return _psum_records(self, self._t - 1, self._t), est
+        ndim = 1 if isinstance(item, list) else getattr(item, "ndim", 0)
+        block = ndim == (1 if self._scalar else 2)
+        t0, items = self._t, self._check(item, block)
+        if not block:
+            est = self._run([items], [0.0])[0]
+            return _psum_records(self, t0, self._t), est
+        if self._scalar:
+            out = [0.0] * len(items)
+        else:
+            import numpy as np
 
-    def _run(self, rows) -> list:
-        """Feed rows one step each and return their estimates: at t, the
-        estimate at t minus its lowest bit plus that bit's p-sum.  A row is a
-        float for one source and a (k,) array for k."""
+            out = np.empty_like(items)
+        est = self._run(items, out)
+        return PSumView(self, t0, self._t), est
+
+    def _run(self, rows, out):
+        """Feed rows one step each and write their estimates into ``out``, which
+        it returns: at t, the estimate at t minus its lowest bit plus that bit's
+        p-sum.  A row is a float for one source and a (k,) array for k."""
         S, head, draws = self._S, self._head, self._draws
         t, n = self._t, _count(0, self._t)  # n: the p-sums released so far
-        out, s = [], S[t]  # s: S_t, carried so that no step reads it back
-        for row in rows:
+        s = S[t]  # S_t, carried so that no step reads it back
+        for j, row in enumerate(rows):
             t += 1
             S[t] = s = s + row  # row t is read only from step t on
             closing = (t & -t).bit_length()  # levels 0..ctz(t) close at t
             n += closing
-            est = head[closing] + (s - S[t - (1 << closing - 1)] + draws[n - 1])
+            out[j] = est = head[closing] + (s - S[t - (1 << closing - 1)] + draws[n - 1])
             for i in range(closing):
                 head[i] = est
-            out.append(est)
         self._t = t
         return out
-
-    def _feed_block(self, items: np.ndarray) -> tuple[PSumView, np.ndarray]:
-        """A block of k-source rows, as arrays over the whole block."""
-        import numpy as np
-
-        items = np.asarray(items, float)
-        self._check(items, True)
-        S, t0, n = self._S, self._t, len(items)
-        t1 = self._t = t0 + n
-        S[t0 + 1:t1 + 1] = items
-        np.cumsum(S[t0:t1 + 1], axis=0, out=S[t0:t1 + 1])  # in stream order, from S_t0
-        ts = np.arange(t0 + 1, t1 + 1)
-        closing = np.frexp(ts & -ts)[1]  # levels 0..ctz(t) close at t
-        # the p-sum each step releases last, that of its lowest set bit
-        top = S[ts - (ts & -ts)]
-        np.subtract(S[t0 + 1:t1 + 1], top, out=top)
-        top += self._draws[_count(0, t0) + np.cumsum(closing) - 1]
-        # est_t = est_(t - h) + top_t for h the lowest bit of t, as _run
-        est = np.empty((n, len(self._rngs)))
-        for i in reversed(range(self.x)):
-            h = 1 << i
-            j = (((t0 >> i) + 1) | 1) * h - t0 - 1  # the first step whose lowest bit is h
-            if j >= n:
-                continue
-            if j < h:  # t - h <= t0, where _head keeps its estimate
-                est[j] = self._head[i + 1] + top[j]
-                j += 2 * h
-            np.add(est[j - h:n - h:2 * h], top[j::2 * h], out=est[j::2 * h])
-        for i in range(self.x + 1):
-            if (last := t1 >> i << i) > t0:
-                self._head[i] = est[last - t0 - 1]
-        return PSumView(self, t0, t1), est
 
     def estimate(self, t: int | None = None) -> float | np.ndarray:
         """Noisy prefix sum at time t (defaults to the current time)."""

@@ -196,7 +196,7 @@ def monotone_run(
         if b < a:
             raise NonMonotoneInput(f"values decrease: {a} -> {b}")
     # alpha checks every parameter before the mechanism draws noise
-    alpha = additive_error(epsilon, beta, delta, r, rho, max(len(values), 1))
+    alpha = additive_error(epsilon, beta, delta, r, rho, len(values))
     mech = MonotoneMechanism(epsilon, beta, r, rho, rng)
     report = MonotoneReport(
         function=function,

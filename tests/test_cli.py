@@ -376,18 +376,23 @@ def test_experiment_rejects_trials_below_one(runner, tmp_path, trials):
     assert not csv.exists()
 
 
-@pytest.mark.parametrize("command", ["release", "experiment"])
-def test_release_refuses_a_log_without_steps(runner, tmp_path, command):
+@pytest.mark.parametrize("command, message", [
+    (["release", "--function", "edge_count"], "horizon must be >= 1, got 0"),
+    (["experiment", "--function", "edge_count"], "horizon must be >= 1, got 0"),
+    (["release", "--mechanism", "monotone", "--function", "max_cardinality_matching",
+      "--range-r", "10"], "T must be >= 1, got 0"),
+], ids=["release", "experiment", "monotone"])
+def test_release_refuses_a_log_without_steps(runner, tmp_path, command, message):
     seq = tmp_path / "empty.log"
     seq.write_text("t=0\n")
     csv = tmp_path / "out.csv"
     result = runner.invoke(
         main,
-        [command, "--function", "edge_count", "--epsilon", "1", "--delta", "0.05",
-         "--input", str(seq), "--seed", "1", "--out", str(csv)],
+        [*command, "--epsilon", "1", "--delta", "0.05", "--input", str(seq), "--seed", "1",
+         "--out", str(csv)],
     )
     assert result.exit_code == 2, result.output
-    assert "horizon must be >= 1, got 0" in result.output
+    assert message in result.output
     assert not csv.exists()
 
 

@@ -306,7 +306,7 @@ def test_bad_block_leaves_state_unchanged(k):
     # source takes a list of numbers as a block, so a list of lists is (n, 2)
     wrong = ([[[1.0, 2.0]], [1.0, np.ones(1)], np.ones((2, 1)), np.ones((0, 2))] if k is None
              else [5.0, np.float64(5.0), np.array([1.0]), [1.0, 2.0], np.ones((4, 2)),
-                   np.ones((2, k, 1))])
+                   np.ones((2, k, 1)), [1.0, [2.0], 3.0], [1.0, "x", 3.0]])
     for item in wrong:
         with pytest.raises(OutOfRange, match="must have shape"):
             mech.feed(item)
@@ -337,7 +337,10 @@ def test_block_fed_mechanism_holds_prefix_totals_and_draws():
     tracemalloc.start()
     try:
         mech = BinaryMechanism(T, 1.0, rngs)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         _recs, est = mech.feed(items)
+        transient = tracemalloc.get_traced_memory()[1] - before - est.nbytes
         # each source keeps its own chunk of the SHAKE-256 stream
         snapshot = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.Filter(False, noise.__file__)])
@@ -346,6 +349,9 @@ def test_block_fed_mechanism_holds_prefix_totals_and_draws():
     held = sum(stat.size for stat in snapshot.statistics("filename")) - est.nbytes
     # (T + 1) x k prefix totals and (2T - 1) x k draws: 3Tk floats, no per-level stores
     assert mech.t == T and held <= 3.05 * T * k * 8
+    # the feed writes its estimates into one (T, k) array, one step at a time,
+    # with no block-sized temporaries
+    assert transient <= 0.05 * T * k * 8
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
