@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -225,6 +226,9 @@ def release_cmd(
     never written or printed."""
     if mechanism == "monotone" and range_r is None:
         raise click.UsageError("--mechanism monotone requires a declared --range-r")
+    if mechanism == "monotone" and degree_bound is not None:
+        raise click.UsageError("--mechanism monotone takes no --degree-bound: no monotone "
+                               "statistic uses D")
     f = _build_function(function, tau, k, s, t_)
     seq = _load_sequence(input_)
     rng = RandomSource(seed)
@@ -285,6 +289,7 @@ def sensitivity_cmd(
         adjacency=adjacency, regime=regime, max_pairs=max_pairs, seed=rng.seed,
     )
     verdict = compare_with_table(f, scope)
+    bound = verdict.formula_at_max
     result = {
         "version": __version__,
         "seed": rng.seed,
@@ -293,13 +298,13 @@ def sensitivity_cmd(
         "regime": regime,
         "status": verdict.status,
         "oracle_value": verdict.oracle_value,
-        "formula_at_max": verdict.formula_at_max,
+        "formula_at_max": bound if math.isfinite(bound) else None,  # JSON has no Infinity
         "pairs_tested": verdict.pairs_tested,
         "witness": [serialize_sequence(w) for w in verdict.witness]
         if verdict.witness
         else None,
     }
-    text = json.dumps(result, indent=2) + "\n"
+    text = json.dumps(result, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

@@ -18,13 +18,14 @@ Closed forms (S_t = sigma(1) + ... + sigma(t)):
 * counting reductions, edge: S_t
 * counting reductions, node: D * S_t
 
-For degree_histogram the closed form refers to the degree-2 bin.
+For degree_histogram the closed form refers to the degree-2 bin.  Each
+counting reduction is one gadget per step, built by ``_gadgets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ParameterOutOfRange,
@@ -202,76 +203,92 @@ def _match_node(sigma: list[int], W: int) -> GraphSequence:
     return GraphSequence(init, updates)
 
 
-# ---- counting reductions, edge adjacency ----
+# ---- counting reductions ----
+
+# a gadget's nodes, its t=0 edges and its insertion; see _gadgets
+Gadget = tuple[Iterable[int], Iterable[EdgeKey], EdgeKey | Iterable[int]]
+
+
+def _gadgets(sigma: list[int], stride: int, gadget: Callable[[int], Gadget]) -> GraphSequence:
+    """One gadget per step t, on the ids from ``base = t * stride``.
+
+    ``gadget(base)`` returns the gadget's nodes, its t=0 edges (unit
+    weight, keys in order) and its insertion: an edge key at edge
+    adjacency, or at node adjacency the nodes (not a tuple) that the new
+    node ``base + stride - 1`` joins.  Step t inserts it when sigma(t) = 1
+    and is empty otherwise.
+    """
+    nodes: list[int] = []
+    edges: dict[EdgeKey, int] = {}
+    updates = []
+    for t, bit in enumerate(sigma, start=1):
+        base = t * stride
+        g_nodes, g_edges, hit = gadget(base)
+        nodes.extend(g_nodes)
+        edges.update(dict.fromkeys(g_edges, 1))
+        if not bit:
+            updates.append(Update())
+        elif type(hit) is tuple:
+            updates.append(Update(e_ins={hit: 1}))
+        else:
+            v = base + stride - 1
+            updates.append(Update(v_ins={v}, e_ins={(a, v): 1 for a in hit}))
+    return GraphSequence(Graph(nodes, edges), updates)
+
+
+def _star_edge(base: int, size: int) -> Gadget:
+    # center, size-1 leaves, one detached leaf
+    return (range(base, base + size + 2), [(base, leaf) for leaf in range(base + 1, base + size)],
+            (base, base + size))
+
+
+def _path_edge(base: int, triangle: bool) -> Gadget:
+    # b-c present; a-b puts b in the degree-2 bin, a-c closes the triangle a-b-c
+    a, b, c = base, base + 1, base + 2
+    if triangle:
+        return (a, b, c), [(b, c), (a, b)], (a, c)
+    return (a, b, c), [(b, c)], (a, b)
 
 
 def _count_edge(target: str, sigma: list[int], tau: int | None, k: int | None) -> GraphSequence:
-    T = len(sigma)
     if target == "edge_count":
-        init = Graph(nodes=range(1, 2 * T + 1))
-        updates = [
-            Update(e_ins={(2 * t - 1, 2 * t): 1}) if bit else Update()
-            for t, bit in enumerate(sigma, start=1)
-        ]
-        return GraphSequence(init, updates)
-
+        return _gadgets(sigma, 2, lambda b: ((b - 1, b), (), (b - 1, b)))
     if target in {"high_degree", "kstar"}:
         size = tau if target == "high_degree" else k
         if size is None or size < 2:
             raise ParameterOutOfRange(f"{target} reduction requires parameter >= 2")
-        # T star gadgets: center, size-1 leaves, one detached leaf
-        nodes = []
-        edges: dict[EdgeKey, int] = {}
-        updates = []
-        stride = size + 2
-        for t in range(1, T + 1):
-            base = t * stride
-            center = base
-            nodes.extend(range(base, base + stride))
-            for leaf in range(base + 1, base + size):
-                edges[edge_key(center, leaf)] = 1
-            missing = edge_key(center, base + size)
-            updates.append(
-                Update(e_ins={missing: 1}) if sigma[t - 1] else Update()
-            )
-        return GraphSequence(Graph(nodes, edges), updates)
-
+        return _gadgets(sigma, size + 2, lambda b: _star_edge(b, size))
     if target in {"degree_histogram", "triangle"}:
-        nodes = []
-        edges = {}
-        updates = []
-        for t in range(1, T + 1):
-            a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
-            nodes.extend((a, b, c))
-            edges[edge_key(b, c)] = 1
-            if target == "triangle":
-                edges[edge_key(a, b)] = 1
-                missing = edge_key(a, c)
-            else:
-                missing = edge_key(a, b)
-            updates.append(
-                Update(e_ins={missing: 1}) if sigma[t - 1] else Update()
-            )
-        return GraphSequence(Graph(nodes, edges), updates)
-
+        triangle = target == "triangle"
+        return _gadgets(sigma, 3, lambda b: _path_edge(b, triangle))
     raise ParameterOutOfRange(f"unknown counting target {target!r}")
 
 
-# ---- counting reductions, node adjacency ----
+def _stars_node(base: int, D: int, size: int) -> Gadget:
+    # D-1 stars with size-1 leaves each; v_t joins every center
+    nodes = range(base, base + (D - 1) * size)
+    centers = nodes[::size]
+    return nodes, [(c, leaf) for c in centers for leaf in range(c + 1, c + size)], centers
+
+
+def _disjoint_edges_node(base: int, D: int) -> Gadget:
+    # D disjoint edges; v_t hits one endpoint of each
+    hits = range(base, base + 2 * D, 2)
+    return range(base, base + 2 * D), [(a, a + 1) for a in hits], hits
+
+
+def _cycle_node(base: int, D: int) -> Gadget:
+    # a D-cycle; v_t joins every cycle node
+    cycle = range(base, base + D)
+    return cycle, [*((a, a + 1) for a in cycle[:-1]), (base, base + D - 1)], cycle
 
 
 def _count_node(
     target: str, sigma: list[int], D: int, tau: int | None, k: int | None
 ) -> GraphSequence:
-    T = len(sigma)
     if D is None or D <= 3:
         raise ParameterOutOfRange("node-level counting reductions require D > 3")
-
-    nodes: list[int] = []
-    edges: dict[EdgeKey, int] = {}
-    updates: list[Update] = []
     stride = 4 * D + 4  # id room per gadget group
-
     if target in {"high_degree", "kstar"}:
         if target == "high_degree":
             size = tau
@@ -281,80 +298,15 @@ def _count_node(
             size = k
             if size != D - 1:
                 raise ParameterOutOfRange("node reduction requires k = D-1")
-        # per group: D-1 stars with size-1 leaves each, then v_t
         stride = max(stride, (D - 1) * size + 1)
-        for t in range(1, T + 1):
-            base = t * stride
-            centers = []
-            nid = base
-            for _ in range(D - 1):
-                center = nid
-                centers.append(center)
-                nodes.append(center)
-                nid += 1
-                for _ in range(size - 1):
-                    nodes.append(nid)
-                    edges[edge_key(center, nid)] = 1
-                    nid += 1
-            v_t = base + stride - 1
-            if sigma[t - 1]:
-                updates.append(
-                    Update(v_ins={v_t}, e_ins={edge_key(v_t, c): 1 for c in centers})
-                )
-            else:
-                updates.append(Update())
-        return GraphSequence(Graph(nodes, edges), updates)
-
+        return _gadgets(sigma, stride, lambda b: _stars_node(b, D, size))
     if target == "degree_histogram":
-        # per group: D disjoint edges; v_t hits one endpoint of each
-        for t in range(1, T + 1):
-            base = t * stride
-            hits = []
-            for j in range(D):
-                a, b = base + 2 * j, base + 2 * j + 1
-                nodes.extend((a, b))
-                edges[edge_key(a, b)] = 1
-                hits.append(a)
-            v_t = base + stride - 1
-            if sigma[t - 1]:
-                updates.append(
-                    Update(v_ins={v_t}, e_ins={(a, v_t): 1 for a in hits})
-                )
-            else:
-                updates.append(Update())
-        return GraphSequence(Graph(nodes, edges), updates)
-
+        return _gadgets(sigma, stride, lambda b: _disjoint_edges_node(b, D))
     if target == "edge_count":
-        for t in range(1, T + 1):
-            base = t * stride
-            group = list(range(base, base + D))
-            nodes.extend(group)
-            v_t = base + stride - 1
-            if sigma[t - 1]:
-                updates.append(
-                    Update(v_ins={v_t}, e_ins={(a, v_t): 1 for a in group})
-                )
-            else:
-                updates.append(Update())
-        return GraphSequence(Graph(nodes, edges), updates)
-
+        # D isolated nodes; v_t joins all of them
+        return _gadgets(sigma, stride, lambda b: (range(b, b + D), (), range(b, b + D)))
     if target == "triangle":
-        # per group: a D-cycle; v_t joins every cycle node
-        for t in range(1, T + 1):
-            base = t * stride
-            cycle = list(range(base, base + D))
-            nodes.extend(cycle)
-            for j in range(D):
-                edges[edge_key(cycle[j], cycle[(j + 1) % D])] = 1
-            v_t = base + stride - 1
-            if sigma[t - 1]:
-                updates.append(
-                    Update(v_ins={v_t}, e_ins={(a, v_t): 1 for a in cycle})
-                )
-            else:
-                updates.append(Update())
-        return GraphSequence(Graph(nodes, edges), updates)
-
+        return _gadgets(sigma, stride, lambda b: _cycle_node(b, D))
     raise ParameterOutOfRange(f"unknown counting target {target!r}")
 
 
@@ -607,10 +559,15 @@ def mst_tightness_pair(W: int) -> tuple[GraphSequence, GraphSequence]:
     """
     if W < 1:
         raise ParameterOutOfRange(f"W must be >= 1, got {W}")
-    init = Graph(range(3))
-    rest = [Update(e_ins={(1, 2): 1}), Update(e_ins={(0, 2): 1})]
-    return (GraphSequence(init, [Update(e_ins={(0, 1): W}), *rest]),
-            GraphSequence(init, [Update(), *rest]))
+    return _first_step_pair(Graph(range(3)), Update(e_ins={(0, 1): W}),
+                            [Update(e_ins={(1, 2): 1}), Update(e_ins={(0, 2): 1})])
+
+
+def _first_step_pair(
+    init: Graph, first: Update, rest: list[Update]
+) -> tuple[GraphSequence, GraphSequence]:
+    """A takes ``first`` at t=1, where B's step is empty; both share ``rest``."""
+    return GraphSequence(init, [first, *rest]), GraphSequence(init, [Update(), *rest])
 
 
 def _alternating(T: int, on: Update, off: Update, first: Update) -> list[Update]:
@@ -691,13 +648,7 @@ def _mst_fd_pair(T: int, W: int, node_level: bool) -> tuple[GraphSequence, Graph
         star = Update(e_ins={(1, 11): 1})
         on = Update(e_ins={(2, 12): W - 1})
         off = Update(e_del={(2, 12)})
-    updates_a = [star]
-    updates_b = [Update()]
-    for t in range(2, T + 1):
-        u = on if t % 2 == 0 else off
-        updates_a.append(u)
-        updates_b.append(u)
-    return GraphSequence(init, updates_a), GraphSequence(init, updates_b)
+    return _first_step_pair(init, star, [on if t % 2 == 0 else off for t in range(2, T + 1)])
 
 
 def _min_cut_pd_pair(T: int, W: int, node_level: bool) -> tuple[GraphSequence, GraphSequence]:
@@ -749,22 +700,10 @@ def _min_cut_pd_pair(T: int, W: int, node_level: bool) -> tuple[GraphSequence, G
 def _matching_pd_pair(T: int, node_level: bool) -> tuple[GraphSequence, GraphSequence]:
     """Incremental growing path whose matching parity never agrees."""
     if node_level:
-        init = Graph({1})
-        updates_a = [Update(v_ins={0}, e_ins={(0, 1): 1})]
-        updates_b = [Update()]
-        for t in range(2, T + 1):
-            u = Update(v_ins={t}, e_ins={(t - 1, t): 1})
-            updates_a.append(u)
-            updates_b.append(u)
-    else:
-        init = Graph(range(T + 1))
-        updates_a = [Update(e_ins={(0, 1): 1})]
-        updates_b = [Update()]
-        for t in range(2, T + 1):
-            u = Update(e_ins={(t - 1, t): 1})
-            updates_a.append(u)
-            updates_b.append(u)
-    return GraphSequence(init, updates_a), GraphSequence(init, updates_b)
+        return _first_step_pair(Graph({1}), Update(v_ins={0}, e_ins={(0, 1): 1}),
+                                [Update(v_ins={t}, e_ins={(t - 1, t): 1}) for t in range(2, T + 1)])
+    return _first_step_pair(Graph(range(T + 1)), Update(e_ins={(0, 1): 1}),
+                            [Update(e_ins={(t - 1, t): 1}) for t in range(2, T + 1)])
 
 
 def unbounded_pair(

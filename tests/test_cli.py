@@ -150,6 +150,22 @@ def test_release_monotone_requires_declared_range(runner, tmp_path, function):
     assert not csv.exists()
 
 
+def test_release_monotone_refuses_a_degree_bound(runner, tmp_path):
+    # no monotone statistic uses D, so a declared D would be published unchecked
+    log = tmp_path / "path.txt"
+    log.write_text("t=0 +v:0,1,2\nt=1 +e:0-1:1\nt=2 +e:1-2:1\n")
+    csv = tmp_path / "mono.csv"
+    result = runner.invoke(
+        main,
+        ["release", "--mechanism", "monotone", "--function", "max_cardinality_matching",
+         "--range-r", "4", "-D", "1", "--epsilon", "1", "--delta", "0.05",
+         "--input", str(log), "--out", str(csv), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--degree-bound" in result.output
+    assert not csv.exists()
+
+
 def test_release_rejects_unbounded_combination(runner, tmp_path):
     out = tmp_path / "cut.txt"
     runner.invoke(
@@ -267,6 +283,21 @@ def test_sensitivity_command_reports_json(runner):
     assert payload["status"] in ("Sound", "Tight")
     assert payload["seed"] == 9
     assert payload["witness"] is None or len(payload["witness"]) == 2
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("function,regime", [("min_cut", "incremental"),
+                                             ("triangle_count", "fully-dynamic")])
+def test_sensitivity_of_an_unbounded_cell_is_strict_json(runner, tmp_path, function, regime):
+    out = tmp_path / "s.json"
+    result = runner.invoke(main, ["sensitivity", "--function", function, "--regime", regime,
+                                  "--seed", "3", "--max-pairs", "20", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert payload["formula_at_max"] is None
 
 
 @pytest.mark.parametrize("regime", [None, "incremental", "decremental", "fully-dynamic"])

@@ -6,9 +6,11 @@ path: serializing, parsing, replaying, releasing and writing the CSV.
 The monotone releases pin the exact min cut, s-t min cut and densest
 subgraph values that the SVT ladder compares against its thresholds.
 The sensitivity reports pin which oracle draws pass the adjacency check,
-and the generated pair pins its witness and both logs.  The files under
-``tests/golden`` hold the expected bytes; rewrite them only for a change
-that is meant to alter what a seed releases or which pairs are adjacent.
+the generated pair pins its witness and both logs, and ``generators.txt``
+pins the logs of the event-level reductions and the sensitivity fixture
+pairs.  The files under ``tests/golden`` hold the expected bytes; rewrite
+them only for a change that is meant to alter what a seed releases, which
+pairs are adjacent or what a generator builds.
 """
 
 from pathlib import Path
@@ -16,10 +18,22 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from continualdp import Graph, GraphSequence, RandomSource, Update, serialize_sequence
+from continualdp import (
+    Graph,
+    GraphFunction,
+    GraphSequence,
+    RandomSource,
+    Update,
+    adjacent_pair,
+    gen_event_level,
+    mst_tightness_pair,
+    serialize_sequence,
+    unbounded_pair,
+)
 from continualdp.cli import main
 
 from conftest import random_sequence
+from test_generators import CASES as GENERATOR_CASES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,3 +142,37 @@ def test_generated_pair_is_pinned(tmp_path):
     for suffix in ("", ".partner", ".expected.json"):
         golden = GOLDEN / f"generate_mst_node_flip2.log{suffix}"
         assert Path(f"{log}{suffix}").read_bytes() == golden.read_bytes(), suffix
+
+
+# every function and adjacency unbounded_pair accepts
+UNBOUNDED = [
+    *[(f, adj) for f in ("high_degree", "degree_histogram", "triangle_count", "kstar_count",
+                         "mst_weight", "min_cut", "max_weight_matching",
+                         "max_cardinality_matching") for adj in ("edge", "node")],
+    ("edge_count", "node"),
+]
+
+
+def _generators_text() -> str:
+    parts = []
+    for target, adjacency, kwargs in GENERATOR_CASES:
+        label = f"{target} {adjacency} {sorted(kwargs.items())}"
+        seq = gen_event_level(target, adjacency, [1, 0, 1, 1], **kwargs)
+        pair = adjacent_pair(target, adjacency, [1, 0, 1, 1], 2, **kwargs)
+        parts += [f"# gen_event_level {label} sigma=1011\n", serialize_sequence(seq),
+                  f"# adjacent_pair {label} flip=2\n", serialize_sequence(pair.b)]
+    for name, adjacency in UNBOUNDED:
+        f = GraphFunction(name, tau=3 if name == "high_degree" else None,
+                          k=2 if name == "kstar_count" else None)
+        a, b = unbounded_pair(f, adjacency, 5)
+        parts += [f"# unbounded_pair {name} {adjacency} T=5 a\n", serialize_sequence(a),
+                  f"# unbounded_pair {name} {adjacency} T=5 b\n", serialize_sequence(b)]
+    for W in (1, 2, 3):
+        a, b = mst_tightness_pair(W)
+        parts += [f"# mst_tightness_pair W={W} a\n", serialize_sequence(a),
+                  f"# mst_tightness_pair W={W} b\n", serialize_sequence(b)]
+    return "".join(parts)
+
+
+def test_generator_output_is_pinned():
+    assert _generators_text().encode() == (GOLDEN / "generators.txt").read_bytes()
