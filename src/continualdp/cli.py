@@ -12,12 +12,17 @@ public numbers.  True values come from ``eval`` and errors from
 ``experiment``; ``sensitivity`` and ``experiment`` are diagnostics, so
 they print a drawn 64-bit seed, and ``experiment`` records it in its file.
 
+Arguments are parsed with the standard library's ``argparse``, so a run
+loads no third-party parser.  No option may be abbreviated, and a usage
+error names its option.
+
 Exit codes: 0 ok, 1 internal error, 2 usage or config error,
 3 unsupported combination (no finite sensitivity bound).
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import math
@@ -26,8 +31,6 @@ import sys
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
-
-import click
 
 from . import __version__
 from .errors import ContinualDPError, UnboundedSensitivity, UnknownCombination
@@ -47,10 +50,10 @@ def _wrap_errors(fn):
         try:
             return fn(*args, **kwargs)
         except (UnboundedSensitivity, UnknownCombination) as exc:
-            click.echo(f"unsupported combination: {exc}", err=True)
+            print(f"unsupported combination: {exc}", file=sys.stderr)
             sys.exit(3)
         except ContinualDPError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
 
     return inner
@@ -60,7 +63,7 @@ def _resolve_seed(seed: int | None) -> RandomSource:
     """A seeded source; a diagnostic run without --seed draws and prints one."""
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
-        click.echo(f"seed: {seed}")
+        print(f"seed: {seed}")
     return RandomSource(seed)
 
 
@@ -75,7 +78,7 @@ def _write(path: str | None, *parts: Iterable[str]) -> None:
     """Write each part's lines, which end in a newline, to ``path`` or to
     stdout, as the parts yield them."""
     if path is None:
-        out = click.get_text_stream("stdout")
+        out = sys.stdout
         out.writelines(chain(*parts))
         out.flush()
     else:
@@ -101,47 +104,13 @@ def _build_function(function, tau, k, s, t) -> GraphFunction:
     return GraphFunction(function, tau=tau, k=k, s=s, t=t)
 
 
-_function_options = [
-    click.option("--function", required=True, help="graph statistic name"),
-    click.option("--tau", type=int, default=None, help="degree threshold for high_degree"),
-    click.option("--k", type=int, default=None, help="star size for kstar_count"),
-    click.option("--s", type=int, default=None, help="source terminal for st_min_cut"),
-    click.option("--t", "t_", type=int, default=None, help="sink terminal for st_min_cut"),
-]
-
-
-def _add_options(opts):
-    def deco(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-
-    return deco
-
-
-@click.group()
-@click.version_option(version=__version__)
-def main() -> None:
-    """Differentially private continual release of graph statistics."""
-
-
-@main.command()
-@click.option("--target", required=True, type=click.Choice(sorted(EVENT_TARGETS)))
-@click.option("--adjacency", default="edge", type=click.Choice(["edge", "node"]))
-@click.option("--sigma", required=True, help="binary stream, e.g. 101")
-@click.option("--weight", "-W", type=int, default=1)
-@click.option("--degree", "-D", type=int, default=None)
-@click.option("--tau", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--flip", type=int, default=None, help="also emit the pair with this bit flipped")
-@click.option("--out", required=True, type=click.Path())
 @_wrap_errors
 def generate(target, adjacency, sigma, weight, degree, tau, k, flip, out) -> None:
     """Emit an adversarial update log plus an expected-value sidecar."""
     from .generators import adjacent_pair, expected_values, gen_event_level, target_function
 
     if any(ch not in "01" for ch in sigma) or not sigma:
-        raise click.UsageError(f"sigma must be a non-empty 0/1 string, got {sigma!r}")
+        raise ContinualDPError(f"--sigma must be a non-empty 0/1 string, got {sigma!r}")
     bits = [int(ch) for ch in sigma]
     config = {
         "target": target,
@@ -183,13 +152,9 @@ def generate(target, adjacency, sigma, weight, degree, tau, k, flip, out) -> Non
             },
         }
     Path(str(out) + ".expected.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    click.echo(f"wrote {out}")
+    print(f"wrote {out}")
 
 
-@main.command("eval")
-@_add_options(_function_options)
-@click.option("--input", "input_", required=True, type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), default=None)
 @_wrap_errors
 def eval_cmd(function, tau, k, s, t_, input_, out) -> None:
     """Exact per-step values of a statistic along an update log."""
@@ -200,21 +165,6 @@ def eval_cmd(function, tau, k, s, t_, input_, out) -> None:
     _write(out, ["t,value\n"], rows)
 
 
-@main.command("release")
-@click.option("--mechanism", default="diff", type=click.Choice(["diff", "monotone"]))
-@_add_options(_function_options)
-@click.option("--epsilon", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--beta", type=float, default=0.5, help="monotone multiplicative error")
-@click.option("--range-r", type=float, default=None,
-              help="declared top r of the monotone value range [1, r]; required by monotone")
-@click.option("--adjacency", default="edge", type=click.Choice(["edge", "node"]))
-@click.option("--degree-bound", "-D", type=int, default=None)
-@click.option("--weight-bound", "-W", type=int, default=None)
-@click.option("--input", "input_", required=True, type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None, envvar=SEED_ENV,
-              help="secret: it determines the noise")
 @_wrap_errors
 def release_cmd(
     mechanism, function, tau, k, s, t_, epsilon, delta, beta, range_r,
@@ -225,9 +175,9 @@ def release_cmd(
     The output holds the config and the noisy values only; the seed is
     never written or printed."""
     if mechanism == "monotone" and range_r is None:
-        raise click.UsageError("--mechanism monotone requires a declared --range-r")
+        raise ContinualDPError("--mechanism monotone requires a declared --range-r")
     if mechanism == "monotone" and degree_bound is not None:
-        raise click.UsageError("--mechanism monotone takes no --degree-bound: no monotone "
+        raise ContinualDPError("--mechanism monotone takes no --degree-bound: no monotone "
                                "statistic uses D")
     f = _build_function(function, tau, k, s, t_)
     seq = _load_sequence(input_)
@@ -246,7 +196,7 @@ def release_cmd(
             seq, f, epsilon, delta, rng, adjacency=adjacency, D=degree_bound, W=weight_bound,
         )
         _write(out, _metadata_lines(config), ["t,released\n"], _release_rows(report))
-        click.echo(f"bound {report.bound:.4f}")
+        print(f"bound {report.bound:.4f}")
     else:
         from .monotone import monotone_release
 
@@ -256,24 +206,9 @@ def release_cmd(
         )
         rows = (f"{rec.t},{rec.output:.6f}\n" for rec in report.records)
         _write(out, _metadata_lines(config), ["t,output\n"], rows)
-        click.echo(f"alpha {report.alpha:.4f}, top answers {report.top_count}/{report.c}")
+        print(f"alpha {report.alpha:.4f}, top answers {report.top_count}/{report.c}")
 
 
-@main.command("sensitivity")
-@_add_options(_function_options)
-@click.option("--adjacency", default="edge", type=click.Choice(["edge", "node"]))
-@click.option(
-    "--regime",
-    default="incremental",
-    type=click.Choice(["incremental", "decremental", "fully-dynamic"]),
-)
-@click.option("--n-max", type=int, default=5)
-@click.option("--t-max", type=int, default=4)
-@click.option("--w-max", type=int, default=1)
-@click.option("--d-max", type=int, default=None)
-@click.option("--max-pairs", type=int, default=200)
-@click.option("--seed", type=int, default=None, envvar=SEED_ENV)
-@click.option("--out", type=click.Path(), default=None)
 @_wrap_errors
 def sensitivity_cmd(
     function, tau, k, s, t_, adjacency, regime, n_max, t_max, w_max, d_max,
@@ -308,7 +243,7 @@ def sensitivity_cmd(
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     if verdict.status == "Violation":
         sys.exit(1)
 
@@ -420,8 +355,6 @@ def _verify_bounds() -> list[tuple[str, bool]]:
     return results
 
 
-@main.command("verify")
-@click.argument("suite", type=click.Choice(["sensitivity", "generators", "bounds"]))
 @_wrap_errors
 def verify_cmd(suite) -> None:
     """Run an invariant suite; nonzero exit on any failure."""
@@ -433,7 +366,7 @@ def verify_cmd(suite) -> None:
     results = runner()
     failed = False
     for label, ok in results:
-        click.echo(f"[{'PASS' if ok else 'FAIL'}] {label}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {label}")
         failed |= not ok
     if failed:
         sys.exit(1)
@@ -459,17 +392,6 @@ def _quantiles(values: list[float], qs: Iterable[float]) -> list[float]:
     return out
 
 
-@main.command("experiment")
-@_add_options(_function_options)
-@click.option("--epsilon", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--adjacency", default="edge", type=click.Choice(["edge", "node"]))
-@click.option("--degree-bound", "-D", type=int, default=None)
-@click.option("--weight-bound", "-W", type=int, default=None)
-@click.option("--input", "input_", required=True, type=click.Path(exists=True))
-@click.option("--trials", type=click.IntRange(min=1), default=20)
-@click.option("--seed", type=int, default=None, envvar=SEED_ENV)
-@click.option("--out", required=True, type=click.Path())
 @_wrap_errors
 def experiment_cmd(
     function, tau, k, s, t_, epsilon, delta, adjacency, degree_bound,
@@ -519,8 +441,111 @@ def experiment_cmd(
     # a diagnostic run: its file records the seed, after the version
     version, config_line = _metadata_lines(config)
     _write(out, [version, f"# seed: {rng.seed}\n", config_line], [summary_line], rows)
-    click.echo(f"{within}/{trials} trials within bound {bound:.4f}, seed {rng.seed}")
+    print(f"{within}/{trials} trials within bound {bound:.4f}, seed {rng.seed}")
+
+
+def _existing_path(value: str) -> str:
+    if not os.path.exists(value):
+        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+    return value
+
+
+def _at_least_1(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer >= 1")
+    return n
+
+
+def _parser(prog: str | None) -> argparse.ArgumentParser:
+    """The six subcommands and their options; no option may be abbreviated.
+    ``--seed`` defaults to $CONTINUAL_DP_SEED, a string that argparse parses
+    as the flag's value, so a bad one exits 2 naming --seed."""
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    seed = dict(type=int, default=os.environ.get(SEED_ENV) or None)
+    adjacency = dict(default="edge", choices=["edge", "node"])
+    input_ = dict(dest="input_", metavar="INPUT", required=True, type=_existing_path)
+
+    def command(name, run, *, statistic=True):
+        p = commands.add_parser(name, help=run.__doc__.partition("\n")[0],
+                                description=run.__doc__, allow_abbrev=False)
+        p.set_defaults(run=run)
+        if statistic:
+            p.add_argument("--function", required=True, help="graph statistic name")
+            p.add_argument("--tau", type=int, help="degree threshold for high_degree")
+            p.add_argument("--k", type=int, help="star size for kstar_count")
+            p.add_argument("--s", type=int, help="source terminal for st_min_cut")
+            p.add_argument("--t", dest="t_", metavar="T", type=int,
+                           help="sink terminal for st_min_cut")
+        return p
+
+    p = command("generate", generate, statistic=False)
+    p.add_argument("--target", required=True, choices=sorted(EVENT_TARGETS))
+    p.add_argument("--adjacency", **adjacency)
+    p.add_argument("--sigma", required=True, help="binary stream, e.g. 101")
+    p.add_argument("--weight", "-W", type=int, default=1)
+    p.add_argument("--degree", "-D", type=int)
+    p.add_argument("--tau", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--flip", type=int, help="also emit the pair with this bit flipped")
+    p.add_argument("--out", required=True)
+
+    p = command("eval", eval_cmd)
+    p.add_argument("--input", **input_)
+    p.add_argument("--out")
+
+    p = command("release", release_cmd)
+    p.add_argument("--mechanism", default="diff", choices=["diff", "monotone"])
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--beta", type=float, default=0.5, help="monotone multiplicative error")
+    p.add_argument("--range-r", type=float,
+                   help="declared top r of the monotone value range [1, r]; required by monotone")
+    p.add_argument("--adjacency", **adjacency)
+    p.add_argument("--degree-bound", "-D", type=int)
+    p.add_argument("--weight-bound", "-W", type=int)
+    p.add_argument("--input", **input_)
+    p.add_argument("--out")
+    p.add_argument("--seed", **seed, help="secret: it determines the noise")
+
+    p = command("sensitivity", sensitivity_cmd)
+    p.add_argument("--adjacency", **adjacency)
+    p.add_argument("--regime", default="incremental",
+                   choices=["incremental", "decremental", "fully-dynamic"])
+    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--t-max", type=int, default=4)
+    p.add_argument("--w-max", type=int, default=1)
+    p.add_argument("--d-max", type=int)
+    p.add_argument("--max-pairs", type=int, default=200)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out")
+
+    p = command("verify", verify_cmd, statistic=False)
+    p.add_argument("suite", choices=["sensitivity", "generators", "bounds"])
+
+    p = command("experiment", experiment_cmd)
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--adjacency", **adjacency)
+    p.add_argument("--degree-bound", "-D", type=int)
+    p.add_argument("--weight-bound", "-W", type=int)
+    p.add_argument("--input", **input_)
+    p.add_argument("--trials", type=_at_least_1, default=20)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out", required=True)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Differentially private continual release of graph statistics."""
+    options = vars(_parser(prog_name).parse_args(args))
+    options.pop("run")(**options)
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m continualdp.cli")

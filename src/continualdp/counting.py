@@ -39,7 +39,6 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -56,16 +55,20 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class StreamBounds:
-    """Declared item range {L1, ..., L2}."""
-
+class _StreamBounds(NamedTuple):
     L1: int
     L2: int
 
-    def __post_init__(self) -> None:
-        if self.L1 > self.L2:
-            raise OutOfRange(f"L1={self.L1} exceeds L2={self.L2}")
+
+class StreamBounds(_StreamBounds):
+    """Declared item range {L1, ..., L2}."""
+
+    __slots__ = ()
+
+    def __new__(cls, L1: int, L2: int) -> StreamBounds:
+        if L1 > L2:
+            raise OutOfRange(f"L1={L1} exceeds L2={L2}")
+        return super().__new__(cls, L1, L2)
 
     @property
     def width(self) -> int:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterator, NamedTuple
 
@@ -66,26 +65,31 @@ EVENT_TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class GraphFunction:
-    """Identifier of a graph statistic with its parameters."""
-
+class _GraphFunction(NamedTuple):
     name: str
     tau: int | None = None
     k: int | None = None
     s: int | None = None
     t: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.name not in STATISTICS:
-            raise UnknownFunction(f"unknown graph function {self.name!r}")
-        if self.name == "high_degree" and (self.tau is None or self.tau < 1):
+
+class GraphFunction(_GraphFunction):
+    """Identifier of a graph statistic with its parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, tau: int | None = None, k: int | None = None,
+                s: int | None = None, t: int | None = None) -> GraphFunction:
+        if name not in STATISTICS:
+            raise UnknownFunction(f"unknown graph function {name!r}")
+        if name == "high_degree" and (tau is None or tau < 1):
             raise OutOfRange("high_degree requires tau >= 1")
-        if self.name == "kstar_count" and (self.k is None or self.k < 1):
+        if name == "kstar_count" and (k is None or k < 1):
             raise OutOfRange("kstar_count requires k >= 1")
-        if self.name == "st_min_cut":
-            if self.s is None or self.t is None or self.s == self.t:
+        if name == "st_min_cut":
+            if s is None or t is None or s == t:
                 raise OutOfRange("st_min_cut requires distinct terminals s, t")
+        return super().__new__(cls, name, tau, k, s, t)
 
     def label(self) -> str:
         if self.name == "high_degree":

@@ -35,8 +35,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import abc
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InvalidUpdate, LengthMismatch
 
@@ -513,8 +512,7 @@ class AdjacencyKind(str, enum.Enum):
     EDGE_USER = "edge-user"
 
 
-@dataclass(frozen=True)
-class AdjacencyWitness:
+class AdjacencyWitness(NamedTuple):
     kind: AdjacencyKind
     element: EdgeKey | int
     t_star: int | None = None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     BadDelta,
@@ -86,8 +86,7 @@ class SparseVector:
         return SvtAnswer.BOTTOM
 
 
-@dataclass
-class MonotoneRecord:
+class MonotoneRecord(NamedTuple):
     t: int
     true: float
     output: float
@@ -96,22 +95,16 @@ class MonotoneRecord:
     alpha: float
 
 
-@dataclass
 class MonotoneReport:
     """Only each record's ``output`` is private; ``true``, ``lower_ok`` and
     ``upper_ok`` are diagnostics."""
 
-    function: str
-    epsilon: float
-    beta: float
-    delta: float
-    r: float
-    rho: float
-    c: int
-    alpha: float
-    budget_exhausted: bool = False
-    top_count: int = 0
-    records: list[MonotoneRecord] = field(default_factory=list)
+    def __init__(self, function: str, epsilon: float, beta: float, delta: float, r: float,
+                 rho: float, c: int, alpha: float, budget_exhausted: bool, top_count: int,
+                 records: list[MonotoneRecord]) -> None:
+        self.function, self.epsilon, self.beta, self.delta = function, epsilon, beta, delta
+        self.r, self.rho, self.c, self.alpha = r, rho, c, alpha
+        self.budget_exhausted, self.top_count, self.records = budget_exhausted, top_count, records
 
     @property
     def all_bounds_hold(self) -> bool:
@@ -198,16 +191,7 @@ def monotone_run(
     # alpha checks every parameter before the mechanism draws noise
     alpha = additive_error(epsilon, beta, delta, r, rho, len(values))
     mech = MonotoneMechanism(epsilon, beta, r, rho, rng)
-    report = MonotoneReport(
-        function=function,
-        epsilon=epsilon,
-        beta=beta,
-        delta=delta,
-        r=r,
-        rho=rho,
-        c=mech.c,
-        alpha=alpha,
-    )
+    records = []
     for t, v in enumerate(values, start=1):
         out = mech.process(v)
         # values below the ladder base 1 carry no sandwich guarantee
@@ -216,10 +200,20 @@ def monotone_run(
         else:
             lower_ok = v - alpha <= out
             upper_ok = out <= (1.0 + beta) * v + alpha
-        report.records.append(MonotoneRecord(t, v, out, lower_ok, upper_ok, alpha))
-    report.budget_exhausted = mech.budget_exhausted
-    report.top_count = mech.svt.count
-    return report
+        records.append(MonotoneRecord(t, v, out, lower_ok, upper_ok, alpha))
+    return MonotoneReport(
+        function=function,
+        epsilon=epsilon,
+        beta=beta,
+        delta=delta,
+        r=r,
+        rho=rho,
+        c=mech.c,
+        alpha=alpha,
+        budget_exhausted=mech.budget_exhausted,
+        top_count=mech.svt.count,
+        records=records,
+    )
 
 
 def monotone_release(
@@ -279,9 +273,5 @@ def monotone_release(
     report = monotone_run(feed, epsilon, beta, delta, r, rho, rng, function=f.label())
     if reverse:
         recs = report.records
-        report.records = [
-            MonotoneRecord(len(recs) - rec.t + 1, rec.true, rec.output,
-                           rec.lower_ok, rec.upper_ok, rec.alpha)
-            for rec in reversed(recs)
-        ]
+        report.records = [rec._replace(t=len(recs) - rec.t + 1) for rec in reversed(recs)]
     return report

@@ -366,8 +366,8 @@ def compare_with_table(f: GraphFunction, scope: OracleScope) -> TableVerdict:
         W = max(pair[0].max_weight(), pair[1].max_weight())
         rows.append((val, sensitivity_bound(f, scope.adjacency, scope.regime, D=D, W=W), pair))
     value, formula, witness = max(rows, key=lambda row: row[0], default=(0.0, 0.0, None))
-    if value == 0:
-        formula, witness = 0.0, None
+    if value == 0:  # no pair differs; the formula is still that of the first tested pair
+        witness = None
     if any(val > bound + 1e-9 for val, bound, _ in rows):
         status = "Violation"
     elif any(abs(val - bound) <= 1e-9 and val > 0 for val, bound, _ in rows):

@@ -22,9 +22,8 @@ sequence.  Their columns are (T, D + 1) arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .counting import BinaryMechanism, num_levels, theoretical_count_error
 from .errors import (
@@ -176,8 +175,7 @@ def theoretical_release_error(gamma: float, epsilon: float, delta: float, T: int
     return theoretical_count_error(gamma, epsilon, delta, T)
 
 
-@dataclass
-class ReleaseRecord:
+class ReleaseRecord(NamedTuple):
     t: int
     true: float | tuple[int, ...]
     released: float | tuple[float, ...]
@@ -185,7 +183,6 @@ class ReleaseRecord:
     bound: float
 
 
-@dataclass(eq=False)
 class ReleaseReport:
     """A release held as columns: ``exact`` and ``est`` have one row per
     step, lists of T floats for a scalar statistic and ``(T, D + 1)``
@@ -194,14 +191,11 @@ class ReleaseReport:
     largest error, a list or an array as the columns) and ``records`` (one
     ``ReleaseRecord`` per step) are built on first read."""
 
-    function: str
-    epsilon: float
-    delta: float
-    gamma: float
-    adjacency: str
-    bound: float
-    exact: list[float] | np.ndarray = field(repr=False)
-    est: list[float] | np.ndarray = field(repr=False)
+    def __init__(self, function: str, epsilon: float, delta: float, gamma: float,
+                 adjacency: str, bound: float, exact: list[float] | np.ndarray,
+                 est: list[float] | np.ndarray) -> None:
+        self.function, self.epsilon, self.delta, self.gamma = function, epsilon, delta, gamma
+        self.adjacency, self.bound, self.exact, self.est = adjacency, bound, exact, est
 
     @cached_property
     def abs_error(self) -> list[float] | np.ndarray:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import ast
+import io
 import os
 import subprocess
 import sys
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,6 +36,30 @@ def zero_noise():
     """Releases in the test draw zero noise (see ``zero_noise_draws``)."""
     with zero_noise_draws():
         yield
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+    exception: BaseException | None
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process, as ``click.testing.CliRunner``
+    does: stdout and stderr go to one ``output`` in the order written, the
+    code of a ``SystemExit`` is the exit code, and any other exception
+    exits 1 and is kept as ``exception``."""
+
+    def invoke(self, main, args) -> CliResult:
+        out, code, exception = io.StringIO(), 0, None
+        with redirect_stdout(out), redirect_stderr(out):
+            try:
+                main(args=list(args), prog_name="continual-dp")
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            except Exception as exc:
+                code, exception = 1, exc
+        return CliResult(code, out.getvalue(), exception)
 
 
 def loaded_modules(code: str, *modules: str) -> list[str]:

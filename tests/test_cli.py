@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +11,8 @@ from continualdp import GraphFunction, GraphSequence, RandomSource, __version__,
 from continualdp import cli
 from continualdp.cli import _quantiles, main
 from continualdp.release import release as diff_release
+
+from conftest import CliRunner
 
 
 @pytest.fixture
@@ -300,6 +301,18 @@ def test_sensitivity_of_an_unbounded_cell_is_strict_json(runner, tmp_path, funct
     assert payload["formula_at_max"] is None
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+def test_an_unbounded_cell_reports_no_formula_whatever_the_draws(runner, seed):
+    # at seed 2 neither drawn pair's difference sequences differ
+    result = runner.invoke(main, ["sensitivity", "--function", "max_cardinality_matching",
+                                  "--max-pairs", "2", "--n-max", "3", "--t-max", "1",
+                                  "--seed", seed])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["formula_at_max"] is None
+    assert (payload["witness"] is None) == (payload["oracle_value"] == 0)
+
+
 @pytest.mark.parametrize("regime", [None, "incremental", "decremental", "fully-dynamic"])
 def test_node_level_st_min_cut_sensitivity_skips_pairs_without_terminals(runner, regime):
     # node-level draws may start without a terminal or delete one; such a
@@ -489,6 +502,36 @@ def test_seed_env_fallback_releases_what_the_seed_flag_does(runner, tmp_path, mo
     monkeypatch.setenv("CONTINUAL_DP_SEED", "42")
     assert runner.invoke(main, [*args, "--out", str(by_env)]).exit_code == 0
     assert by_env.read_bytes() == by_flag.read_bytes()
+
+
+_RELEASE = ["release", "--function", "edge_count", "--epsilon", "1", "--delta", "0.05",
+            "--out", "rel.csv"]
+
+
+@pytest.mark.parametrize("args, env, named", [
+    ([], None, None),
+    (["bogus"], None, "bogus"),
+    ([*_RELEASE, "--eps", "1", "--input", "seq.txt"], None, "--eps"),
+    ([*_RELEASE, "--input", "missing.txt"], None, "--input"),
+    ([*_RELEASE, "--input", "seq.txt"], "abc", "--seed"),
+], ids=["no-command", "unknown-command", "abbreviated-option", "missing-input", "env-seed"])
+def test_usage_errors_exit_2_and_name_the_option(runner, tmp_path, monkeypatch, args, env,
+                                                 named):
+    _generate(runner, tmp_path)  # writes seq.txt
+    args = [str(tmp_path / a) if a.endswith((".txt", ".csv")) else a for a in args]
+    monkeypatch.delenv("CONTINUAL_DP_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CONTINUAL_DP_SEED", env)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert named is None or named in result.output
+    assert not (tmp_path / "rel.csv").exists()
+
+
+def test_version_names_the_program_and_exits_0(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith(f", version {__version__}\n")
 
 
 @pytest.mark.parametrize("range_r", ["nan", "inf"])

@@ -16,7 +16,6 @@ pairs are adjacent or what a generator builds.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from continualdp import (
     Graph,
@@ -32,7 +31,7 @@ from continualdp import (
 )
 from continualdp.cli import main
 
-from conftest import random_sequence
+from conftest import CliRunner, random_sequence
 from test_generators import CASES as GENERATOR_CASES
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,7 +1,11 @@
 """What a run loads: generators, oracle and monotone only on first use,
 and numpy only where code builds an array.  OpenSSL's ``_hashlib`` comes
 only with numpy: the noise stream hashes with CPython's built-in SHAKE-256
-and BLAKE2b, and only the numpy draws read it through ``hashlib``.
+and BLAKE2b, and only the numpy draws read it through ``hashlib``.  No
+release path loads ``click`` (the CLI parses with argparse) or
+``dataclasses`` and the ``inspect`` it imports (records are named tuples);
+numpy brings ``inspect`` of its own, and the diagnostic oracle and
+generators keep their dataclasses.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests
 do not count.
@@ -12,6 +16,7 @@ import pytest
 from conftest import loaded_modules
 
 LAZY = ("continualdp.generators", "continualdp.oracle", "continualdp.monotone")
+REFLECTION = ("click", "dataclasses", "inspect")
 
 _CLI = """
 from continualdp.cli import main
@@ -24,7 +29,7 @@ except SystemExit as exc:
 
 @pytest.mark.parametrize("code", ["import continualdp", "import continualdp.cli"])
 def test_import_loads_no_lazy_module(code):
-    assert loaded_modules(code, *LAZY, "numpy", "_hashlib") == []
+    assert loaded_modules(code, *LAZY, "numpy", "_hashlib", *REFLECTION) == []
 
 
 def test_parse_and_local_evaluators_load_no_numpy():
@@ -76,7 +81,36 @@ for name, kw in [("triangle_count", dict(D=3)), ("mst_weight", dict(W=3))]:
     report = release(seq, GraphFunction(name), 1.0, 0.05, RandomSource(1), **kw)
     assert len(report.records) == 2 and report.max_abs_error >= 0
 """
-    assert loaded_modules(code, "numpy", "_hashlib") == []
+    assert loaded_modules(code, "numpy", "_hashlib", *REFLECTION) == []
+
+
+def test_monotone_library_release_loads_no_dataclasses():
+    code = """
+from continualdp import GraphFunction, RandomSource, monotone_release, parse_sequence
+seq = parse_sequence("t=0 +v:0,1,2,3\\nt=1 +e:0-1:2,1-2:1\\nt=2 +e:0-2:1,2-3:3\\n")
+report = monotone_release(seq, GraphFunction("min_cut"), 1.0, 0.5, 0.05, RandomSource(1),
+                          r=8.0, W=3)
+assert [rec.t for rec in report.records] == [1, 2]
+"""
+    assert loaded_modules(code, *REFLECTION) == []
+
+
+@pytest.mark.parametrize(
+    "args, modules",
+    [
+        (["release", "--function", "edge_count"], REFLECTION),
+        (["experiment", "--function", "edge_count", "--trials", "2"], REFLECTION),
+        # numpy imports inspect itself
+        (["experiment", "--function", "degree_histogram", "-D", "3", "--trials", "2"],
+         ("click", "dataclasses")),
+        (["release", "--mechanism", "monotone", "--function", "min_cut", "-W", "1",
+          "--range-r", "10"], REFLECTION),
+        (["eval", "--function", "edge_count"], REFLECTION),
+    ],
+    ids=["release", "experiment-edge_count", "experiment", "monotone", "eval"],
+)
+def test_cli_release_paths_load_no_click_or_dataclasses(tmp_path, args, modules):
+    assert _cli_loaded(tmp_path, args, *modules) == []
 
 
 def test_experiment_leaves_numpy_ma_unloaded(tmp_path):
